@@ -49,12 +49,12 @@ from .dynamics import (
     initial_state,
     blockade_angle,
     pair_detuning,
-    auto_steps,
     feasibility_check,
     check_feasibility,
 )
 from .observables import (
     Distribution,
+    ProbabilityError,
     eels_spectrum,
     polariton_statistics,
     state_fidelity,

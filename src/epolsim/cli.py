@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 configuration error (the message names the offending
 field), 3 numerical failure (trace drift or invalid truncation; for sweeps
 only when every grid point fails).  Re-running any config produces
-byte-identical outputs regardless of worker count.
+byte-identical outputs regardless of worker count.  Any other exception is a
+fault of the program and propagates.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 from . import __version__
 from .cavity import build_jc, build_kerr, pair_states, polariton_eigenbasis
 from .dynamics import (
+    RETIRED_STEP_KEYS,
     IntegratorConfig,
     NumericsError,
     SystemConfig,
@@ -34,7 +36,7 @@ from .dynamics import (
 )
 from .electron import LadderConfig
 from .gates import gate_identity_suite
-from .observables import eels_spectrum, polariton_statistics, state_fidelity
+from .observables import ProbabilityError, eels_spectrum, polariton_statistics, state_fidelity
 
 SCHEMA_VERSION = 1
 
@@ -100,24 +102,38 @@ def _integer(obj: dict, path: str, key: str, default=None, minimum=None):
     return int(val)
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _number_list(obj: dict, path: str, key: str, min_len=1):
     if key not in obj:
         raise ConfigError(f"{path}.{key}", "missing required list")
     val = obj[key]
-    if not isinstance(val, list) or len(val) < min_len or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in val
-    ):
+    if not isinstance(val, list) or len(val) < min_len or not all(_is_number(x) for x in val):
         raise ConfigError(f"{path}.{key}", f"expected a list of >= {min_len} numbers")
     return [float(x) for x in val]
+
+
+def _integer_list(obj: dict, path: str, key: str, length: int, minimum: int, match: str) -> list[int]:
+    vals = _number_list(obj, path, key)
+    if len(vals) != length:
+        raise ConfigError(f"{path}.{key}", f"length must match {match}")
+    for v in vals:
+        if v != int(v):
+            raise ConfigError(f"{path}.{key}", f"expected integers, got {v}")
+        if v < minimum:
+            raise ConfigError(f"{path}.{key}", f"entries must be >= {minimum}, got {int(v)}")
+    return [int(v) for v in vals]
 
 
 def _complex_field(obj: dict, path: str, key: str) -> complex:
     if key not in obj:
         raise ConfigError(f"{path}.{key}", "missing required number")
     val = obj[key]
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
+    if _is_number(val):
         return complex(float(val), 0.0)
-    if isinstance(val, list) and len(val) == 2 and all(isinstance(x, (int, float)) for x in val):
+    if isinstance(val, list) and len(val) == 2 and all(_is_number(x) for x in val):
         return complex(float(val[0]), float(val[1]))
     raise ConfigError(f"{path}.{key}", f"expected a number or [re, im], got {val!r}")
 
@@ -233,11 +249,16 @@ def normalize_config(raw: dict) -> dict:
         q0_l = 2.0 * math.pi * length * 1e3 / wavelength
     else:
         q0_l = _number(electron, "electron", "q0_l", minimum=1e-9)
+    tune = electron.get("tune_to_pair")
+    if tune is not None and not isinstance(tune, bool):
+        raise ConfigError("electron.tune_to_pair", f"expected true or false, got {tune!r}")
     tuning_keys = [k for k in ("velocity_ratio", "delta") if k in electron]
-    if bool(electron.get("tune_to_pair", False)):
+    if tune:
         tuning_keys.append("tune_to_pair")
     if len(tuning_keys) > 1:
         raise ConfigError(f"electron.{tuning_keys[1]}", "give only one of velocity_ratio, delta, tune_to_pair")
+    if tune is False and not tuning_keys:
+        raise ConfigError("electron.tune_to_pair", "false leaves the velocity unset; give velocity_ratio or delta")
     cfg["electron"] = {
         "rungs": rungs,
         "center": center,
@@ -282,13 +303,13 @@ def normalize_config(raw: dict) -> dict:
         (),
         ("steps", "phase_per_step", "drive_per_step", "convergence_check", "trace_bound", "cutoff_bound", "wrap_bound"),
     )
-    steps = integ.get("steps")
-    if steps is not None:
-        steps = _integer(integ, "integrator", "steps", minimum=100)
+    # step sizes of the retired fixed-step integrator: echoed, accepted at their defaults only
+    for key, default in RETIRED_STEP_KEYS.items():
+        if key in integ and integ[key] != default:
+            raise ConfigError(f"integrator.{key}",
+                              f"only {json.dumps(default)} is accepted: the propagator is exact and takes no steps")
     cfg["integrator"] = {
-        "steps": steps,
-        "phase_per_step": _number(integ, "integrator", "phase_per_step", default=0.12, minimum=1e-4),
-        "drive_per_step": _number(integ, "integrator", "drive_per_step", default=0.04, minimum=1e-4),
+        **RETIRED_STEP_KEYS,
         "convergence_check": bool(integ.get("convergence_check", True)),
         "trace_bound": _number(integ, "integrator", "trace_bound", default=1e-8, minimum=0.0),
         "cutoff_bound": _number(integ, "integrator", "cutoff_bound", default=1e-6, minimum=0.0),
@@ -305,23 +326,13 @@ def normalize_config(raw: dict) -> dict:
             _check_keys(sweep, "sweep", ("kappa_values",), ("n_cut_values", "rungs_values"))
             kappas = _number_list(sweep, "sweep", "kappa_values")
             out = {"kappa_values": kappas}
-            for key in ("n_cut_values", "rungs_values"):
-                if key in sweep:
-                    vals = _number_list(sweep, "sweep", key)
-                    if len(vals) != len(kappas):
-                        raise ConfigError(f"sweep.{key}", "length must match kappa_values")
-                    out[key] = [int(v) for v in vals]
+            out.update(_cutoff_lists(sweep, len(kappas), "kappa_values"))
             cfg["sweep"] = out
         elif scenario == "sweep_velocity":
             _check_keys(sweep, "sweep", ("velocity_ratios",), ("n_cut_values", "rungs_values"))
             ratios = _number_list(sweep, "sweep", "velocity_ratios")
             out = {"velocity_ratios": ratios}
-            for key in ("n_cut_values", "rungs_values"):
-                if key in sweep:
-                    vals = _number_list(sweep, "sweep", key)
-                    if len(vals) != len(ratios):
-                        raise ConfigError(f"sweep.{key}", "length must match velocity_ratios")
-                    out[key] = [int(v) for v in vals]
+            out.update(_cutoff_lists(sweep, len(ratios), "velocity_ratios"))
             cfg["sweep"] = out
         elif scenario == "sweep_gq":
             _check_keys(sweep, "sweep", ("g_q_values",))
@@ -330,14 +341,49 @@ def normalize_config(raw: dict) -> dict:
             _check_keys(sweep, "sweep", ("kappa_values", "gamma_values"), ("n_cut_values", "rungs_values"))
             kappas = _number_list(sweep, "sweep", "kappa_values")
             out = {"kappa_values": kappas, "gamma_values": _number_list(sweep, "sweep", "gamma_values")}
-            for key in ("n_cut_values", "rungs_values"):
-                if key in sweep:
-                    vals = _number_list(sweep, "sweep", key)
-                    if len(vals) != len(kappas):
-                        raise ConfigError(f"sweep.{key}", "length must match kappa_values")
-                    out[key] = [int(v) for v in vals]
+            out.update(_cutoff_lists(sweep, len(kappas), "kappa_values"))
             cfg["sweep"] = out
+    _check_levels(cfg)
     return cfg
+
+
+def _cutoff_lists(sweep: dict, length: int, match: str) -> dict:
+    """Per-point photon cutoffs and ladder sizes, with the bounds of model.n_cut and electron.rungs."""
+    out = {}
+    for key, minimum in (("n_cut_values", 2), ("rungs_values", 3)):
+        if key in sweep:
+            out[key] = _integer_list(sweep, "sweep", key, length, minimum, match)
+    return out
+
+
+def _model_rows(cfg: dict) -> list[tuple[float, int]]:
+    """(kappa, n_cut) of every grid point's cavity model."""
+    model, sweep = cfg["model"], cfg.get("sweep", {})
+    n = len(sweep.get("kappa_values", sweep.get("velocity_ratios", [None])))
+    kappas = sweep.get("kappa_values", [model["kappa_ratio"]] * n)
+    return list(zip(kappas, sweep.get("n_cut_values", [model["n_cut"]] * n)))
+
+
+def _check_levels(cfg: dict) -> None:
+    """Every grid point's model must hold the pair and initial levels, and a pair the
+    electron is tuned to, or scored against, must be a ladder transition it can reach."""
+    kind, pair = cfg["model"]["kind"], cfg["pair"]
+    tuned = cfg["electron"]["tune_to_pair"] and cfg["scenario"] != "sweep_velocity"
+    for kappa, n_cut in sorted(set(_model_rows(cfg))):
+        model = (build_kerr if kind == "kerr" else build_jc)(kappa, n_cut)
+        labels = polariton_eigenbasis(model).labels
+        for field, label in (("pair.lower", pair["lower"]), ("pair.upper", pair["upper"]),
+                             ("initial_level", cfg["initial_level"])):
+            if label not in labels:
+                raise ConfigError(field, f"no level {label!r} in the {kind} model at n_cut {n_cut}")
+        if tuned or cfg["scenario"] == "fidelity_map":
+            try:
+                pair_states(model, pair["lower"], pair["upper"])
+            except ValueError as exc:
+                raise ConfigError("pair", str(exc)) from None
+        if tuned and abs(pair_detuning(model, pair["lower"], pair["upper"])) > 0.9:
+            raise ConfigError("pair", f"tuning to ({pair['lower']}, {pair['upper']}) needs |delta| > 0.9 "
+                              f"at kappa {kappa}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +422,12 @@ def _build_point(payload: dict):
 
 
 def _evaluate_point(payload: dict) -> dict:
-    """Run one grid point; returns plain data for deterministic assembly."""
+    """Run one grid point; returns plain data for deterministic assembly.
+
+    A numerical failure marks the point unconverged with its reason.  Faults
+    of the config are rejected earlier by normalize_config, so any other
+    exception is a fault of the program and propagates.
+    """
     cfg, icfg = _build_point(payload)
     out: dict = {"index": payload["index"], "converged": True, "reason": ""}
     try:
@@ -403,7 +454,7 @@ def _evaluate_point(payload: dict) -> dict:
             omega = blockade_angle(cfg.model, payload["lower"], payload["upper"], cfg.g_q)
             target = (scattering_blockade(omega, lo, up, cfg.space) @ psi0).normalize()
             out["fidelity"] = state_fidelity(frame_align(result.state, cfg), target)
-    except (NumericsError, ValueError) as exc:
+    except (NumericsError, ProbabilityError) as exc:
         out["converged"] = False
         out["reason"] = f"{type(exc).__name__}: {exc}"
     return out

@@ -1,34 +1,46 @@
 """Time evolution of the joint electron-cavity state and closed-form scattering matrices.
 
-The propagator integrates the interaction-picture master equation
+The propagator solves the interaction-picture master equation
 
-    drho/dt = -i [H_nl + i g e^{i dt} (bdag x a) + h.c., rho] + gamma * D[a] rho
+    drho/dt = -i [H_nl + i g e^{i delta t} (bdag x a) + h.c., rho] + gamma * D[a] rho
 
-with fixed-step RK4.  Internally the integration variable is rotated by
-exp(i H_nl t) (an exact unitary change of variables, undone before results are
-returned), which absorbs the stiff nonlinear phases into analytically exact
-factors and leaves only the slow phase-mismatch frequencies to resolve.
+exactly, from two structural facts:
 
-Two structural facts keep the propagation cheap:
+* the cyclic electron shift makes the total excitation (rung plus cavity
+  excitation nu, mod D) an exact symmetry.  Sector k holds the states
+  |(k - nu(c)) mod D, c>, one per bare cavity basis state c; in these sector
+  coordinates bdag x a acts as a alone, so every sector carries the same
+  m x m Hamiltonian;
+* with V(t) = exp(-i delta nu t) that Hamiltonian becomes the constant
+  H' - delta nu, H' = H_nl + i g a - i g* adag, and D[a] is unchanged by V.
 
-* the cyclic electron shift makes the total excitation sector (rung + cavity
-  excitation, mod D) an exact symmetry, so the Hamiltonian is block-diagonal
-  with one identical block per sector;
-* a rung-eigenstate initial condition has no coherence between different
-  sectors, and photon loss shifts bra and ket sectors together, so the density
-  matrix stays sector-block-diagonal for the whole evolution.
+Without loss each sector column evolves by one m x m exponential,
+
+    psi_k(T) = exp(-i delta nu T) expm(-i (H' - delta nu) T) psi_k(0).
+
+With loss, a (k, k') block X of the density matrix evolves under
+X -> -i (H_eff X - X H_eff^dag), H_eff = H' - delta nu - (i gamma / 2) adag a
+(the photon number, not nu), and every photon loss X -> gamma a X adag moves
+it to block (k - 1, k' - 1).  That lower-bidiagonal chain is solved with the
+action of the matrix exponential of a sparse chain generator (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33, 2011); chain depth j lands on the sector
+pair (k - j, k' - j) mod D.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import expm
 
-from .cavity import CavityModel, PolaritonBasis, polariton_eigenbasis
+from .cavity import CavityModel, polariton_eigenbasis
 from .electron import ELECTRON_LABEL, LadderConfig, build_ladder
 from .tensor import DensityMatrix, Operator, StateVector, TensorSpace
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "SystemConfig",
@@ -49,7 +61,6 @@ __all__ = [
     "initial_state",
     "blockade_angle",
     "pair_detuning",
-    "auto_steps",
     "feasibility_check",
     "check_feasibility",
 ]
@@ -72,7 +83,8 @@ class WrapAroundError(NumericsError):
 
 
 class ConvergenceError(NumericsError):
-    """Step-halving changed a reported probability beyond the bound."""
+    """Two independent computations of the final state disagree on a reported
+    probability beyond the bound."""
 
 
 @dataclass(frozen=True)
@@ -111,21 +123,23 @@ class SystemConfig:
         return complex(self.g_q) / self.interaction_time
 
 
+# step controls of the retired fixed-step integrator, kept at these values only
+RETIRED_STEP_KEYS = {"steps": None, "phase_per_step": 0.12, "drive_per_step": 0.04}
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step RK4 controls and numerical-hygiene bounds.
+    """Numerical-hygiene bounds of the exact propagator.
 
-    `phase_per_step` caps dt times the fastest surviving oscillation rate
-    (the detunings left after the exact nonlinear-frame rotation);
-    `drive_per_step` caps dt times the coupling and loss rates, which govern
-    the resonant dynamics and need finer resolution per radian.  The
-    step-halving gate validates whatever these caps produce.
+    `convergence_check` computes the final state a second, independent way and
+    bounds the change of every reported probability by `convergence_bound`.
+    `steps`, `phase_per_step` and `drive_per_step` sized the time steps of an
+    earlier fixed-step integrator; they are accepted at their defaults only.
     """
 
     steps: int | None = None
     phase_per_step: float = 0.12
     drive_per_step: float = 0.04
-    min_steps: int = 100
     trace_bound: float = 1e-8
     cutoff_bound: float = 1e-6
     wrap_bound: float = 1e-8
@@ -133,19 +147,28 @@ class IntegratorConfig:
     convergence_check: bool = True
     convergence_bound: float = 1e-6
     check_positivity: bool = True
-    record_every: int | None = None
 
     def __post_init__(self):
-        if self.steps is not None and self.steps < self.min_steps:
-            raise ValueError(f"steps must be >= {self.min_steps} when fixed, got {self.steps}")
-        if self.phase_per_step <= 0 or self.drive_per_step <= 0:
-            raise ValueError("step caps must be positive")
+        for name, default in RETIRED_STEP_KEYS.items():
+            if getattr(self, name) != default:
+                raise ValueError(
+                    f"{name} must stay at its default {default!r}: the propagator is exact and takes no step size"
+                )
 
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """Numerical record of one propagation.
+
+    `steps` counts the propagator's work: dense matrix exponentials on the
+    lossless route (expm, plus the eigendecomposition of the check), and
+    expm_multiply calls on the loss chain (both routes of the check).
+    `halving_delta` is the largest change of a reported probability between
+    the two computations of the final state: expm against eigh without loss,
+    expm_multiply over [0, T] against two applications over T/2 with loss.
+    """
+
     steps: int
-    dt: float
     trace_error: float
     min_eigenvalue: float | None
     cutoff_occupancy: float
@@ -161,279 +184,235 @@ class EvolveResult:
     state: DensityMatrix
     diagnostics: Diagnostics
     pure_state: StateVector | None = None
-    trajectory: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
-# frame preparation
+# sector coordinates
 
 
-class _Frame:
-    """Precomputed rotated-basis data shared by all propagation paths."""
+CHAIN_TAIL = 1e-14  # bound on the population lost by cutting the loss chain short
+
+# Condition (3.13) of Al-Mohy & Higham with m_max = 55, p_max = 8, ell = 2 and
+# theta_55 = 9.9 admits 1-norms up to 63.36 / (columns).  Below it expm_multiply
+# chooses its Taylor degree from the exact 1-norm; above it, from randomized norm
+# estimates, which would make repeated runs differ in the last bits.
+EXACT_NORM_LIMIT = 63.0
+
+
+class _Sectors:
+    """Sector coordinates of the joint space and the constant sector Hamiltonian."""
 
     def __init__(self, cfg: SystemConfig):
+        model = cfg.model
         self.cfg = cfg
-        self.model = cfg.model
-        self.basis: PolaritonBasis = polariton_eigenbasis(cfg.model)
         self.d = cfg.ladder.rungs
-        self.m = cfg.model.dim
-        self.v = self.basis.u  # bare <- eigen
-        self.lam = self.basis.nonlinear_shifts()
-        self.nu = self.basis.excitations.astype(int)
-        self.a_pol = self.v.conj().T @ cfg.model.a @ self.v
-        self.phase_rates = self.lam[:, None] - self.lam[None, :]
-        self.couple = 1j * cfg.coupling_rate  # coefficient of (bdag x a)
-        # sector <-> labeled joint index maps (joint index = l * m + c)
+        self.m = model.dim
         k = np.arange(self.d)[:, None]
-        c = np.arange(self.m)[None, :]
-        self.rung_of = (k - self.nu[None, :]) % self.d  # (D, m): l for sector k, level c
-        self.joint_of = self.rung_of * self.m + c  # (D, m)
+        self.rung_of = (k - model.excitations[None, :]) % self.d  # (D, m): rung of sector k, state c
+        self.joint_of = self.rung_of * self.m + np.arange(self.m)[None, :]
+        self.n_photon = np.rint(np.real(np.diag(model.a_dag @ model.a))).astype(int)
+        self.u = polariton_eigenbasis(model).u
+        nu = model.excitations.astype(float)
+        g = cfg.coupling_rate
+        # H' - delta nu, Hermitian
+        self.h = model.h_nl + 1j * g * model.a - 1j * np.conj(g) * model.a_dag - cfg.delta * np.diag(nu)
+        self.phase = np.exp(-1j * cfg.delta * nu * cfg.interaction_time)  # V(T)
 
-    def a_at(self, t: float) -> np.ndarray:
-        return self.a_pol * np.exp(1j * t * self.phase_rates)
-
-    def drive_at(self, t: float) -> np.ndarray:
-        """Coefficient matrix of (bdag x .) in the rotated frame at time t."""
-        return (self.couple * np.exp(1j * self.cfg.delta * t)) * self.a_at(t)
-
-    def rotate_in_vector(self, psi: np.ndarray) -> np.ndarray:
-        """Bare labeled amplitudes -> eigenbasis labeled amplitudes, (D, m)."""
-        return psi.reshape(self.d, self.m) @ self.v.conj()
-
-    def rotate_out_vector(self, psi: np.ndarray, t: float) -> np.ndarray:
-        """Undo the frame rotation at time t and return bare labeled amplitudes."""
-        w = np.exp(-1j * self.lam * t)
-        return ((psi * w[None, :]) @ self.v.T).reshape(-1)
-
-    def rotate_in_matrix(self, rho: np.ndarray) -> np.ndarray:
-        r4 = rho.reshape(self.d, self.m, self.d, self.m)
-        r4 = np.einsum("ac,lckf,fe->lake", self.v.conj().T, r4, self.v, optimize=True)
-        return r4.reshape(self.d * self.m, self.d * self.m)
-
-    def rotate_out_matrix(self, rho: np.ndarray, t: float) -> np.ndarray:
-        w = np.exp(-1j * self.lam * t)
-        wfull = np.tile(w, self.d)
-        rho = rho * np.outer(wfull, wfull.conj())
-        r4 = rho.reshape(self.d, self.m, self.d, self.m)
-        r4 = np.einsum("ac,lckf,fe->lake", self.v, r4, self.v.conj().T, optimize=True)
-        return r4.reshape(self.d * self.m, self.d * self.m)
+    def populations(self, diag: np.ndarray, cav: np.ndarray) -> "_Populations":
+        """Reported probabilities from the sector-coordinate populations `diag`
+        (D, m) and the electron-traced cavity state `cav`.  V(T) leaves both
+        unchanged: it is diagonal, and every eigenlevel has one excitation number."""
+        electron = np.bincount(self.rung_of.ravel(), weights=diag.ravel(), minlength=self.d)
+        level = np.real(np.sum(self.u.conj() * (cav @ self.u), axis=0))
+        photon = np.bincount(self.n_photon, weights=diag.sum(axis=0), minlength=self.cfg.model.n_cut + 1)
+        return _Populations(electron, level, photon)
 
 
-def _step_rates(frame: _Frame, gamma: float) -> tuple[float, float]:
-    """(fastest oscillation rate, drive/loss rate) in the rotated frame."""
-    support = np.abs(frame.a_pol) > 1e-14
-    phase_rate = 0.0
-    if support.any():
-        phase_rate = max(
-            float(np.max(np.abs(frame.cfg.delta + frame.phase_rates[support]))),
-            float(np.max(np.abs(frame.phase_rates[support]))),
-        )
-    drive_rate = 2.0 * abs(frame.couple) * float(np.linalg.norm(frame.a_pol, 2))
-    if gamma > 0:
-        drive_rate = max(drive_rate, gamma * float(frame.nu.max()))
-    return phase_rate, drive_rate
-
-
-def auto_steps(cfg: SystemConfig, icfg: IntegratorConfig = IntegratorConfig()) -> int:
-    """Fixed step count: resolve every surviving phase and drive rate."""
-    if icfg.steps is not None:
-        return icfg.steps
-    phase_rate, drive_rate = _step_rates(_Frame(cfg), cfg.gamma)
-    per_time = max(phase_rate / icfg.phase_per_step, drive_rate / icfg.drive_per_step)
-    if per_time <= 0:
-        return icfg.min_steps
-    return max(icfg.min_steps, int(math.ceil(cfg.interaction_time * per_time)))
-
-
-# ---------------------------------------------------------------------------
-# RK4 kernels (arrays in the rotated frame)
-
-
-def _run_pure(frame: _Frame, psi0: np.ndarray, steps: int, record: list | None, every: int | None):
-    dt = frame.cfg.interaction_time / steps
-    psi = psi0.copy()
-
-    def rhs(psi_in: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        up = np.roll(psi_in, 1, axis=0) @ drive.T
-        down = np.roll(psi_in, -1, axis=0) @ drive.conj()
-        return -1j * (up + down)
-
-    for i in range(steps):
-        t = i * dt
-        m0 = frame.drive_at(t)
-        m1 = frame.drive_at(t + 0.5 * dt)
-        m2 = frame.drive_at(t + dt)
-        k1 = rhs(psi, m0)
-        k2 = rhs(psi + 0.5 * dt * k1, m1)
-        k3 = rhs(psi + 0.5 * dt * k2, m1)
-        k4 = rhs(psi + dt * k3, m2)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if record is not None and (i + 1) % every == 0:
-            record.append(((i + 1) * dt, psi.copy()))
-    return psi
-
-
-def _block_rhs(frame: _Frame, rb: np.ndarray, drive: np.ndarray, a_t: np.ndarray, gamma: float):
-    h = drive + drive.conj().T
-    out = -1j * (np.matmul(h, rb) - np.matmul(rb, h))
-    if gamma > 0:
-        gain = np.matmul(np.matmul(a_t, np.roll(rb, -1, axis=0)), a_t.conj().T)
-        n_t = a_t.conj().T @ a_t
-        anti = np.matmul(n_t, rb) + np.matmul(rb, n_t)
-        out += gamma * (gain - 0.5 * anti)
-    return out
-
-
-def _run_block(frame: _Frame, rb0: np.ndarray, steps: int, record: list | None, every: int | None):
-    dt = frame.cfg.interaction_time / steps
-    gamma = frame.cfg.gamma
-    rb = rb0.copy()
-    for i in range(steps):
-        t = i * dt
-        a0, a1, a2 = frame.a_at(t), frame.a_at(t + 0.5 * dt), frame.a_at(t + dt)
-        p0 = frame.couple * np.exp(1j * frame.cfg.delta * t)
-        p1 = frame.couple * np.exp(1j * frame.cfg.delta * (t + 0.5 * dt))
-        p2 = frame.couple * np.exp(1j * frame.cfg.delta * (t + dt))
-        k1 = _block_rhs(frame, rb, p0 * a0, a0, gamma)
-        k2 = _block_rhs(frame, rb + 0.5 * dt * k1, p1 * a1, a1, gamma)
-        k3 = _block_rhs(frame, rb + 0.5 * dt * k2, p1 * a1, a1, gamma)
-        k4 = _block_rhs(frame, rb + dt * k3, p2 * a2, a2, gamma)
-        rb = rb + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rb = 0.5 * (rb + rb.conj().transpose(0, 2, 1))
-        if record is not None and (i + 1) % every == 0:
-            record.append((((i + 1) * dt), rb.copy()))
-    return rb
-
-
-def _full_rhs(frame: _Frame, r4: np.ndarray, drive: np.ndarray, a_t: np.ndarray, gamma: float):
-    d, m = frame.d, frame.m
-    dim = d * m
-    h = drive + drive.conj().T
-    left = np.matmul(h, r4.reshape(d, m, dim)).reshape(r4.shape)
-    right = np.matmul(r4.reshape(dim, d, m), h).reshape(r4.shape)
-    out = -1j * (left - right)
-    if gamma > 0:
-        rolled = np.roll(np.roll(r4, -1, axis=0), -1, axis=2)
-        g1 = np.matmul(a_t, rolled.reshape(d, m, dim)).reshape(r4.shape)
-        gain = np.matmul(g1.reshape(dim, d, m), a_t.conj().T).reshape(r4.shape)
-        n_t = a_t.conj().T @ a_t
-        anti = np.matmul(n_t, r4.reshape(d, m, dim)).reshape(r4.shape)
-        anti = anti + np.matmul(r4.reshape(dim, d, m), n_t).reshape(r4.shape)
-        out += gamma * (gain - 0.5 * anti)
-    return out
-
-
-def _run_full(frame: _Frame, r40: np.ndarray, steps: int, record: list | None, every: int | None):
-    dt = frame.cfg.interaction_time / steps
-    gamma = frame.cfg.gamma
-    r4 = r40.copy()
-    for i in range(steps):
-        t = i * dt
-        a0, a1, a2 = frame.a_at(t), frame.a_at(t + 0.5 * dt), frame.a_at(t + dt)
-        p0 = frame.couple * np.exp(1j * frame.cfg.delta * t)
-        p1 = frame.couple * np.exp(1j * frame.cfg.delta * (t + 0.5 * dt))
-        p2 = frame.couple * np.exp(1j * frame.cfg.delta * (t + dt))
-        k1 = _full_rhs(frame, r4, p0 * a0, a0, gamma)
-        k2 = _full_rhs(frame, r4 + 0.5 * dt * k1, p1 * a1, a1, gamma)
-        k3 = _full_rhs(frame, r4 + 0.5 * dt * k2, p1 * a1, a1, gamma)
-        k4 = _full_rhs(frame, r4 + dt * k3, p2 * a2, a2, gamma)
-        r4 = r4 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        r4 = 0.5 * (r4 + r4.conj().transpose(2, 3, 0, 1))
-        if record is not None and (i + 1) % every == 0:
-            record.append((((i + 1) * dt), r4.copy()))
-    return r4
-
-
-# ---------------------------------------------------------------------------
-# representation plumbing
-
-
-def _blocks_from_labeled(frame: _Frame, rho_pol: np.ndarray) -> np.ndarray | None:
-    """Gather sector blocks; None if the state has inter-sector coherence."""
-    j = frame.joint_of
-    rb = rho_pol[j[:, :, None], j[:, None, :]]
-    total = float(np.sum(np.abs(rho_pol) ** 2))
-    captured = float(np.sum(np.abs(rb) ** 2))
-    if total > 0 and abs(total - captured) > 1e-13 * total:
-        return None
-    return rb
-
-
-def _labeled_from_blocks(frame: _Frame, rb: np.ndarray) -> np.ndarray:
-    dim = frame.d * frame.m
-    rho = np.zeros((dim, dim), dtype=complex)
-    j = frame.joint_of
-    rho[j[:, :, None], j[:, None, :]] = rb
-    return rho
-
-
-def _full_from_labeled(frame: _Frame, rho_pol: np.ndarray) -> np.ndarray:
-    j = frame.joint_of.reshape(-1)
-    r = rho_pol[j[:, None], j[None, :]]
-    return r.reshape(frame.d, frame.m, frame.d, frame.m)
-
-
-def _labeled_from_full(frame: _Frame, r4: np.ndarray) -> np.ndarray:
-    dim = frame.d * frame.m
-    j = frame.joint_of.reshape(-1)
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[j[:, None], j[None, :]] = r4.reshape(dim, dim)
-    return rho
-
-
+@dataclass(frozen=True)
 class _Populations:
-    """Reported probabilities extracted from a rotated-frame representation."""
+    electron: np.ndarray
+    level: np.ndarray
+    photon: np.ndarray
 
-    def __init__(self, frame: _Frame, electron: np.ndarray, level: np.ndarray, cav_pol: np.ndarray):
-        self.electron = electron
-        self.level = level
-        cav_bare = frame.v @ cav_pol @ frame.v.conj().T
-        ph = np.real(np.diag(cav_bare))
-        if frame.model.kind == "jc":
-            ph = ph.reshape(-1, 2).sum(axis=1)
-        self.photon = ph
+    def distance(self, other: "_Populations") -> float:
+        return max(float(np.max(np.abs(a - b))) for a, b in
+                   ((self.electron, other.electron), (self.level, other.level), (self.photon, other.photon)))
 
 
-def _populations_from_blocks(frame: _Frame, rb: np.ndarray) -> _Populations:
-    diag = np.real(np.einsum("kcc->kc", rb))
-    electron = np.zeros(frame.d)
-    np.add.at(electron, frame.rung_of, diag)
-    level = diag.sum(axis=0)
-    mask = (frame.nu[:, None] == frame.nu[None, :])
-    cav_pol = rb.sum(axis=0) * mask
-    return _Populations(frame, electron, level, cav_pol)
+# ---------------------------------------------------------------------------
+# lossless route: one m x m exponential for every sector column
 
 
-def _populations_from_full(frame: _Frame, r4: np.ndarray) -> _Populations:
-    diag = np.real(np.einsum("kckc->kc", r4))
-    electron = np.zeros(frame.d)
-    np.add.at(electron, frame.rung_of, diag)
-    level = diag.sum(axis=0)
-    cav_pol = np.einsum("kcke->ce", r4)
-    return _Populations(frame, electron, level, cav_pol)
+def _unitary_expm(h: np.ndarray, t: float) -> np.ndarray:
+    return expm(-1j * t * h)
 
 
-def _populations_from_pure(frame: _Frame, psi: np.ndarray) -> _Populations:
-    prob = np.abs(psi) ** 2  # psi is labeled (l, c) here
-    electron = prob.sum(axis=1)
-    level = prob.sum(axis=0)
-    cav_pol = psi.T @ psi.conj()
-    return _Populations(frame, electron, level, cav_pol)
+def _unitary_eigh(h: np.ndarray, t: float) -> np.ndarray:
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
+
+
+def _pure_populations(sec: _Sectors, psi: np.ndarray) -> _Populations:
+    return sec.populations(np.abs(psi) ** 2, psi.T @ psi.conj())
+
+
+def _evolve_pure(sec: _Sectors, amplitudes: np.ndarray, icfg: IntegratorConfig):
+    t = sec.cfg.interaction_time
+    psi0 = amplitudes[sec.joint_of]  # row k: sector k
+    psi = psi0 @ (sec.phase[:, None] * _unitary_expm(sec.h, t)).T
+    pops = _pure_populations(sec, psi)
+    work, delta = 1, None
+    if icfg.convergence_check:
+        check = psi0 @ (sec.phase[:, None] * _unitary_eigh(sec.h, t)).T
+        work, delta = 2, pops.distance(_pure_populations(sec, check))
+    amp = np.empty(sec.d * sec.m, dtype=complex)
+    amp[sec.joint_of] = psi
+    return amp, pops, work, delta
+
+
+# ---------------------------------------------------------------------------
+# loss chain: sparse generator on (block depth, vec X), expm_multiply
+
+
+def _chain_blocks(sec: _Sectors) -> int:
+    """Blocks in the loss chain; D means the exact cyclic chain.
+
+    Photons leave at rate gamma <adag a> <= gamma n_cut, so the number of
+    losses is stochastically below Poisson(gamma T n_cut).  The chain stops at
+    the first depth whose Poisson tail, bounded geometrically, is below
+    CHAIN_TAIL; that tail is the most population the cut can drop.
+    """
+    lam = sec.cfg.gamma * sec.cfg.interaction_time * sec.cfg.model.n_cut
+    depth = 0
+    while lam > 0 and depth + 1 < sec.d:
+        ratio = lam / (depth + 2)
+        if ratio < 1:
+            next_term = math.exp(-lam + (depth + 1) * math.log(lam) - math.lgamma(depth + 2))
+            if next_term / (1.0 - ratio) <= CHAIN_TAIL:
+                break
+        depth += 1
+    return min(depth + 1, sec.d)
+
+
+def _chain_generator(sec: _Sectors, blocks: int) -> sp.csr_matrix:
+    """Lindblad generator on the chain, row-major vec per block: vec(A X B) = (A x B^T) vec(X)."""
+    # only the loss chain uses scipy.sparse; imported here, it costs lossless and
+    # gate runs neither its import time nor its ~4 MB of resident memory
+    import scipy.sparse as sp
+
+    model, gamma = sec.cfg.model, sec.cfg.gamma
+    h_eff = sp.csr_matrix(sec.h - 0.5j * gamma * np.diag(sec.n_photon))
+    eye = sp.identity(sec.m, dtype=complex, format="csr")
+    diagonal = -1j * (sp.kron(h_eff, eye) - sp.kron(eye, h_eff.conj()))
+    a = sp.csr_matrix(model.a)
+    jump = gamma * sp.kron(a, a.conj())
+    shift = sp.eye(blocks, k=-1, format="csr")
+    if blocks == sec.d:  # the whole cyclic ladder: the loss out of the last block re-enters the first
+        shift = shift + sp.csr_matrix(([1.0], ([0], [blocks - 1])), shape=(blocks, blocks))
+    return (sp.kron(sp.identity(blocks, format="csr"), diagonal) + sp.kron(shift, jump)).tocsr()
+
+
+def _substeps(gen: sp.csr_matrix, t: float, columns: int) -> int:
+    """Fewest equal sub-intervals that keep every expm_multiply call under EXACT_NORM_LIMIT."""
+    import scipy.sparse as sp
+
+    shifted = gen - (gen.diagonal().sum() / gen.shape[0]) * sp.identity(gen.shape[0], format="csr")
+    norm = float(abs(shifted).sum(axis=0).max())
+    return max(1, math.ceil(t * norm * columns / EXACT_NORM_LIMIT))
+
+
+def _expm_action(gen: sp.csr_matrix, cols: np.ndarray, t: float, calls: int) -> np.ndarray:
+    from scipy.sparse.linalg import expm_multiply
+
+    step = (gen * (t / calls)).tocsr()
+    for _ in range(calls):
+        cols = expm_multiply(step, cols)
+    return cols
+
+
+def _seed_blocks(sec: _Sectors, state: DensityMatrix | StateVector) -> tuple[list, np.ndarray]:
+    """The (k, k') blocks of the initial state with k <= k' between occupied
+    sectors; the blocks below the diagonal are their adjoints.  A sector with
+    no population has no coherence with any other in a positive state."""
+    if isinstance(state, StateVector):
+        psi = state.amplitudes[sec.joint_of]  # row k: sector k
+        occupied = np.any(psi != 0, axis=1)
+
+        def block(k, q):
+            return np.outer(psi[k], psi[q].conj())
+    else:
+        rho = state.matrix
+        occupied = np.any(np.diag(rho)[sec.joint_of] != 0, axis=1)
+
+        def block(k, q):
+            return rho[np.ix_(sec.joint_of[k], sec.joint_of[q])]
+    ks = np.nonzero(occupied)[0]
+    pairs = [(k, q) for i, k in enumerate(ks) for q in ks[i:]]
+    return pairs, np.array([block(k, q) for k, q in pairs])
+
+
+def _fold(sec: _Sectors, pairs: list, cols: np.ndarray, blocks: int) -> dict:
+    """Sector blocks of the final state: depth j of seed (k, k') lands on (k - j, k' - j) mod D."""
+    chain = cols.reshape(blocks, sec.m, sec.m, len(pairs))
+    out: dict[tuple[int, int], np.ndarray] = {}
+
+    def add(key, x):
+        out[key] = out[key] + x if key in out else x
+
+    for i, (k, q) in enumerate(pairs):
+        for j in range(blocks):
+            x = chain[j, :, :, i]
+            key = ((k - j) % sec.d, (q - j) % sec.d)
+            if k == q:
+                add(key, 0.5 * (x + x.conj().T))
+            else:
+                add(key, x)
+                add(key[::-1], x.conj().T)
+    return out
+
+
+def _block_populations(sec: _Sectors, blocks: dict) -> _Populations:
+    diag = np.zeros((sec.d, sec.m))
+    cav = np.zeros((sec.m, sec.m), dtype=complex)
+    for (k, q), x in blocks.items():
+        if k == q:
+            diag[k] = np.real(np.diag(x))
+            cav += x
+    return sec.populations(diag, cav)
+
+
+def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector, icfg: IntegratorConfig):
+    t = sec.cfg.interaction_time
+    pairs, seeds = _seed_blocks(sec, state)
+    blocks = _chain_blocks(sec)
+    gen = _chain_generator(sec, blocks)
+    cols = np.zeros((blocks * sec.m * sec.m, len(pairs)), dtype=complex)
+    cols[: sec.m * sec.m] = seeds.reshape(len(pairs), -1).T
+    calls = _substeps(gen, t, len(pairs))
+    final = _fold(sec, pairs, _expm_action(gen, cols, t, calls), blocks)
+    pops = _block_populations(sec, final)
+    work, delta = calls, None
+    if icfg.convergence_check:
+        # more calls per half than the full route, in a ratio 2 * half_calls / calls that is
+        # no power of two: scaling by a power of two is exact in floating point and
+        # would repeat the full route's arithmetic bit for bit
+        half_calls = calls + 1 + (calls == 1)
+        half = _expm_action(gen, _expm_action(gen, cols, t / 2, half_calls), t / 2, half_calls)
+        work += 2 * half_calls
+        delta = pops.distance(_block_populations(sec, _fold(sec, pairs, half, blocks)))
+    min_eig = None
+    if icfg.check_positivity and all(k == q for k, q in pairs):
+        min_eig = min(float(np.linalg.eigvalsh(x)[0]) for x in final.values())
+    rho = np.zeros((sec.d * sec.m, sec.d * sec.m), dtype=complex)
+    for (k, q), x in final.items():
+        rho[np.ix_(sec.joint_of[k], sec.joint_of[q])] = sec.phase[:, None] * x * sec.phase.conj()[None, :]
+    if icfg.check_positivity and min_eig is None:
+        min_eig = float(np.linalg.eigvalsh(rho)[0])
+    return rho, pops, work, delta, min_eig
 
 
 # ---------------------------------------------------------------------------
 # public propagation entry point
-
-
-def _propagate_once(frame: _Frame, kind: str, y0, steps: int, every: int | None):
-    record: list | None = [] if every else None
-    if kind == "pure":
-        y = _run_pure(frame, y0, steps, record, every)
-    elif kind == "block":
-        y = _run_block(frame, y0, steps, record, every)
-    else:
-        y = _run_full(frame, y0, steps, record, every)
-    return y, record
 
 
 def evolve_lindblad(
@@ -444,107 +423,42 @@ def evolve_lindblad(
     """Propagate the joint state over the interaction window [0, T].
 
     Returns the final state in the plain interaction picture (static nonlinear
-    Hamiltonian explicit), together with numerical diagnostics.  Raises a
-    NumericsError subclass when trace drift, ladder-cutoff population,
-    wrap-around population, or step-halving convergence violate their bounds.
+    Hamiltonian explicit) in the bare cavity basis, together with numerical
+    diagnostics computed from that state.  A pure state without loss takes
+    the lossless route and is also returned as `pure_state`; everything else
+    takes the loss chain.  Raises a NumericsError subclass when trace drift,
+    ladder-cutoff population, wrap-around population, positivity, or the
+    agreement of the two computations of the final state violate their bounds.
     """
     if state.space != cfg.space:
         raise ValueError(f"state space {state.space.labels} does not match config {cfg.space.labels}")
-    frame = _Frame(cfg)
-    t_final = cfg.interaction_time
-
-    pure_input = isinstance(state, StateVector)
-    if pure_input and cfg.gamma == 0.0:
-        kind = "pure"
-        y0 = frame.rotate_in_vector(state.amplitudes)
-    else:
-        rho = state.to_density() if pure_input else state
-        rho_pol = frame.rotate_in_matrix(rho.matrix)
-        rb = _blocks_from_labeled(frame, rho_pol)
-        if rb is not None:
-            kind, y0 = "block", rb
-        else:
-            kind, y0 = "full", _full_from_labeled(frame, rho_pol)
-
-    steps = auto_steps(cfg, icfg)
-    halving_delta: float | None = None
-    if icfg.convergence_check:
-        base, _ = _propagate_once(frame, kind, y0, steps, None)
-        fine, record = _propagate_once(frame, kind, y0, 2 * steps, icfg.record_every)
-        pops_base = _extract_populations(frame, kind, base)
-        pops_fine = _extract_populations(frame, kind, fine)
-        halving_delta = max(
-            float(np.max(np.abs(pops_base.electron - pops_fine.electron))),
-            float(np.max(np.abs(pops_base.level - pops_fine.level))),
-        )
-        steps_used, y_final = 2 * steps, fine
-    else:
-        y_final, record = _propagate_once(frame, kind, y0, steps, icfg.record_every)
-        steps_used = steps
-
-    pops = _extract_populations(frame, kind, y_final)
-    trace_error = abs(float(pops.electron.sum()) - 1.0)
-    cutoff_occ = float(pops.photon[-2:].sum())
-    wrap_occ = float(pops.electron[cfg.ladder.wrap_rungs()].sum())
-
-    # back to the plain interaction picture, bare cavity basis
+    sec = _Sectors(cfg)
     pure_out: StateVector | None = None
-    if kind == "pure":
-        amp = frame.rotate_out_vector(y_final, t_final)
-        nrm = np.linalg.norm(amp)
+    if isinstance(state, StateVector) and cfg.gamma == 0.0:
+        amp, pops, work, delta = _evolve_pure(sec, state.amplitudes, icfg)
+        nrm = float(np.linalg.norm(amp))
+        trace_error = abs(nrm**2 - 1.0)
         pure_out = StateVector(cfg.space, amp / nrm)
-        rho_out = np.outer(amp, amp.conj())
-        rho_out = 0.5 * (rho_out + rho_out.conj().T)
+        rho_out = np.outer(amp, amp.conj())  # Hermitian to the last bit
         min_eig = 0.0 if icfg.check_positivity else None
-        trace_error = abs(float(nrm**2) - 1.0)
     else:
-        labeled = _labeled_from_blocks(frame, y_final) if kind == "block" else _labeled_from_full(frame, y_final)
-        rho_out = frame.rotate_out_matrix(labeled, t_final)
-        rho_out = 0.5 * (rho_out + rho_out.conj().T)
-        min_eig = None
-        if icfg.check_positivity:
-            if kind == "block":
-                min_eig = float(np.min(np.linalg.eigvalsh(y_final)))
-            else:
-                min_eig = float(np.min(np.linalg.eigvalsh(rho_out)))
+        rho_out, pops, work, delta, min_eig = _evolve_chain(sec, state, icfg)
+        trace_error = abs(float(pops.electron.sum()) - 1.0)
 
     diag = Diagnostics(
-        steps=steps_used,
-        dt=t_final / steps_used,
+        steps=work,
         trace_error=trace_error,
         min_eigenvalue=min_eig,
-        cutoff_occupancy=cutoff_occ,
-        wrap_occupancy=wrap_occ,
-        halving_delta=halving_delta,
+        cutoff_occupancy=float(pops.photon[-2:].sum()),
+        wrap_occupancy=float(pops.electron[cfg.ladder.wrap_rungs()].sum()),
+        halving_delta=delta,
         electron_populations=pops.electron,
         level_populations=pops.level,
         photon_populations=pops.photon,
     )
     _enforce_bounds(diag, icfg)
-
-    trajectory = None
-    if record:
-        trajectory = tuple((t, _snapshot_state(frame, kind, y, t)) for t, y in record)
     result_state = DensityMatrix(cfg.space, rho_out, trace_tol=max(10 * icfg.trace_bound, 1e-7))
-    return EvolveResult(state=result_state, diagnostics=diag, pure_state=pure_out, trajectory=trajectory)
-
-
-def _extract_populations(frame: _Frame, kind: str, y) -> _Populations:
-    if kind == "pure":
-        return _populations_from_pure(frame, y)
-    if kind == "block":
-        return _populations_from_blocks(frame, y)
-    return _populations_from_full(frame, y)
-
-
-def _snapshot_state(frame: _Frame, kind: str, y, t: float):
-    if kind == "pure":
-        amp = frame.rotate_out_vector(y, t)
-        return StateVector(frame.cfg.space, amp / np.linalg.norm(amp))
-    labeled = _labeled_from_blocks(frame, y) if kind == "block" else _labeled_from_full(frame, y)
-    rho = frame.rotate_out_matrix(labeled, t)
-    rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(frame.cfg.space, rho, trace_tol=1e-6)
+    return EvolveResult(state=result_state, diagnostics=diag, pure_state=pure_out)
 
 
 def _enforce_bounds(diag: Diagnostics, icfg: IntegratorConfig):
@@ -564,8 +478,8 @@ def _enforce_bounds(diag: Diagnostics, icfg: IntegratorConfig):
         )
     if diag.halving_delta is not None and diag.halving_delta > icfg.convergence_bound:
         raise ConvergenceError(
-            f"step halving moved a reported probability by {diag.halving_delta:.3e} "
-            f"> {icfg.convergence_bound:.1e}"
+            f"the two computations of the final state differ on a reported probability by "
+            f"{diag.halving_delta:.3e} > {icfg.convergence_bound:.1e}"
         )
 
 

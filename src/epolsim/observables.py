@@ -14,6 +14,7 @@ from .tensor import DensityMatrix, StateVector, partial_trace
 
 __all__ = [
     "Distribution",
+    "ProbabilityError",
     "eels_spectrum",
     "polariton_statistics",
     "state_fidelity",
@@ -24,6 +25,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 NEGATIVE_TOL = 1e-12
+
+
+class ProbabilityError(ValueError):
+    """Outcome probabilities that no physical state produces: too negative, or not summing to one."""
 
 
 @dataclass(frozen=True)
@@ -47,24 +52,24 @@ class Distribution:
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
         if p.min() < -NEGATIVE_TOL:
-            raise ValueError(f"probability {p.min():.3e} below clip tolerance -{NEGATIVE_TOL}")
+            raise ProbabilityError(f"probability {p.min():.3e} below clip tolerance -{NEGATIVE_TOL}")
         total = p.sum()
         if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1 within 1e-8")
+            raise ProbabilityError(f"probabilities sum to {total!r}, expected 1 within 1e-8")
 
     @classmethod
     def from_values(cls, labels, values) -> "Distribution":
         """Build from raw values, clipping round-off negatives and renormalizing."""
         p = np.asarray(values, dtype=float)
         if p.min() < -NEGATIVE_TOL:
-            raise ValueError(f"probability {p.min():.3e} below clip tolerance -{NEGATIVE_TOL}")
+            raise ProbabilityError(f"probability {p.min():.3e} below clip tolerance -{NEGATIVE_TOL}")
         clipped = float(-p[p < 0].sum()) if (p < 0).any() else 0.0
         if clipped > 0:
             logger.debug("clipped %.3e of round-off negative probability", clipped)
             p = np.clip(p, 0.0, None)
         s = p.sum()
         if s <= 0:
-            raise ValueError("probabilities sum to zero")
+            raise ProbabilityError("probabilities sum to zero")
         return cls(tuple(str(x) for x in labels), p / s, clipped=clipped)
 
     def probability(self, label: str) -> float:

@@ -6,7 +6,7 @@ value.  Three Jaynes-Cummings clauses (the Rabi-peak location, the 0.97
 fidelity endpoint, and loss-monotonicity at the smallest nonlinearity) fail at
 the published interaction length because the second-excitation ladder is only
 marginally detuned there; the measured numbers and the full analysis are
-recorded in the repository notes.  The companion tests
+recorded in notes/decisions.md.  The companion tests
 `test_jc_fidelity_recovers_at_longer_interaction` and
 `test_jc_peak_recovers_at_longer_interaction` demonstrate that the same
 physics meets the stated numbers once the interaction window satisfies the

@@ -314,3 +314,84 @@ def test_composite_config_runs_to_tagged_subdirs(tmp_path):
     assert (tmp_path / "one" / "stats.csv").exists()
     assert (tmp_path / "two" / "stats.csv").exists()
     assert (tmp_path / "one" / "stats.csv").read_bytes() == (tmp_path / "two" / "stats.csv").read_bytes()
+
+
+def write_config(tmp_path: Path, cfg: dict) -> str:
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_explicit_false_tune_to_pair_needs_a_velocity(tmp_path, capsys):
+    cfg = minimal_evolve()
+    cfg["electron"].pop("velocity_ratio")
+    cfg["electron"]["tune_to_pair"] = False
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "electron.tune_to_pair" in capsys.readouterr().err
+    cfg["electron"]["tune_to_pair"] = "yes"
+    with pytest.raises(ConfigError, match="electron.tune_to_pair"):
+        normalize_config(cfg)
+    # false next to an explicit velocity is what the echo writes, and stays valid
+    cfg["electron"].update(tune_to_pair=False, velocity_ratio=1.0)
+    assert normalize_config(cfg)["electron"]["tune_to_pair"] is False
+
+
+@pytest.mark.parametrize("key, values, message", [
+    ("n_cut_values", [8, 8.7], "integers"),
+    ("n_cut_values", [8, 1], ">= 2"),
+    ("rungs_values", [33, 33.5], "integers"),
+    ("rungs_values", [33, 2], ">= 3"),
+])
+def test_sweep_cutoff_entries_are_checked_integers(tmp_path, capsys, key, values, message):
+    cfg = minimal_evolve(scenario="sweep_kappa", sweep={"kappa_values": [0.0, 0.02], key: values})
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"sweep.{key}" in err and message in err
+
+
+def test_boolean_inside_g_q_list_rejected():
+    for g_q in (True, [True, 0], [0.5, False]):
+        cfg = minimal_evolve()
+        cfg["electron"]["g_q"] = g_q
+        with pytest.raises(ConfigError, match="electron.g_q"):
+            normalize_config(cfg)
+
+
+@pytest.mark.parametrize("key, value", [("steps", 400), ("phase_per_step", 0.06), ("drive_per_step", 0.01)])
+def test_retired_step_keys_accepted_only_at_defaults(tmp_path, capsys, key, value):
+    defaults = {"steps": None, "phase_per_step": 0.12, "drive_per_step": 0.04}
+    assert normalize_config(minimal_evolve(integrator=defaults))["integrator"]["steps"] is None
+    cfg = minimal_evolve(integrator={key: value})
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"integrator.{key}" in capsys.readouterr().err
+
+
+def test_levels_checked_against_every_grid_model():
+    cfg = minimal_evolve(pair={"lower": "0", "upper": "9"})
+    with pytest.raises(ConfigError, match="pair.upper"):
+        normalize_config(cfg)
+    cfg = minimal_evolve(initial_level="1+")
+    with pytest.raises(ConfigError, match="initial_level"):
+        normalize_config(cfg)
+    # level 7 exists at n_cut 8 but not at the second row's n_cut 6
+    cfg = minimal_evolve(scenario="sweep_kappa", pair={"lower": "6", "upper": "7"},
+                         sweep={"kappa_values": [0.0, 0.02], "n_cut_values": [8, 6]})
+    with pytest.raises(ConfigError, match="pair.upper"):
+        normalize_config(cfg)
+    cfg = minimal_evolve(scenario="fidelity_map", pair={"lower": "0", "upper": "2"},
+                         sweep={"kappa_values": [0.02], "gamma_values": [1e-4]})
+    with pytest.raises(ConfigError, match="'pair'"):
+        normalize_config(cfg)
+
+
+def test_programming_error_in_a_point_propagates(tmp_path, monkeypatch):
+    import epolsim.cli as cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "evolve_lindblad", broken)
+    cfg = normalize_config(minimal_evolve(scenario="sweep_gq", sweep={"g_q_values": [0.5, 1.0]}))
+    with pytest.raises(ValueError, match="broadcast"):
+        run_config(cfg, tmp_path, workers=1)
+    assert not list(tmp_path.rglob("FAILED.txt"))

@@ -12,7 +12,6 @@ from epolsim import (
     StateVector,
     SystemConfig,
     WrapAroundError,
-    auto_steps,
     blockade_angle,
     build_jc,
     build_kerr,
@@ -32,6 +31,8 @@ from epolsim import (
     state_fidelity,
 )
 
+from epolsim import dynamics
+from epolsim.tensor import DensityMatrix, partial_trace
 from reference import reference_lindblad, reference_steps
 
 
@@ -174,8 +175,6 @@ def test_sector_mixture_uses_block_path_and_matches_reference():
     rho0 = np.zeros((cfg.space.dim, cfg.space.dim), dtype=complex)
     rho0[l0 * m, l0 * m] = 0.5
     rho0[(l0 + 1) * m, (l0 + 1) * m] = 0.5
-    from epolsim.tensor import DensityMatrix
-
     rho_ref = reference_lindblad(cfg, rho0, reference_steps(cfg))
     res = evolve_lindblad(DensityMatrix(cfg.space, rho0), cfg, LOOSE)
     assert np.max(np.abs(res.state.matrix - rho_ref)) < 1e-8
@@ -191,11 +190,29 @@ def test_pure_and_density_paths_agree():
 
 
 def test_fixed_step_runs_are_deterministic():
+    # the exact propagator has no step size; two default runs must agree bit for bit
     cfg = small_kerr(kappa=0.03, n_cut=4, g_q=1.0, gamma=0.002, t=30.0)
-    icfg = IntegratorConfig(steps=400, convergence_check=False, cutoff_bound=1.0, wrap_bound=1.0)
-    a = evolve_lindblad(initial_state(cfg), cfg, icfg).state.matrix
-    b = evolve_lindblad(initial_state(cfg), cfg, icfg).state.matrix
+    a = evolve_lindblad(initial_state(cfg), cfg, LOOSE).state.matrix
+    b = evolve_lindblad(initial_state(cfg), cfg, LOOSE).state.matrix
     assert np.array_equal(a, b)
+
+
+def photon_distribution(res, cfg) -> np.ndarray:
+    keep = [lab for lab in cfg.space.labels if lab != "electron"]
+    cav = np.real(np.diag(partial_trace(res.state, keep).matrix))
+    return cav.reshape(cfg.model.n_cut + 1, -1).sum(axis=1)
+
+
+@pytest.mark.parametrize("make", [small_kerr, small_jc])
+@pytest.mark.parametrize("gamma", [0.0, 0.004])
+def test_photon_diagnostics_match_returned_state(make, gamma):
+    # photon populations, and the cutoff occupancy read from them, describe the
+    # returned state; for JC adag a does not commute with H_nl, so a rotated frame shows
+    cfg = make(kappa=0.05, n_cut=4, g_q=1.2, delta=0.05, gamma=gamma, t=50.0)
+    res = evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+    want = photon_distribution(res, cfg)
+    assert np.max(np.abs(res.diagnostics.photon_populations - want)) < 1e-10
+    assert abs(res.diagnostics.cutoff_occupancy - want[-2:].sum()) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +337,6 @@ def test_frame_align_round_trip():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((cfg.space.dim, cfg.space.dim))
     m = m @ m.T
-    from epolsim.tensor import DensityMatrix
-
     rho = DensityMatrix(cfg.space, (m / np.trace(m)).astype(complex))
     back = frame_align(frame_align(rho, cfg), cfg, time=-cfg.interaction_time)
     assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12
@@ -332,17 +347,39 @@ def test_frame_align_round_trip():
 
 
 def test_auto_steps_floor():
-    cfg = small_kerr(g_q=1e-6, kappa=0.0, n_cut=2, t=1.0)
-    assert auto_steps(cfg) == 100
+    # the step controls of the retired fixed-step integrator are accepted at their defaults only
+    IntegratorConfig(steps=None, phase_per_step=0.12, drive_per_step=0.04)
     with pytest.raises(ValueError):
         IntegratorConfig(steps=10)
+    with pytest.raises(ValueError, match="phase_per_step"):
+        IntegratorConfig(phase_per_step=0.06)
+    with pytest.raises(ValueError, match="drive_per_step"):
+        IntegratorConfig(drive_per_step=0.02)
+
+
+def gate_and_work(cfg):
+    """(halving_delta, steps) of a checked run, and steps of an unchecked one."""
+    on = evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics
+    off = evolve_lindblad(initial_state(cfg), cfg, IntegratorConfig(convergence_check=False, cutoff_bound=1.0,
+                                                                    wrap_bound=1.0)).diagnostics
+    assert off.halving_delta is None
+    return on.halving_delta, on.steps, off.steps
 
 
 def test_step_halving_gate_reports_small_delta():
-    cfg = small_kerr(kappa=0.05, g_q=1.2, gamma=0.003, t=60.0)
-    res = evolve_lindblad(initial_state(cfg), cfg, LOOSE)
-    assert res.diagnostics.halving_delta is not None
-    assert res.diagnostics.halving_delta < 1e-6
+    # lossy: one expm_multiply pass over [0, T] against two passes over T/2; they
+    # differ in rounding, so the gate reads a small nonzero value.  steps counts
+    # the expm_multiply calls of both routes.
+    delta, steps_on, steps_off = gate_and_work(small_kerr(kappa=0.05, g_q=1.2, gamma=0.003, t=60.0))
+    assert 0.0 < delta < 1e-6
+    assert 1 <= steps_off < steps_on
+
+
+def test_lossless_accuracy_gate_reports_small_delta():
+    # lossless: expm against the eigendecomposition; steps counts the exponentials
+    delta, steps_on, steps_off = gate_and_work(small_kerr(kappa=0.05, g_q=1.2, t=60.0))
+    assert 0.0 < delta < 1e-6
+    assert (steps_off, steps_on) == (1, 2)
 
 
 def test_trace_and_positivity_bounds_on_lossy_run():
@@ -364,20 +401,38 @@ def test_wraparound_error_raised_for_narrow_ladder():
         evolve_lindblad(initial_state(cfg), cfg, IntegratorConfig(cutoff_bound=1.0))
 
 
-def test_convergence_error_raised_for_unresolved_drive():
-    cfg = small_kerr(kappa=0.0, n_cut=10, g_q=5.0, rungs=21, t=300.0)
-    icfg = IntegratorConfig(steps=100, cutoff_bound=1.0, wrap_bound=1.0, trace_bound=1e-5)
+def test_convergence_error_raised_for_unresolved_drive(monkeypatch):
+    # scale the Hamiltonian of the lossless check route by 1 + 1e-5: the gate must trip
+    cfg = small_kerr(kappa=0.05, n_cut=4, g_q=1.2, t=60.0)
+    assert evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics.halving_delta < 1e-6
+    exact = dynamics._unitary_eigh
+    monkeypatch.setattr(dynamics, "_unitary_eigh", lambda h, t: exact(h * (1 + 1e-5), t))
     with pytest.raises(ConvergenceError):
-        evolve_lindblad(initial_state(cfg), cfg, icfg)
+        evolve_lindblad(initial_state(cfg), cfg, LOOSE)
 
 
-def test_trajectory_recording():
-    cfg = small_kerr(kappa=0.04, g_q=0.8, t=20.0)
-    res = evolve_lindblad(initial_state(cfg), cfg, IntegratorConfig(record_every=100, cutoff_bound=1.0, wrap_bound=1.0))
-    assert res.trajectory is not None and len(res.trajectory) >= 2
-    t_last, state_last = res.trajectory[-1]
-    assert t_last <= cfg.interaction_time + 1e-9
-    assert state_last.norm() == pytest.approx(1.0, abs=1e-9)
+def test_convergence_error_raised_for_perturbed_loss_chain(monkeypatch):
+    # stretch the half-interval route of the loss chain by 1e-5 of T: the gate must trip
+    cfg = small_kerr(kappa=0.05, n_cut=4, g_q=1.2, gamma=0.003, t=60.0)
+    exact = dynamics._expm_action
+
+    def stretched(gen, cols, t, calls):
+        return exact(gen, cols, t * (1 + 1e-5) if t < cfg.interaction_time else t, calls)
+
+    monkeypatch.setattr(dynamics, "_expm_action", stretched)
+    with pytest.raises(ConvergenceError):
+        evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+
+
+def test_loss_chain_depth_folds_onto_cyclic_ladder():
+    # heavy loss on a short ladder: the chain spans the whole cyclic ladder and
+    # still matches the bare-basis reference
+    cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.05, t=30.0, rungs=5)
+    assert dynamics._chain_blocks(dynamics._Sectors(cfg)) == cfg.ladder.rungs
+    psi0 = initial_state(cfg)
+    rho_ref = reference_lindblad(cfg, np.outer(psi0.amplitudes, psi0.amplitudes.conj()), reference_steps(cfg))
+    res = evolve_lindblad(psi0, cfg, LOOSE)
+    assert np.max(np.abs(res.state.matrix - rho_ref)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
