@@ -46,6 +46,7 @@ from .dynamics import (
     scattering_linear,
     scattering_blockade,
     frame_align,
+    blockade_fidelity,
     initial_state,
     blockade_angle,
     pair_detuning,
@@ -56,6 +57,7 @@ from .observables import (
     Distribution,
     ProbabilityError,
     eels_spectrum,
+    sideband_distribution,
     polariton_statistics,
     state_fidelity,
     entanglement_entropy,

@@ -26,17 +26,15 @@ from .dynamics import (
     IntegratorConfig,
     NumericsError,
     SystemConfig,
-    blockade_angle,
+    blockade_fidelity,
     check_feasibility,
     evolve_lindblad,
-    frame_align,
     initial_state,
     pair_detuning,
-    scattering_blockade,
 )
 from .electron import LadderConfig
 from .gates import gate_identity_suite
-from .observables import ProbabilityError, eels_spectrum, polariton_statistics, state_fidelity
+from .observables import Distribution, ProbabilityError, sideband_distribution
 
 SCHEMA_VERSION = 1
 
@@ -326,13 +324,13 @@ def normalize_config(raw: dict) -> dict:
             _check_keys(sweep, "sweep", ("kappa_values",), ("n_cut_values", "rungs_values"))
             kappas = _number_list(sweep, "sweep", "kappa_values")
             out = {"kappa_values": kappas}
-            out.update(_cutoff_lists(sweep, len(kappas), "kappa_values"))
+            out.update(_cutoff_lists(sweep, len(kappas), "kappa_values", center))
             cfg["sweep"] = out
         elif scenario == "sweep_velocity":
             _check_keys(sweep, "sweep", ("velocity_ratios",), ("n_cut_values", "rungs_values"))
             ratios = _number_list(sweep, "sweep", "velocity_ratios")
             out = {"velocity_ratios": ratios}
-            out.update(_cutoff_lists(sweep, len(ratios), "velocity_ratios"))
+            out.update(_cutoff_lists(sweep, len(ratios), "velocity_ratios", center))
             cfg["sweep"] = out
         elif scenario == "sweep_gq":
             _check_keys(sweep, "sweep", ("g_q_values",))
@@ -341,18 +339,21 @@ def normalize_config(raw: dict) -> dict:
             _check_keys(sweep, "sweep", ("kappa_values", "gamma_values"), ("n_cut_values", "rungs_values"))
             kappas = _number_list(sweep, "sweep", "kappa_values")
             out = {"kappa_values": kappas, "gamma_values": _number_list(sweep, "sweep", "gamma_values")}
-            out.update(_cutoff_lists(sweep, len(kappas), "kappa_values"))
+            out.update(_cutoff_lists(sweep, len(kappas), "kappa_values", center))
             cfg["sweep"] = out
     _check_levels(cfg)
     return cfg
 
 
-def _cutoff_lists(sweep: dict, length: int, match: str) -> dict:
+def _cutoff_lists(sweep: dict, length: int, match: str, center: int) -> dict:
     """Per-point photon cutoffs and ladder sizes, with the bounds of model.n_cut and electron.rungs."""
     out = {}
     for key, minimum in (("n_cut_values", 2), ("rungs_values", 3)):
         if key in sweep:
             out[key] = _integer_list(sweep, "sweep", key, length, minimum, match)
+    for rungs in out.get("rungs_values", []):
+        if rungs <= center:
+            raise ConfigError("sweep.rungs_values", f"entries must exceed electron.center ({center}), got {rungs}")
     return out
 
 
@@ -433,10 +434,9 @@ def _evaluate_point(payload: dict) -> dict:
     try:
         psi0 = initial_state(cfg, cavity_level=payload["initial_level"])
         result = evolve_lindblad(psi0, cfg, icfg)
-        basis = polariton_eigenbasis(cfg.model)
-        eels = eels_spectrum(result.state, center=cfg.ladder.center)
-        stats = polariton_statistics(result.state, basis)
         diag = result.diagnostics
+        eels = sideband_distribution(diag.electron_populations, cfg.ladder.center)
+        stats = Distribution.from_values(polariton_eigenbasis(cfg.model).labels, diag.level_populations)
         out.update(
             eels_labels=list(eels.labels),
             eels_probs=[float(p) for p in eels.probabilities],
@@ -450,10 +450,7 @@ def _evaluate_point(payload: dict) -> dict:
             min_eigenvalue=diag.min_eigenvalue,
         )
         if payload.get("want_fidelity"):
-            lo, up, _ = pair_states(cfg.model, payload["lower"], payload["upper"])
-            omega = blockade_angle(cfg.model, payload["lower"], payload["upper"], cfg.g_q)
-            target = (scattering_blockade(omega, lo, up, cfg.space) @ psi0).normalize()
-            out["fidelity"] = state_fidelity(frame_align(result.state, cfg), target)
+            out["fidelity"] = blockade_fidelity(result, psi0, payload["lower"], payload["upper"])
     except (NumericsError, ProbabilityError) as exc:
         out["converged"] = False
         out["reason"] = f"{type(exc).__name__}: {exc}"
@@ -482,8 +479,6 @@ def _point_payload(cfg: dict, index: int, **overrides) -> dict:
         "want_fidelity": False,
     }
     payload.update(overrides)
-    if payload["center"] >= payload["rungs"]:
-        payload["center"] = payload["rungs"] // 2
     return payload
 
 

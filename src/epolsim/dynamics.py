@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import expm
 
-from .cavity import CavityModel, polariton_eigenbasis
+from .cavity import CavityModel, pair_states, polariton_eigenbasis
 from .electron import ELECTRON_LABEL, LadderConfig, build_ladder
-from .tensor import DensityMatrix, Operator, StateVector, TensorSpace
+from .tensor import HERMITICITY_TOL, DensityMatrix, Operator, StateVector, TensorSpace
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -58,6 +59,7 @@ __all__ = [
     "scattering_linear",
     "scattering_blockade",
     "frame_align",
+    "blockade_fidelity",
     "initial_state",
     "blockade_angle",
     "pair_detuning",
@@ -181,9 +183,24 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class EvolveResult:
-    state: DensityMatrix
+    """Final state of a propagation as excitation-sector blocks.
+
+    `blocks[(k, k')]` is the m x m block <sector k| rho |sector k'> in the plain
+    interaction picture, for every pair of sectors the state occupies; sector k
+    holds |(k - nu(c)) mod D, c> for each bare cavity basis state c.  `state`
+    scatters the blocks into the dense joint-space density matrix when first read.
+    """
+
+    blocks: dict[tuple[int, int], np.ndarray]
     diagnostics: Diagnostics
+    system: SystemConfig
+    trace_tol: float
     pure_state: StateVector | None = None
+
+    @cached_property
+    def state(self) -> DensityMatrix:
+        rho = _scatter(_joint_index(self.system), self.blocks, self.system.space.dim)
+        return DensityMatrix(self.system.space, rho, trace_tol=self.trace_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +216,21 @@ CHAIN_TAIL = 1e-14  # bound on the population lost by cutting the loss chain sho
 EXACT_NORM_LIMIT = 63.0
 
 
+def _joint_index(cfg: SystemConfig) -> np.ndarray:
+    """(D, m): the joint-space index of bare cavity state c in sector k, at rung (k - nu(c)) mod D."""
+    d, m = cfg.ladder.rungs, cfg.model.dim
+    rung = (np.arange(d)[:, None] - cfg.model.excitations[None, :]) % d
+    return rung * m + np.arange(m)[None, :]
+
+
+def _scatter(joint_of: np.ndarray, blocks: dict, dim: int) -> np.ndarray:
+    """Dense joint-space matrix holding the sector blocks; zero between unoccupied sectors."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    for (k, q), x in blocks.items():
+        rho[np.ix_(joint_of[k], joint_of[q])] = x
+    return rho
+
+
 class _Sectors:
     """Sector coordinates of the joint space and the constant sector Hamiltonian."""
 
@@ -207,9 +239,8 @@ class _Sectors:
         self.cfg = cfg
         self.d = cfg.ladder.rungs
         self.m = model.dim
-        k = np.arange(self.d)[:, None]
-        self.rung_of = (k - model.excitations[None, :]) % self.d  # (D, m): rung of sector k, state c
-        self.joint_of = self.rung_of * self.m + np.arange(self.m)[None, :]
+        self.joint_of = _joint_index(cfg)
+        self.rung_of = self.joint_of // self.m  # (D, m): rung of sector k, state c
         self.n_photon = np.rint(np.real(np.diag(model.a_dag @ model.a))).astype(int)
         self.u = polariton_eigenbasis(model).u
         nu = model.excitations.astype(float)
@@ -265,9 +296,9 @@ def _evolve_pure(sec: _Sectors, amplitudes: np.ndarray, icfg: IntegratorConfig):
     if icfg.convergence_check:
         check = psi0 @ (sec.phase[:, None] * _unitary_eigh(sec.h, t)).T
         work, delta = 2, pops.distance(_pure_populations(sec, check))
-    amp = np.empty(sec.d * sec.m, dtype=complex)
-    amp[sec.joint_of] = psi
-    return amp, pops, work, delta
+    ks = np.nonzero(np.any(psi0 != 0, axis=1))[0]
+    blocks = {(k, q): np.outer(psi[k], psi[q].conj()) for k in ks for q in ks}
+    return psi, blocks, pops, work, delta
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +431,13 @@ def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector, icfg: Integ
         half = _expm_action(gen, _expm_action(gen, cols, t / 2, half_calls), t / 2, half_calls)
         work += 2 * half_calls
         delta = pops.distance(_block_populations(sec, _fold(sec, pairs, half, blocks)))
+    out = {key: sec.phase[:, None] * x * sec.phase.conj()[None, :] for key, x in final.items()}  # V(T)
     min_eig = None
     if icfg.check_positivity and all(k == q for k, q in pairs):
-        min_eig = min(float(np.linalg.eigvalsh(x)[0]) for x in final.values())
-    rho = np.zeros((sec.d * sec.m, sec.d * sec.m), dtype=complex)
-    for (k, q), x in final.items():
-        rho[np.ix_(sec.joint_of[k], sec.joint_of[q])] = sec.phase[:, None] * x * sec.phase.conj()[None, :]
-    if icfg.check_positivity and min_eig is None:
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-    return rho, pops, work, delta, min_eig
+        min_eig = min(float(np.linalg.eigvalsh(x)[0]) for x in out.values())
+    elif icfg.check_positivity:
+        min_eig = float(np.linalg.eigvalsh(_scatter(sec.joint_of, out, sec.d * sec.m))[0])
+    return out, pops, work, delta, min_eig
 
 
 # ---------------------------------------------------------------------------
@@ -423,26 +452,29 @@ def evolve_lindblad(
     """Propagate the joint state over the interaction window [0, T].
 
     Returns the final state in the plain interaction picture (static nonlinear
-    Hamiltonian explicit) in the bare cavity basis, together with numerical
-    diagnostics computed from that state.  A pure state without loss takes
-    the lossless route and is also returned as `pure_state`; everything else
-    takes the loss chain.  Raises a NumericsError subclass when trace drift,
-    ladder-cutoff population, wrap-around population, positivity, or the
-    agreement of the two computations of the final state violate their bounds.
+    Hamiltonian explicit) in the bare cavity basis, as excitation-sector
+    blocks, together with numerical diagnostics computed from them.  A pure
+    state without loss takes the lossless route and is also returned as
+    `pure_state`; everything else takes the loss chain.  Raises a
+    NumericsError subclass when trace drift, ladder-cutoff population,
+    wrap-around population, positivity, the hermiticity of the diagonal
+    blocks, or the agreement of the two computations of the final state
+    violate their bounds.
     """
     if state.space != cfg.space:
         raise ValueError(f"state space {state.space.labels} does not match config {cfg.space.labels}")
     sec = _Sectors(cfg)
     pure_out: StateVector | None = None
     if isinstance(state, StateVector) and cfg.gamma == 0.0:
-        amp, pops, work, delta = _evolve_pure(sec, state.amplitudes, icfg)
+        psi, blocks, pops, work, delta = _evolve_pure(sec, state.amplitudes, icfg)
+        amp = np.empty(sec.d * sec.m, dtype=complex)
+        amp[sec.joint_of] = psi
         nrm = float(np.linalg.norm(amp))
         trace_error = abs(nrm**2 - 1.0)
         pure_out = StateVector(cfg.space, amp / nrm)
-        rho_out = np.outer(amp, amp.conj())  # Hermitian to the last bit
         min_eig = 0.0 if icfg.check_positivity else None
     else:
-        rho_out, pops, work, delta, min_eig = _evolve_chain(sec, state, icfg)
+        blocks, pops, work, delta, min_eig = _evolve_chain(sec, state, icfg)
         trace_error = abs(float(pops.electron.sum()) - 1.0)
 
     diag = Diagnostics(
@@ -457,8 +489,11 @@ def evolve_lindblad(
         photon_populations=pops.photon,
     )
     _enforce_bounds(diag, icfg)
-    result_state = DensityMatrix(cfg.space, rho_out, trace_tol=max(10 * icfg.trace_bound, 1e-7))
-    return EvolveResult(state=result_state, diagnostics=diag, pure_state=pure_out)
+    herm = max(float(np.max(np.abs(x - x.conj().T))) for (k, q), x in blocks.items() if k == q)
+    if herm > HERMITICITY_TOL:
+        raise NumericsError(f"sector block hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL}")
+    return EvolveResult(blocks=blocks, diagnostics=diag, system=cfg,
+                        trace_tol=max(10 * icfg.trace_bound, 1e-7), pure_state=pure_out)
 
 
 def _enforce_bounds(diag: Diagnostics, icfg: IntegratorConfig):
@@ -551,6 +586,12 @@ def scattering_blockade(
     return Operator(space, mat)
 
 
+def _frame_rotation(model: CavityModel, t: float) -> np.ndarray:
+    """exp(+i H_nl t) on the cavity, from the analytic eigenbasis."""
+    basis = polariton_eigenbasis(model)
+    return (basis.u * np.exp(1j * basis.nonlinear_shifts() * t)) @ basis.u.conj().T
+
+
 def frame_align(
     state: DensityMatrix | StateVector,
     cfg: SystemConfig,
@@ -559,14 +600,39 @@ def frame_align(
     """Rotate a joint state by exp(+i H_nl t), aligning the propagation picture
     with the frame in which the closed-form scattering matrices act."""
     t = cfg.interaction_time if time is None else time
-    basis = polariton_eigenbasis(cfg.model)
-    w = basis.u @ np.diag(np.exp(1j * basis.nonlinear_shifts() * t)) @ basis.u.conj().T
-    full = np.kron(np.eye(cfg.ladder.rungs), w)
+    w = _frame_rotation(cfg.model, t)
+    d, m, n = cfg.ladder.rungs, cfg.model.dim, cfg.space.dim
     if isinstance(state, StateVector):
-        return StateVector(state.space, full @ state.amplitudes)
-    rotated = full @ state.matrix @ full.conj().T
+        return StateVector(state.space, (state.amplitudes.reshape(d, m) @ w.T).reshape(n))
+    # w on the cavity index of every rung: rows first, then columns
+    half = np.matmul(w, state.matrix.reshape(d, m, n))
+    rotated = (half.reshape(n, d, m) @ w.conj().T).reshape(n, n)
     rotated = 0.5 * (rotated + rotated.conj().T)
     return DensityMatrix(state.space, rotated, trace_tol=state.trace_tol)
+
+
+def blockade_fidelity(result: EvolveResult, initial: StateVector, lower: str, upper: str) -> float:
+    """Fidelity of a propagated pass with the ideal two-level blockade pass.
+
+    Equal to state_fidelity(frame_align(result.state, cfg), t) with the target
+    t = scattering_blockade(omega, lower, upper) @ initial, normalized, and
+    omega = blockade_angle(lower, upper, g_q).  In sector coordinates both the
+    ideal pass and exp(+i H_nl T) act on every sector as one m x m matrix, s
+    and w, so F = sum over the sectors k, k' that `initial` occupies of
+    (w^dag s psi0_k)^dag X_kk' (w^dag s psi0_k').
+    """
+    cfg = result.system
+    lo, up, _ = pair_states(cfg.model, lower, upper)
+    omega = blockade_angle(cfg.model, lower, upper, cfg.g_q)
+    r = np.outer(up, lo.conj())
+    s = expm(-1j * (omega * r + np.conj(omega) * r.conj().T))
+    w = _frame_rotation(cfg.model, cfg.interaction_time)
+    psi0 = initial.amplitudes[_joint_index(cfg)]  # row k: sector k
+    target = psi0 @ s.T
+    probe = target @ w.conj()  # row k: w^dag s psi0_k
+    ks = np.nonzero(np.any(psi0 != 0, axis=1))[0]
+    val = sum(np.vdot(probe[k], result.blocks[(k, q)] @ probe[q]) for k in ks for q in ks)
+    return float(min(max(val.real / np.sum(np.abs(target) ** 2), 0.0), 1.0))
 
 
 def initial_state(cfg: SystemConfig, cavity_level: str | None = None) -> StateVector:
@@ -583,8 +649,6 @@ def initial_state(cfg: SystemConfig, cavity_level: str | None = None) -> StateVe
 
 def blockade_angle(model: CavityModel, lower: str, upper: str, g_q: complex) -> complex:
     """Effective Rabi angle of a pair: g_q times the pair's raising element."""
-    from .cavity import pair_states
-
     _, _, mu = pair_states(model, lower, upper)
     return mu * complex(g_q)
 

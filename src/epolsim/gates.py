@@ -17,15 +17,12 @@ import numpy as np
 from .dynamics import (
     IntegratorConfig,
     SystemConfig,
-    blockade_angle,
+    blockade_fidelity,
     evolve_lindblad,
-    frame_align,
     initial_state,
     scattering_blockade,
 )
-from .cavity import pair_states
 from .electron import ELECTRON_LABEL, LadderConfig, comb_state
-from .observables import state_fidelity
 from .tensor import Operator, TensorSpace, embed, embed_group
 
 __all__ = [
@@ -518,9 +515,4 @@ def noisy_gate_fidelity(
     scores against the ideal two-level pass from the same initial state.
     """
     psi0 = initial_state(cfg, cavity_level=initial_level if initial_level is not None else lower)
-    lo, up, _ = pair_states(cfg.model, lower, upper)
-    omega = blockade_angle(cfg.model, lower, upper, cfg.g_q)
-    target = scattering_blockade(omega, lo, up, cfg.space) @ psi0
-    result = evolve_lindblad(psi0, cfg, icfg)
-    aligned = frame_align(result.state, cfg)
-    return state_fidelity(aligned, target.normalize())
+    return blockade_fidelity(evolve_lindblad(psi0, cfg, icfg), psi0, lower, upper)

@@ -16,6 +16,7 @@ __all__ = [
     "Distribution",
     "ProbabilityError",
     "eels_spectrum",
+    "sideband_distribution",
     "polariton_statistics",
     "state_fidelity",
     "entanglement_entropy",
@@ -102,11 +103,16 @@ def eels_spectrum(rho: DensityMatrix, center: int = 0, electron_label: str = ELE
     reported as signed offsets on the cyclic ladder, ascending.
     """
     reduced = partial_trace(rho, [electron_label])
-    d = reduced.space.dim
-    diag = np.real(np.diag(reduced.matrix))
+    return sideband_distribution(np.real(np.diag(reduced.matrix)), center)
+
+
+def sideband_distribution(rung_populations: np.ndarray, center: int) -> Distribution:
+    """Electron rung populations as a spectrum over signed sideband offsets from
+    `center` on the cyclic ladder, ascending."""
+    d = len(rung_populations)
     offsets = ((np.arange(d) - center) + d // 2) % d - d // 2
     order = np.argsort(offsets)
-    return Distribution.from_values([str(int(offsets[i])) for i in order], diag[order])
+    return Distribution.from_values([str(int(offsets[i])) for i in order], rung_populations[order])
 
 
 def polariton_statistics(rho: DensityMatrix, basis: PolaritonBasis, electron_label: str = ELECTRON_LABEL) -> Distribution:

@@ -395,3 +395,60 @@ def test_programming_error_in_a_point_propagates(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="broadcast"):
         run_config(cfg, tmp_path, workers=1)
     assert not list(tmp_path.rglob("FAILED.txt"))
+
+
+def test_sweep_rungs_at_or_below_center_rejected(tmp_path, capsys):
+    # a ladder entry that leaves the electron off its ladder is rejected, not re-centred
+    cfg = minimal_evolve(scenario="sweep_kappa", sweep={"kappa_values": [0.0, 0.02], "rungs_values": [33, 15]})
+    cfg["electron"].update(rungs=33, center=16)
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "sweep.rungs_values" in err and "electron.center" in err
+    cfg["sweep"]["rungs_values"] = [33, 17]
+    assert normalize_config(cfg)["sweep"]["rungs_values"] == [33, 17]
+
+
+@pytest.mark.parametrize("kind, pair", [("kerr", ("0", "1")), ("jc", ("0*", "1+"))])
+@pytest.mark.parametrize("gamma", [0.0, 1e-3])
+def test_point_spectra_match_dense_state(kind, pair, gamma):
+    # the EELS and statistics a point writes come from the propagator's populations;
+    # they must equal the partial traces of the dense state
+    from epolsim import eels_spectrum, evolve_lindblad, initial_state, polariton_eigenbasis, polariton_statistics
+    from epolsim.cli import _build_point, _evaluate_point, _point_payload
+
+    raw = minimal_evolve(model={"kind": kind, "kappa_ratio": 0.05, "n_cut": 10},
+                         pair={"lower": pair[0], "upper": pair[1]}, loss={"gamma_ratio": gamma})
+    raw["electron"].update(rungs=33, center=16)
+    payload = _point_payload(normalize_config(raw), 0)
+    out = _evaluate_point(payload)
+    assert out["converged"], out["reason"]
+    system, icfg = _build_point(payload)
+    state = evolve_lindblad(initial_state(system, cavity_level=pair[0]), system, icfg).state
+    eels = eels_spectrum(state, center=system.ladder.center)
+    stats = polariton_statistics(state, polariton_eigenbasis(system.model))
+    assert out["eels_labels"] == list(eels.labels) and out["stats_labels"] == list(stats.labels)
+    assert np.max(np.abs(np.array(out["eels_probs"]) - eels.probabilities)) < 1e-12
+    assert np.max(np.abs(np.array(out["stats_probs"]) - stats.probabilities)) < 1e-12
+
+
+def test_lossless_fidelity_point_allocates_no_joint_matrix():
+    # the Fig. 5a JC row at kappa 0.005: one joint-space matrix at n_cut 20 and
+    # 49 rungs (2058 dimensions) is 68 MB; a point is scored from 42 x 42 blocks
+    import tracemalloc
+
+    from epolsim.cli import _evaluate_point, _point_payload
+
+    raw = minimal_evolve(model={"kind": "jc", "kappa_ratio": 0.005, "n_cut": 20},
+                         electron={"rungs": 49, "center": 24, "g_q": math.pi / math.sqrt(2), "q0_l": 472.43,
+                                   "tune_to_pair": True},
+                         loss={"gamma_ratio": 0.0}, pair={"lower": "0*", "upper": "1-"})
+    payload = _point_payload(normalize_config(raw), 0, want_fidelity=True)
+    _evaluate_point(payload)  # first call: lazy imports and caches
+    tracemalloc.start()
+    try:
+        out = _evaluate_point(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["converged"] and 0.0 < out["fidelity"] < 1.0
+    assert peak < 16e6, f"one point allocated {peak / 1e6:.1f} MB at its peak"

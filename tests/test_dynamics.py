@@ -9,15 +9,19 @@ from epolsim import (
     CutoffError,
     IntegratorConfig,
     LadderConfig,
+    NumericsError,
     StateVector,
     SystemConfig,
+    TraceDriftError,
     WrapAroundError,
     blockade_angle,
+    blockade_fidelity,
     build_jc,
     build_kerr,
     build_ladder,
     check_feasibility,
     comb_state,
+    eels_spectrum,
     evolve_lindblad,
     feasibility_check,
     frame_align,
@@ -26,8 +30,10 @@ from epolsim import (
     pair_detuning,
     pair_states,
     polariton_eigenbasis,
+    polariton_statistics,
     scattering_blockade,
     scattering_linear,
+    sideband_distribution,
     state_fidelity,
 )
 
@@ -213,6 +219,37 @@ def test_photon_diagnostics_match_returned_state(make, gamma):
     want = photon_distribution(res, cfg)
     assert np.max(np.abs(res.diagnostics.photon_populations - want)) < 1e-10
     assert abs(res.diagnostics.cutoff_occupancy - want[-2:].sum()) < 1e-10
+
+
+PAIRS = {"kerr": ("0", "1"), "jc": ("0*", "1+")}
+
+
+@pytest.mark.parametrize("make", [small_kerr, small_jc])
+@pytest.mark.parametrize("gamma", [0.0, 0.004])
+@pytest.mark.parametrize("two_sectors", [False, True])
+def test_sector_scores_match_dense_state(make, gamma, two_sectors):
+    # the blockade fidelity and the populations the CLI reports, read from the
+    # sector blocks, against the dense route through the joint-space state
+    cfg = make(kappa=0.05, n_cut=4, g_q=1.2, delta=0.05, gamma=gamma, t=50.0)
+    lower, upper = PAIRS[cfg.model.kind]
+    psi0 = initial_state(cfg, cavity_level=lower)
+    if two_sectors:  # a second sector, one rung up: off-diagonal blocks enter
+        amp = psi0.amplitudes + np.roll(psi0.amplitudes, cfg.model.dim) * np.exp(0.7j)
+        psi0 = StateVector(cfg.space, amp / math.sqrt(2))
+    res = evolve_lindblad(psi0, cfg, LOOSE)
+    assert any(k != q for k, q in res.blocks) == two_sectors
+    lo, up, _ = pair_states(cfg.model, lower, upper)
+    omega = blockade_angle(cfg.model, lower, upper, cfg.g_q)
+    target = (scattering_blockade(omega, lo, up, cfg.space) @ psi0).normalize()
+    dense = state_fidelity(frame_align(res.state, cfg), target)
+    assert abs(blockade_fidelity(res, psi0, lower, upper) - dense) < 1e-12
+    diag = res.diagnostics
+    eels = eels_spectrum(res.state, center=cfg.ladder.center)
+    reported = sideband_distribution(diag.electron_populations, cfg.ladder.center)
+    assert reported.labels == eels.labels
+    assert np.max(np.abs(reported.probabilities - eels.probabilities)) < 1e-12
+    stats = polariton_statistics(res.state, polariton_eigenbasis(cfg.model))
+    assert np.max(np.abs(stats.probabilities - diag.level_populations)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +458,44 @@ def test_convergence_error_raised_for_perturbed_loss_chain(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_expm_action", stretched)
     with pytest.raises(ConvergenceError):
+        evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+
+
+def test_trace_drift_error_raised_for_cut_loss_chain(monkeypatch):
+    # a chain cut after its first block drops the population every photon loss moves down
+    cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.05, t=30.0)
+    assert evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics.trace_error < 1e-8
+    monkeypatch.setattr(dynamics, "_chain_blocks", lambda sec: 1)
+    with pytest.raises(TraceDriftError):
+        evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+
+
+@pytest.mark.parametrize("second_sector", [False, True])
+def test_positivity_error_raised_for_negative_input(second_sector):
+    # a Hermitian unit-trace input with eigenvalue -0.2: the sector-block check (one
+    # occupied sector) and the dense check (two) must both trip
+    cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.006, t=30.0)
+    l0, m = cfg.ladder.center, cfg.model.dim
+    i, j = l0 * m, ((l0 + 1) * m if second_sector else l0 * m + 1)
+    rho0 = np.zeros((cfg.space.dim, cfg.space.dim), dtype=complex)
+    rho0[i, i], rho0[j, j] = 1.2, -0.2
+    with pytest.raises(NumericsError, match="minimum eigenvalue"):
+        evolve_lindblad(DensityMatrix(cfg.space, rho0), cfg, LOOSE)
+
+
+def test_hermiticity_error_raised_for_perturbed_block(monkeypatch):
+    # an off-diagonal entry of one diagonal sector block moved by 1e-6 without its mirror
+    cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.006, t=30.0)
+    exact = dynamics._fold
+
+    def skewed(*args):
+        out = exact(*args)
+        key = next(k for k in out if k[0] == k[1])
+        out[key] = out[key] + 1e-6 * np.eye(cfg.model.dim, k=1)
+        return out
+
+    monkeypatch.setattr(dynamics, "_fold", skewed)
+    with pytest.raises(NumericsError, match="hermiticity"):
         evolve_lindblad(initial_state(cfg), cfg, LOOSE)
 
 
