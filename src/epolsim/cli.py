@@ -2,19 +2,17 @@
 
 Exit codes: 0 success, 2 configuration error (the message names the offending
 field), 3 numerical failure (trace drift or invalid truncation; for sweeps
-only when every grid point fails).  Re-running any config produces
-byte-identical outputs regardless of worker count.  Any other exception is a
-fault of the program and propagates.
+only when every grid point fails).  Grid points are evaluated one after
+another, in grid order, in this process; re-running any config produces
+byte-identical outputs.  Any other exception is a fault of the program and
+propagates.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +38,6 @@ SCHEMA_VERSION = 1
 
 SCENARIOS = ("evolve", "sweep_kappa", "sweep_velocity", "sweep_gq", "fidelity_map", "gates", "feasibility")
 SWEEP_SCENARIOS = ("sweep_kappa", "sweep_velocity", "sweep_gq", "fidelity_map")
-
-ENV_WORKERS = "EPOLSIM_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -104,13 +100,20 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _number_list(obj: dict, path: str, key: str, min_len=1):
+def _boolean(obj: dict, path: str, key: str, default=None):
+    val = obj.get(key, default)
+    if val is not None and not isinstance(val, bool):
+        raise ConfigError(f"{path}.{key}", f"expected true or false, got {val!r}")
+    return val
+
+
+def _number_list(obj: dict, path: str, key: str, min_len=1, minimum=None, maximum=None):
     if key not in obj:
         raise ConfigError(f"{path}.{key}", "missing required list")
     val = obj[key]
     if not isinstance(val, list) or len(val) < min_len or not all(_is_number(x) for x in val):
         raise ConfigError(f"{path}.{key}", f"expected a list of >= {min_len} numbers")
-    return [float(x) for x in val]
+    return [_number({key: x}, path, key, minimum=minimum, maximum=maximum) for x in val]
 
 
 def _integer_list(obj: dict, path: str, key: str, length: int, minimum: int, match: str) -> list[int]:
@@ -160,7 +163,10 @@ def normalize_config(raw: dict) -> dict:
             sub = _require_mapping(sub, f"runs[{i}]")
             if "tag" not in sub:
                 raise ConfigError(f"runs[{i}].tag", "missing required key")
-            tag = str(sub["tag"])
+            tag = sub["tag"]
+            plain = isinstance(tag, str) and tag not in ("", ".", "..", "effective_config.json")
+            if not plain or any(sep in tag for sep in "/\\\0"):
+                raise ConfigError(f"runs[{i}].tag", f"expected a plain directory name, got {tag!r}")
             if tag in tags:
                 raise ConfigError(f"runs[{i}].tag", f"duplicate tag {tag!r}")
             tags.add(tag)
@@ -247,9 +253,7 @@ def normalize_config(raw: dict) -> dict:
         q0_l = 2.0 * math.pi * length * 1e3 / wavelength
     else:
         q0_l = _number(electron, "electron", "q0_l", minimum=1e-9)
-    tune = electron.get("tune_to_pair")
-    if tune is not None and not isinstance(tune, bool):
-        raise ConfigError("electron.tune_to_pair", f"expected true or false, got {tune!r}")
+    tune = _boolean(electron, "electron", "tune_to_pair")
     tuning_keys = [k for k in ("velocity_ratio", "delta") if k in electron]
     if tune:
         tuning_keys.append("tune_to_pair")
@@ -308,7 +312,7 @@ def normalize_config(raw: dict) -> dict:
                               f"only {json.dumps(default)} is accepted: the propagator is exact and takes no steps")
     cfg["integrator"] = {
         **RETIRED_STEP_KEYS,
-        "convergence_check": bool(integ.get("convergence_check", True)),
+        "convergence_check": _boolean(integ, "integrator", "convergence_check", default=True),
         "trace_bound": _number(integ, "integrator", "trace_bound", default=1e-8, minimum=0.0),
         "cutoff_bound": _number(integ, "integrator", "cutoff_bound", default=1e-6, minimum=0.0),
         "wrap_bound": _number(integ, "integrator", "wrap_bound", default=1e-8, minimum=0.0),
@@ -322,13 +326,13 @@ def normalize_config(raw: dict) -> dict:
         sweep = _require_mapping(sweep if sweep is not None else {}, "sweep")
         if scenario == "sweep_kappa":
             _check_keys(sweep, "sweep", ("kappa_values",), ("n_cut_values", "rungs_values"))
-            kappas = _number_list(sweep, "sweep", "kappa_values")
+            kappas = _number_list(sweep, "sweep", "kappa_values", minimum=0.0)
             out = {"kappa_values": kappas}
             out.update(_cutoff_lists(sweep, len(kappas), "kappa_values", center))
             cfg["sweep"] = out
         elif scenario == "sweep_velocity":
             _check_keys(sweep, "sweep", ("velocity_ratios",), ("n_cut_values", "rungs_values"))
-            ratios = _number_list(sweep, "sweep", "velocity_ratios")
+            ratios = _number_list(sweep, "sweep", "velocity_ratios", minimum=0.1, maximum=1.9)
             out = {"velocity_ratios": ratios}
             out.update(_cutoff_lists(sweep, len(ratios), "velocity_ratios", center))
             cfg["sweep"] = out
@@ -337,8 +341,9 @@ def normalize_config(raw: dict) -> dict:
             cfg["sweep"] = {"g_q_values": _number_list(sweep, "sweep", "g_q_values")}
         elif scenario == "fidelity_map":
             _check_keys(sweep, "sweep", ("kappa_values", "gamma_values"), ("n_cut_values", "rungs_values"))
-            kappas = _number_list(sweep, "sweep", "kappa_values")
-            out = {"kappa_values": kappas, "gamma_values": _number_list(sweep, "sweep", "gamma_values")}
+            kappas = _number_list(sweep, "sweep", "kappa_values", minimum=0.0)
+            out = {"kappa_values": kappas,
+                   "gamma_values": _number_list(sweep, "sweep", "gamma_values", minimum=0.0)}
             out.update(_cutoff_lists(sweep, len(kappas), "kappa_values", center))
             cfg["sweep"] = out
     _check_levels(cfg)
@@ -357,27 +362,19 @@ def _cutoff_lists(sweep: dict, length: int, match: str, center: int) -> dict:
     return out
 
 
-def _model_rows(cfg: dict) -> list[tuple[float, int]]:
-    """(kappa, n_cut) of every grid point's cavity model."""
-    model, sweep = cfg["model"], cfg.get("sweep", {})
-    n = len(sweep.get("kappa_values", sweep.get("velocity_ratios", [None])))
-    kappas = sweep.get("kappa_values", [model["kappa_ratio"]] * n)
-    return list(zip(kappas, sweep.get("n_cut_values", [model["n_cut"]] * n)))
-
-
 def _check_levels(cfg: dict) -> None:
     """Every grid point's model must hold the pair and initial levels, and a pair the
     electron is tuned to, or scored against, must be a ladder transition it can reach."""
     kind, pair = cfg["model"]["kind"], cfg["pair"]
-    tuned = cfg["electron"]["tune_to_pair"] and cfg["scenario"] != "sweep_velocity"
-    for kappa, n_cut in sorted(set(_model_rows(cfg))):
+    models = {(p["kappa"], p["n_cut"], p["tune_to_pair"], p["want_fidelity"]) for p in _grid(cfg)}
+    for kappa, n_cut, tuned, scored in sorted(models):
         model = (build_kerr if kind == "kerr" else build_jc)(kappa, n_cut)
         labels = polariton_eigenbasis(model).labels
         for field, label in (("pair.lower", pair["lower"]), ("pair.upper", pair["upper"]),
                              ("initial_level", cfg["initial_level"])):
             if label not in labels:
                 raise ConfigError(field, f"no level {label!r} in the {kind} model at n_cut {n_cut}")
-        if tuned or cfg["scenario"] == "fidelity_map":
+        if tuned or scored:
             try:
                 pair_states(model, pair["lower"], pair["upper"])
             except ValueError as exc:
@@ -388,7 +385,7 @@ def _check_levels(cfg: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# point evaluation (must stay module-level and picklable for worker pools)
+# grid expansion and point evaluation
 
 
 def _build_point(payload: dict):
@@ -410,27 +407,18 @@ def _build_point(payload: dict):
         gamma=payload["gamma"],
         energy_spread=payload.get("energy_spread", 0.0),
     )
-    icfg = IntegratorConfig(
-        steps=payload["integrator"]["steps"],
-        phase_per_step=payload["integrator"]["phase_per_step"],
-        drive_per_step=payload["integrator"]["drive_per_step"],
-        convergence_check=payload["integrator"]["convergence_check"],
-        trace_bound=payload["integrator"]["trace_bound"],
-        cutoff_bound=payload["integrator"]["cutoff_bound"],
-        wrap_bound=payload["integrator"]["wrap_bound"],
-    )
-    return cfg, icfg
+    return cfg, IntegratorConfig(**payload["integrator"])
 
 
 def _evaluate_point(payload: dict) -> dict:
-    """Run one grid point; returns plain data for deterministic assembly.
+    """Run one grid point; returns plain data for the writers.
 
     A numerical failure marks the point unconverged with its reason.  Faults
     of the config are rejected earlier by normalize_config, so any other
     exception is a fault of the program and propagates.
     """
     cfg, icfg = _build_point(payload)
-    out: dict = {"index": payload["index"], "converged": True, "reason": ""}
+    out: dict = {"converged": True, "reason": ""}
     try:
         psi0 = initial_state(cfg, cavity_level=payload["initial_level"])
         result = evolve_lindblad(psi0, cfg, icfg)
@@ -482,13 +470,45 @@ def _point_payload(cfg: dict, index: int, **overrides) -> dict:
     return payload
 
 
-def _run_points(payloads: list[dict], workers: int) -> list[dict]:
-    if workers <= 1 or len(payloads) <= 1:
-        results = [_evaluate_point(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
-            results = list(pool.map(_evaluate_point, payloads))
-    return sorted(results, key=lambda r: r["index"])
+# scenario: (sweep list, payload field it sets, CSV axis column, fixed payload overrides);
+# a velocity sweep sets the velocity itself, so it neither tunes to the pair nor keeps a delta
+_SWEEPS = {
+    "sweep_kappa": ("kappa_values", "kappa", "kappa_ratio", {}),
+    "sweep_velocity": ("velocity_ratios", "velocity_ratio", "velocity_ratio",
+                       {"tune_to_pair": False, "delta": None}),
+    "sweep_gq": ("g_q_values", "g_q", "g_q", {}),
+    "fidelity_map": ("kappa_values", "kappa", "kappa_ratio", {"want_fidelity": True}),
+}
+
+
+def _grid(cfg: dict) -> list[dict]:
+    """Payloads of every grid point in grid order; an evolve config is one point.
+
+    Each payload's `axis` is its value on the sweep axis, or the (kappa, gamma)
+    pair of a fidelity map.
+    """
+    if cfg["scenario"] not in _SWEEPS:
+        return [_point_payload(cfg, 0)]
+    key, field, _, fixed = _SWEEPS[cfg["scenario"]]
+    sweep = cfg["sweep"]
+    points = []
+    for i, value in enumerate(sweep[key]):
+        over = {**fixed, field: (value, 0.0) if field == "g_q" else value}
+        for name, values in (("n_cut", "n_cut_values"), ("rungs", "rungs_values")):
+            if values in sweep:
+                over[name] = sweep[values][i]
+        if "gamma_values" in sweep:
+            points.extend(({**over, "gamma": gamma}, (value, gamma)) for gamma in sweep["gamma_values"])
+        else:
+            points.append((over, value))
+    return [_point_payload(cfg, index, axis=axis, **over) for index, (over, axis) in enumerate(points)]
+
+
+def _grid_exit_code(results: list[dict]) -> int:
+    if all(not r["converged"] for r in results):
+        sys.stderr.write("numerical failure: every grid point failed\n")
+        return 3
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +568,9 @@ DIAG_HEADER = ["converged", "steps", "trace_error", "cutoff_occupancy", "wrap_oc
 HBAR_C_KEV_NM = 0.1973269804  # hbar * c
 
 
-def _scenario_evolve(cfg: dict, out_dir: Path, workers: int) -> int:
-    result = _evaluate_point(_point_payload(cfg, 0))
+def _scenario_evolve(cfg: dict, out_dir: Path) -> int:
+    [point] = _grid(cfg)
+    result = _evaluate_point(point)
     if not result["converged"]:
         sys.stderr.write(f"numerical failure: {result['reason']}\n")
         return 3
@@ -574,50 +595,14 @@ def _scenario_evolve(cfg: dict, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def _sweep_axis(cfg: dict) -> tuple[str, list[dict]]:
-    scenario = cfg["scenario"]
-    sweep = cfg["sweep"]
-    payloads = []
-    if scenario == "sweep_kappa":
-        axis = "kappa_ratio"
-        for i, kappa in enumerate(sweep["kappa_values"]):
-            over = {"kappa": kappa}
-            if "n_cut_values" in sweep:
-                over["n_cut"] = sweep["n_cut_values"][i]
-            if "rungs_values" in sweep:
-                over["rungs"] = sweep["rungs_values"][i]
-            payloads.append(_point_payload(cfg, i, **over))
-        values = sweep["kappa_values"]
-    elif scenario == "sweep_velocity":
-        axis = "velocity_ratio"
-        for i, ratio in enumerate(sweep["velocity_ratios"]):
-            over = {"velocity_ratio": ratio, "tune_to_pair": False, "delta": None}
-            if "n_cut_values" in sweep:
-                over["n_cut"] = sweep["n_cut_values"][i]
-            if "rungs_values" in sweep:
-                over["rungs"] = sweep["rungs_values"][i]
-            payloads.append(_point_payload(cfg, i, **over))
-        values = sweep["velocity_ratios"]
-    elif scenario == "sweep_gq":
-        axis = "g_q"
-        for i, g in enumerate(sweep["g_q_values"]):
-            payloads.append(_point_payload(cfg, i, g_q=(g, 0.0)))
-        values = sweep["g_q_values"]
-    else:
-        raise ConfigError("scenario", f"not a simple sweep: {scenario}")
-    for p, v in zip(payloads, values):
-        p["axis_value"] = v
-    return axis, payloads
-
-
-def _scenario_sweep(cfg: dict, out_dir: Path, workers: int) -> int:
-    axis, payloads = _sweep_axis(cfg)
-    results = _run_points(payloads, workers)
-    values = [p["axis_value"] for p in payloads]
+def _scenario_sweep(cfg: dict, out_dir: Path) -> int:
+    axis = _SWEEPS[cfg["scenario"]][2]
+    points = _grid(cfg)
+    results = [_evaluate_point(p) for p in points]
     stats_rows, eels_rows, summary_rows = [], [], []
-    for value, result in zip(values, results):
-        point_dir = out_dir / f"point_{result['index']:03d}"
-        _write_point_files(point_dir, result)
+    for point, result in zip(points, results):
+        value = point["axis"]
+        _write_point_files(out_dir / f"point_{point['index']:03d}", result)
         summary_rows.append([value] + _diag_columns(result))
         if result["converged"]:
             stats_rows.extend([value, lab, p] for lab, p in zip(result["stats_labels"], result["stats_probs"]))
@@ -625,42 +610,23 @@ def _scenario_sweep(cfg: dict, out_dir: Path, workers: int) -> int:
     _write_csv(out_dir / "sweep_stats.csv", [axis, "level", "probability"], stats_rows)
     _write_csv(out_dir / "sweep_eels.csv", [axis, "sideband", "probability"], eels_rows)
     _write_csv(out_dir / "sweep_summary.csv", [axis] + DIAG_HEADER, summary_rows)
-    if all(not r["converged"] for r in results):
-        sys.stderr.write("numerical failure: every grid point failed\n")
-        return 3
-    return 0
+    return _grid_exit_code(results)
 
 
-def _scenario_fidelity_map(cfg: dict, out_dir: Path, workers: int) -> int:
-    sweep = cfg["sweep"]
-    payloads = []
-    index = 0
-    grid = []
-    for i, kappa in enumerate(sweep["kappa_values"]):
-        over: dict = {"kappa": kappa, "want_fidelity": True}
-        if "n_cut_values" in sweep:
-            over["n_cut"] = sweep["n_cut_values"][i]
-        if "rungs_values" in sweep:
-            over["rungs"] = sweep["rungs_values"][i]
-        for gamma in sweep["gamma_values"]:
-            payloads.append(_point_payload(cfg, index, gamma=gamma, **over))
-            grid.append((kappa, gamma))
-            index += 1
-    results = _run_points(payloads, workers)
+def _scenario_fidelity_map(cfg: dict, out_dir: Path) -> int:
+    points = _grid(cfg)
+    results = [_evaluate_point(p) for p in points]
     rows = []
-    for (kappa, gamma), result in zip(grid, results):
+    for point, result in zip(points, results):
         fid = result.get("fidelity", float("nan")) if result["converged"] else float("nan")
-        rows.append([kappa, gamma, fid, "true" if result["converged"] else "false"])
+        rows.append([*point["axis"], fid, "true" if result["converged"] else "false"])
     _write_csv(out_dir / "fidelity_map.csv", ["kappa_ratio", "gamma_ratio", "fidelity", "converged"], rows)
     _write_csv(out_dir / "fidelity_diagnostics.csv", ["kappa_ratio", "gamma_ratio"] + DIAG_HEADER,
-               [[k, g] + _diag_columns(r) for (k, g), r in zip(grid, results)])
-    if all(not r["converged"] for r in results):
-        sys.stderr.write("numerical failure: every grid point failed\n")
-        return 3
-    return 0
+               [[*p["axis"]] + _diag_columns(r) for p, r in zip(points, results)])
+    return _grid_exit_code(results)
 
 
-def _scenario_gates(cfg: dict, out_dir: Path, workers: int) -> int:
+def _scenario_gates(cfg: dict, out_dir: Path) -> int:
     gcfg = cfg["gates"]
     checks, report = gate_identity_suite(
         rungs=gcfg["rungs"], seed=gcfg["seed"], corrupt_cz_phase=gcfg["corrupt_cz_phase"]
@@ -679,7 +645,7 @@ def _scenario_gates(cfg: dict, out_dir: Path, workers: int) -> int:
     return 0
 
 
-def _scenario_feasibility(cfg: dict, out_dir: Path, workers: int) -> int:
+def _scenario_feasibility(cfg: dict, out_dir: Path) -> int:
     f = cfg["feasibility"]
     report = check_feasibility(
         pm_bandwidth=f["pm_bandwidth"],
@@ -706,7 +672,7 @@ _SCENARIO_RUNNERS = {
 }
 
 
-def run_config(cfg: dict, out_dir: str | Path, workers: int = 1) -> int:
+def run_config(cfg: dict, out_dir: str | Path) -> int:
     """Execute a normalized config; returns the process exit code."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -720,10 +686,10 @@ def run_config(cfg: dict, out_dir: str | Path, workers: int = 1) -> int:
             sub_dir = out_dir / tag
             sub_dir.mkdir(parents=True, exist_ok=True)
             _write_effective_config(sub_dir, body)
-            code = _SCENARIO_RUNNERS[body["scenario"]](body, sub_dir, workers)
+            code = _SCENARIO_RUNNERS[body["scenario"]](body, sub_dir)
             worst = max(worst, code)
         return worst
-    return _SCENARIO_RUNNERS[cfg["scenario"]](cfg, out_dir, workers)
+    return _SCENARIO_RUNNERS[cfg["scenario"]](cfg, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -844,23 +810,6 @@ def build_presets() -> dict[str, dict]:
 # entry point
 
 
-def _resolve_workers(arg_workers: int | None) -> int:
-    env = os.environ.get(ENV_WORKERS)
-    if env is not None:
-        try:
-            val = int(env)
-        except ValueError:
-            raise ConfigError(ENV_WORKERS, f"must be an integer, got {env!r}") from None
-        if val < 1:
-            raise ConfigError(ENV_WORKERS, f"must be >= 1, got {val}")
-        return val
-    if arg_workers is not None:
-        if arg_workers < 1:
-            raise ConfigError("--workers", f"must be >= 1, got {arg_workers}")
-        return arg_workers
-    return 1
-
-
 def _load_raw_config(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -886,11 +835,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("config", nargs="?", help="path to a JSON config")
         p.add_argument("--preset", help="name of a built-in config")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--workers", type=int, default=None, help="worker process count")
     args = parser.parse_args(argv)
 
     try:
-        workers = _resolve_workers(args.workers)
         presets = build_presets()
         if args.preset is not None and args.config is not None:
             raise ConfigError("config", "give a config path or --preset, not both")
@@ -915,7 +862,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return run_config(cfg, args.out, workers)
+    return run_config(cfg, args.out)
 
 
 if __name__ == "__main__":

@@ -42,7 +42,6 @@ from epolsim import (
 from epolsim.cli import build_presets, normalize_config, run_config
 
 Q0_L = 472.43
-WORKERS = 2
 
 _HYGIENE: list[tuple[str, object]] = []
 
@@ -162,7 +161,7 @@ def test_criterion_03_jc_velocity_selectivity():
 
 def sweep_peak(preset_name: str, target_level: str, tmp_dir: Path) -> float:
     preset = normalize_config(build_presets()[preset_name])
-    assert run_config(preset, tmp_dir, workers=WORKERS) == 0
+    assert run_config(preset, tmp_dir) == 0
     rows = (tmp_dir / "sweep_stats.csv").read_text().splitlines()[1:]
     grid: dict[float, float] = {}
     for row in rows:
@@ -442,10 +441,10 @@ def test_criterion_09_feasibility_validator():
 def test_criterion_10_preset_determinism(tmp_path):
     preset = normalize_config(build_presets()["smoke"])
     outputs = []
-    for name, workers in (("a", 1), ("b", 2), ("c", 1)):
+    for name in ("a", "b", "c"):
         out = tmp_path / name
-        assert run_config(preset, out, workers=workers) == 0
+        assert run_config(preset, out) == 0
         outputs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
     identical = outputs[0] == outputs[1] == outputs[2]
-    announce("10 preset determinism", identical, "smoke preset byte-identical across reruns and worker counts")
+    announce("10 preset determinism", identical, "smoke preset byte-identical across three reruns")
     assert identical

@@ -7,7 +7,6 @@ import pytest
 
 from epolsim.cli import (
     ConfigError,
-    _resolve_workers,
     build_presets,
     main,
     normalize_config,
@@ -109,7 +108,7 @@ def test_all_presets_normalize():
 
 def test_evolve_scenario_outputs(tmp_path):
     cfg = normalize_config(minimal_evolve())
-    assert run_config(cfg, tmp_path, workers=1) == 0
+    assert run_config(cfg, tmp_path) == 0
     for name in ("eels.csv", "stats.csv", "diagnostics.csv", "effective_config.json"):
         assert (tmp_path / name).exists()
     rows = read_rows(tmp_path / "stats.csv")
@@ -119,31 +118,28 @@ def test_evolve_scenario_outputs(tmp_path):
 
 def test_effective_config_round_trip(tmp_path):
     cfg = normalize_config(minimal_evolve())
-    run_config(cfg, tmp_path / "first", workers=1)
+    run_config(cfg, tmp_path / "first")
     echoed = json.loads((tmp_path / "first" / "effective_config.json").read_text())
-    run_config(normalize_config(echoed), tmp_path / "second", workers=1)
+    run_config(normalize_config(echoed), tmp_path / "second")
     first = (tmp_path / "first" / "stats.csv").read_bytes()
     second = (tmp_path / "second" / "stats.csv").read_bytes()
     assert first == second
 
 
-def test_smoke_preset_deterministic_across_workers(tmp_path):
+def test_smoke_preset_deterministic_across_reruns(tmp_path):
     preset = normalize_config(build_presets()["smoke"])
-    run_config(preset, tmp_path / "w1", workers=1)
-    run_config(preset, tmp_path / "w2", workers=2)
-    run_config(preset, tmp_path / "w1b", workers=1)
+    for run in ("a", "b", "c"):
+        run_config(preset, tmp_path / run)
     for name in ("sweep_stats.csv", "sweep_eels.csv", "sweep_summary.csv"):
-        a = (tmp_path / "w1" / name).read_bytes()
-        b = (tmp_path / "w2" / name).read_bytes()
-        c = (tmp_path / "w1b" / name).read_bytes()
+        a, b, c = ((tmp_path / run / name).read_bytes() for run in ("a", "b", "c"))
         assert a == b == c
-    rows = read_rows(tmp_path / "w1" / "sweep_summary.csv")
+    rows = read_rows(tmp_path / "a" / "sweep_summary.csv")
     assert all(r[1] == "true" for r in rows)
 
 
 def test_sweep_rows_sum_to_one_per_point(tmp_path):
     preset = normalize_config(build_presets()["smoke"])
-    run_config(preset, tmp_path, workers=1)
+    run_config(preset, tmp_path)
     rows = read_rows(tmp_path / "sweep_stats.csv")
     by_value: dict[str, float] = {}
     for value, _, prob in rows:
@@ -186,7 +182,7 @@ def test_eels_energy_axis_on_request(tmp_path):
         "wavelength_nm": 532.0, "length_um": 40.0 * 50.0 / 472.43, "energy_kev": 200.0,
     }
     norm = normalize_config(cfg)
-    assert run_config(norm, tmp_path, workers=1) == 0
+    assert run_config(norm, tmp_path) == 0
     lines = (tmp_path / "eels_energy.csv").read_text().splitlines()
     assert lines[0] == "energy_kev,probability"
     energies = [float(line.split(",")[0]) for line in lines[1:]]
@@ -208,7 +204,7 @@ def test_fidelity_map_scenario_outputs(tmp_path):
             "sweep": {"kappa_values": [0.02, 0.05], "gamma_values": [1e-4, 1e-3]},
         }
     )
-    assert run_config(cfg, tmp_path, workers=1) == 0
+    assert run_config(cfg, tmp_path) == 0
     lines = (tmp_path / "fidelity_map.csv").read_text().splitlines()
     assert lines[0] == "kappa_ratio,gamma_ratio,fidelity,converged"
     rows = [line.split(",") for line in lines[1:]]
@@ -286,17 +282,6 @@ def test_check_command_requires_feasibility_config(tmp_path):
     assert main(["check", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_workers_env_override(monkeypatch):
-    monkeypatch.setenv("EPOLSIM_WORKERS", "3")
-    assert _resolve_workers(1) == 3
-    monkeypatch.setenv("EPOLSIM_WORKERS", "zero")
-    with pytest.raises(ConfigError):
-        _resolve_workers(None)
-    monkeypatch.delenv("EPOLSIM_WORKERS")
-    assert _resolve_workers(None) == 1
-    assert _resolve_workers(4) == 4
-
-
 def test_missing_config_file(tmp_path):
     assert main(["run", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o")]) == 2
 
@@ -310,7 +295,7 @@ def test_invalid_json(tmp_path):
 def test_composite_config_runs_to_tagged_subdirs(tmp_path):
     sub = {k: v for k, v in minimal_evolve().items() if k != "schema_version"}
     cfg = normalize_config({"schema_version": 1, "runs": [{"tag": "one", **sub}, {"tag": "two", **sub}]})
-    assert run_config(cfg, tmp_path, workers=1) == 0
+    assert run_config(cfg, tmp_path) == 0
     assert (tmp_path / "one" / "stats.csv").exists()
     assert (tmp_path / "two" / "stats.csv").exists()
     assert (tmp_path / "one" / "stats.csv").read_bytes() == (tmp_path / "two" / "stats.csv").read_bytes()
@@ -334,6 +319,35 @@ def test_explicit_false_tune_to_pair_needs_a_velocity(tmp_path, capsys):
     # false next to an explicit velocity is what the echo writes, and stays valid
     cfg["electron"].update(tune_to_pair=False, velocity_ratio=1.0)
     assert normalize_config(cfg)["electron"]["tune_to_pair"] is False
+
+
+@pytest.mark.parametrize("scenario, sweep, key", [
+    ("fidelity_map", {"kappa_values": [0.05], "gamma_values": [-1e-4]}, "gamma_values"),
+    ("sweep_velocity", {"velocity_ratios": [1.0, 2.5]}, "velocity_ratios"),
+    ("sweep_kappa", {"kappa_values": [0.0, -0.02]}, "kappa_values"),
+])
+def test_sweep_entries_take_their_scalars_bounds(tmp_path, capsys, scenario, sweep, key):
+    cfg = minimal_evolve(scenario=scenario, sweep=sweep)
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"sweep.{key}" in capsys.readouterr().err
+
+
+def test_convergence_check_must_be_a_boolean(tmp_path, capsys):
+    cfg = minimal_evolve(integrator={"convergence_check": "false"})
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "integrator.convergence_check" in capsys.readouterr().err
+    cfg = minimal_evolve(integrator={"convergence_check": False})
+    assert normalize_config(cfg)["integrator"]["convergence_check"] is False
+
+
+@pytest.mark.parametrize("tag", ["", ".", "..", "../escaped", "a/b", "effective_config.json", 7])
+def test_composite_tag_must_be_a_plain_directory_name(tmp_path, capsys, tag):
+    sub = {k: v for k, v in minimal_evolve().items() if k != "schema_version"}
+    cfg = {"schema_version": 1, "runs": [{"tag": tag, **sub}]}
+    out = tmp_path / "run" / "out"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "runs[0].tag" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("key, values, message", [
@@ -382,6 +396,16 @@ def test_levels_checked_against_every_grid_model():
                          sweep={"kappa_values": [0.02], "gamma_values": [1e-4]})
     with pytest.raises(ConfigError, match="'pair'"):
         normalize_config(cfg)
+    # a velocity sweep neither tunes to nor scores the pair, so an unconnected one is
+    # accepted there; a kappa sweep tunes to it and rejects it
+    cfg = minimal_evolve(scenario="sweep_velocity", pair={"lower": "0", "upper": "2"},
+                         sweep={"velocity_ratios": [0.99, 1.01]})
+    cfg["electron"].pop("velocity_ratio")
+    cfg["electron"]["tune_to_pair"] = True
+    assert normalize_config(cfg)["pair"] == {"lower": "0", "upper": "2"}
+    cfg.update(scenario="sweep_kappa", sweep={"kappa_values": [0.05]})
+    with pytest.raises(ConfigError, match="'pair'"):
+        normalize_config(cfg)
 
 
 def test_programming_error_in_a_point_propagates(tmp_path, monkeypatch):
@@ -393,7 +417,7 @@ def test_programming_error_in_a_point_propagates(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "evolve_lindblad", broken)
     cfg = normalize_config(minimal_evolve(scenario="sweep_gq", sweep={"g_q_values": [0.5, 1.0]}))
     with pytest.raises(ValueError, match="broadcast"):
-        run_config(cfg, tmp_path, workers=1)
+        run_config(cfg, tmp_path)
     assert not list(tmp_path.rglob("FAILED.txt"))
 
 
