@@ -107,6 +107,12 @@ def _boolean(obj: dict, path: str, key: str, default=None):
     return val
 
 
+def _level_label(val, field: str) -> str:
+    if not isinstance(val, str):
+        raise ConfigError(field, f"expected a level label string such as \"1\", got {val!r}")
+    return val
+
+
 def _number_list(obj: dict, path: str, key: str, min_len=1, minimum=None, maximum=None):
     if key not in obj:
         raise ConfigError(f"{path}.{key}", "missing required list")
@@ -294,9 +300,9 @@ def normalize_config(raw: dict) -> dict:
     else:
         pair = _require_mapping(pair, "pair")
         _check_keys(pair, "pair", ("lower", "upper"))
-        lower, upper = str(pair["lower"]), str(pair["upper"])
+        lower, upper = _level_label(pair["lower"], "pair.lower"), _level_label(pair["upper"], "pair.upper")
     cfg["pair"] = {"lower": lower, "upper": upper}
-    cfg["initial_level"] = str(raw.get("initial_level", lower))
+    cfg["initial_level"] = _level_label(raw.get("initial_level", lower), "initial_level")
 
     integ = _require_mapping(raw.get("integrator", {}), "integrator")
     _check_keys(

@@ -572,17 +572,15 @@ def scattering_blockade(
         raise ValueError("pair states are not orthogonal")
     mag = abs(omega)
     arg = math.atan2(complex(omega).imag, complex(omega).real) if mag > 0 else 0.0
-    b = np.zeros((d, d), dtype=complex)
-    cols = np.arange(d)
-    b[(cols - 1) % d, cols] = 1.0
     proj = np.outer(lo, lo.conj()) + np.outer(up, up.conj())
     raise_pair = np.outer(up, lo.conj())  # |upper><lower|
     mat = np.eye(space.dim, dtype=complex)
-    mat += (math.cos(mag) - 1.0) * np.kron(np.eye(d), proj)
-    mat += -1j * math.sin(mag) * (
-        np.exp(1j * arg) * np.kron(b, raise_pair)
-        + np.exp(-1j * arg) * np.kron(b.conj().T, raise_pair.conj().T)
-    )
+    blocks = mat.reshape(d, m, d, m)  # (rung out, cavity out, rung in, cavity in)
+    rung = np.arange(d)
+    blocks[rung, :, rung, :] += (math.cos(mag) - 1.0) * proj
+    # raising the pair takes the electron one rung down, lowering it one rung up (cyclically)
+    blocks[(rung - 1) % d, :, rung, :] += -1j * math.sin(mag) * (np.exp(1j * arg) * raise_pair)
+    blocks[(rung + 1) % d, :, rung, :] += -1j * math.sin(mag) * (np.exp(-1j * arg) * raise_pair.conj().T)
     return Operator(space, mat)
 
 

@@ -79,7 +79,7 @@ def equivalence_up_to_phase(u, v, tol: float = 1e-10) -> tuple[bool, float, floa
     vm = v.matrix if isinstance(v, Operator) else np.asarray(v, dtype=complex)
     if um.shape != vm.shape:
         raise ValueError(f"shape mismatch {um.shape} vs {vm.shape}")
-    tr = complex(np.trace(vm.conj().T @ um))
+    tr = complex(np.vdot(vm, um))
     if abs(tr) < 1e-14:
         return False, 0.0, float(np.max(np.abs(um - vm)))
     theta = cmath.phase(tr)
@@ -99,14 +99,20 @@ def gate_pass(
     untouched and only the near-cavity path interacts.
     """
     d = space.dim_of(ELECTRON_LABEL)
-    small = TensorSpace(((ELECTRON_LABEL, d), (qubit_label, 2)))
-    s_small = scattering_blockade(omega, QUBIT_ZERO, QUBIT_ONE, small)
-    s_full = embed_group(s_small.matrix, [ELECTRON_LABEL, qubit_label], space)
-    if not conditioned_on_path:
-        return s_full
-    p0 = embed(np.diag([1.0, 0.0]).astype(complex), PATH_LABEL, space)
-    p1 = embed(np.diag([0.0, 1.0]).astype(complex), PATH_LABEL, space)
-    return p0 + p1 @ s_full
+    s = scattering_blockade(omega, QUBIT_ZERO, QUBIT_ONE, _pass_space(d, qubit_label, False)).matrix
+    if conditioned_on_path:
+        # path-diagonal: identity rows on the far path (|0>), the pass on the near path (|1>)
+        mat = np.zeros((d, 2, 2, d, 2, 2), dtype=complex)
+        mat[:, 0, :, :, 0, :] = np.eye(2 * d).reshape(d, 2, d, 2)
+        mat[:, 1, :, :, 1, :] = s.reshape(d, 2, d, 2)
+        s = mat.reshape(4 * d, 4 * d)
+    return embed_group(s, _pass_space(d, qubit_label, conditioned_on_path).labels, space)
+
+
+def _pass_space(rungs: int, qubit_label: str, with_path: bool) -> TensorSpace:
+    """The factors a pass acts on, in the order of its matrix: (electron, [path], qubit)."""
+    path = ((PATH_LABEL, 2),) if with_path else ()
+    return TensorSpace(((ELECTRON_LABEL, rungs), *path, (qubit_label, 2)))
 
 
 def cep_rz(phi: float, space: TensorSpace, qubit_label: str = "pol", conditioned: bool = True) -> Operator:
@@ -117,9 +123,10 @@ def cep_rz(phi: float, space: TensorSpace, qubit_label: str = "pol", conditioned
     restored exactly (the two one-rung shifts cancel).  With `conditioned`
     the space must carry a path register and the far path is left untouched.
     """
-    first = gate_pass(0.5 * math.pi, space, qubit_label, conditioned_on_path=conditioned)
-    second = gate_pass(0.5 * math.pi * cmath.exp(1j * phi), space, qubit_label, conditioned_on_path=conditioned)
-    return second @ first
+    sub = _pass_space(space.dim_of(ELECTRON_LABEL), qubit_label, conditioned)
+    first = gate_pass(0.5 * math.pi, sub, qubit_label, conditioned_on_path=conditioned)
+    second = gate_pass(0.5 * math.pi * cmath.exp(1j * phi), sub, qubit_label, conditioned_on_path=conditioned)
+    return embed_group((second @ first).matrix, sub.labels, space)
 
 
 def cep_rz_target(phi: float) -> np.ndarray:
@@ -182,10 +189,8 @@ def spectrometer(space: TensorSpace, center: int, loss_to_path: int = 0) -> Oper
         raise ValueError("loss_to_path must be 0 or 1")
     d = space.dim_of(ELECTRON_LABEL)
     flip_rung = (center - 1) % d if loss_to_path == 0 else (center + 1) % d
-    mat = np.zeros((2 * d, 2 * d), dtype=complex)
-    for l in range(d):
-        block = PAULI_X if l == flip_rung else np.eye(2)
-        mat[2 * l : 2 * l + 2, 2 * l : 2 * l + 2] = block
+    mat = np.eye(2 * d, dtype=complex)
+    mat[2 * flip_rung : 2 * flip_rung + 2, 2 * flip_rung : 2 * flip_rung + 2] = PAULI_X
     return embed_group(mat, [ELECTRON_LABEL, PATH_LABEL], space)
 
 
@@ -205,10 +210,11 @@ def cpe_path(
     calibration parameters.
     """
     half_pi = 0.5 * math.pi
-    first = gate_pass(half_pi * cmath.exp(1j * phase_first), space, qubit_label, conditioned_on_path=True)
-    router = spectrometer(space, center, loss_to_path)
-    second = gate_pass(half_pi * cmath.exp(1j * phase_second), space, qubit_label, conditioned_on_path=False)
-    return second @ router @ first
+    sub = _pass_space(space.dim_of(ELECTRON_LABEL), qubit_label, with_path=True)
+    first = gate_pass(half_pi * cmath.exp(1j * phase_first), sub, qubit_label, conditioned_on_path=True)
+    router = spectrometer(sub, center, loss_to_path)
+    second = gate_pass(half_pi * cmath.exp(1j * phase_second), sub, qubit_label, conditioned_on_path=False)
+    return embed_group((second @ router @ first).matrix, sub.labels, space)
 
 
 @dataclass(frozen=True)
@@ -248,29 +254,39 @@ def _ancilla_tail(space: TensorSpace, center: int, path_index: int) -> np.ndarra
     return np.kron(anc, path)
 
 
-def _evaluate_cz_candidate(u: np.ndarray, space: TensorSpace, center: int, probes: list[np.ndarray]):
-    """Extract the induced two-polariton map and ancilla diagnostics."""
-    anc_in = _ancilla_tail(space, center, path_index=1)
-    anc_dim = anc_in.size
+def _cz_first(space: TensorSpace, center: int, delta: float, loss_to: int) -> np.ndarray:
+    """The controlled-path gate that opens the controlled-Z circuit, at a calibration."""
+    return cpe_path(space, center, "pol1", phase_first=delta, loss_to_path=loss_to).matrix
+
+
+def _cz_rest(space: TensorSpace) -> list[np.ndarray]:
+    """The rest of the controlled-Z circuit, in the order its gates act."""
+    h = electron_hadamard(space).matrix
+    return [cep_rz(0.5 * math.pi, space, "pol2").matrix, h, cep_rz(0.5 * math.pi, space, "pol1").matrix, h]
+
+
+def _evaluate_cz_candidate(cols: np.ndarray, anc_dim: int, probes: list[np.ndarray]):
+    """Extract the induced two-polariton map and ancilla diagnostics.
+
+    `cols[:, j]` is the circuit's output for the input kron(ancilla, e_j), so
+    the output for a polariton input chi is `cols @ chi`.
+    """
     # reference ancilla output from the uniform-superposition probe
     uniform = 0.5 * np.ones(4, dtype=complex)
-    out = (u @ np.kron(anc_in, uniform)).reshape(anc_dim, 4)
-    left, sv, _ = np.linalg.svd(out)
+    left = np.linalg.svd((cols @ uniform).reshape(anc_dim, 4))[0]
     anc_out = left[:, 0]
-    k = int(np.argmax(np.abs(anc_out)))
+    # the phase is fixed on the largest entry; of entries equal up to 1e-12 (the
+    # ancilla splits evenly over the two paths) the last is taken, so round-off
+    # does not choose
+    mags = np.abs(anc_out)
+    k = int(np.flatnonzero(mags >= mags.max() - 1e-12)[-1])
     anc_out = anc_out * np.exp(-1j * cmath.phase(anc_out[k]))
     max_entropy = 0.0
     for chi in probes:
-        o = (u @ np.kron(anc_in, chi)).reshape(anc_dim, 4)
-        p = np.linalg.svd(o, compute_uv=False) ** 2
+        p = np.linalg.svd((cols @ chi).reshape(anc_dim, 4), compute_uv=False) ** 2
         p = p[p > 1e-15]
         max_entropy = max(max_entropy, float(-(p * np.log(p)).sum()))
-    induced = np.zeros((4, 4), dtype=complex)
-    for j in range(4):
-        chi = np.zeros(4, dtype=complex)
-        chi[j] = 1.0
-        o = (u @ np.kron(anc_in, chi)).reshape(anc_dim, 4)
-        induced[:, j] = anc_out.conj() @ o
+    induced = (anc_out.conj() @ cols.reshape(anc_dim, 16)).reshape(4, 4)
     return induced, anc_out, max_entropy
 
 
@@ -306,15 +322,16 @@ def two_polariton_cz(
     else:
         candidates = [(k * math.pi / 4.0, lp) for lp in (0, 1) for k in range(8)]
 
-    h = electron_hadamard(space).matrix
-    rz2 = cep_rz(0.5 * math.pi, space, "pol2").matrix
-    rz1 = cep_rz(0.5 * math.pi, space, "pol1").matrix
+    anc_in = _ancilla_tail(space, center, path_index=1)
+    inputs = np.kron(anc_in[:, None], np.eye(4))  # column j: kron(anc_in, e_j)
 
+    rest = _cz_rest(space)
     best = None
     for delta, loss_to in candidates:
-        cpe = cpe_path(space, center, "pol1", phase_first=delta, phase_second=0.0, loss_to_path=loss_to).matrix
-        u = h @ rz1 @ h @ rz2 @ cpe
-        induced, anc_out, entropy = _evaluate_cz_candidate(u, space, center, probes)
+        cols = _cz_first(space, center, delta, loss_to) @ inputs
+        for stage in rest:
+            cols = stage @ cols
+        induced, anc_out, entropy = _evaluate_cz_candidate(cols, anc_in.size, probes)
         ok, theta, deviation = equivalence_up_to_phase(induced, CZ_TARGET, cz_tol)
         unit_defect = float(np.max(np.abs(induced @ induced.conj().T - np.eye(4))))
         passed = ok and entropy <= entropy_tol and unit_defect <= 1e-10
@@ -472,30 +489,24 @@ def gate_identity_suite(
     add("H T H S composite matches direct construction", dev <= 1e-9, dev)
 
     # wrap-around rungs stay empty through a full gate sequence
-    full = two_qubit_wrap_probe(rungs, center)
+    full = two_qubit_wrap_probe(rungs, center, report.calibration)
     add("ladder wrap-around rungs stay unpopulated", full <= 1e-12, full)
 
     return checks, report
 
 
-def two_qubit_wrap_probe(rungs: int, center: int) -> float:
-    """Max population on the cyclic wrap rungs across the CZ circuit stages."""
+def two_qubit_wrap_probe(rungs: int, center: int, calibration: dict) -> float:
+    """Max population on the cyclic wrap rungs across the CZ circuit stages at `calibration`."""
     space = gate_space(rungs=rungs, n_qubits=2, with_path=True)
     cfg = LadderConfig(rungs=rungs, center=center)
     wrap = cfg.wrap_rungs()
     anc = _ancilla_tail(space, center, path_index=1)
     chi = 0.5 * np.ones(4, dtype=complex)
     state = np.kron(anc, chi)
-    stages = [
-        cpe_path(space, center, "pol1", phase_first=math.pi / 4),
-        cep_rz(0.5 * math.pi, space, "pol2"),
-        electron_hadamard(space),
-        cep_rz(0.5 * math.pi, space, "pol1"),
-        electron_hadamard(space),
-    ]
     worst = 0.0
-    for op in stages:
-        state = op.matrix @ state
+    first = _cz_first(space, center, float(calibration["pass_phase_difference"]), int(calibration["loss_to_path"]))
+    for stage in [first, *_cz_rest(space)]:
+        state = stage @ state
         pops = (np.abs(state.reshape(rungs, -1)) ** 2).sum(axis=1)
         worst = max(worst, float(pops[wrap].sum()))
     return worst

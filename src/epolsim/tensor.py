@@ -255,17 +255,18 @@ def embed_group(matrix: np.ndarray, labels: Sequence[str], space: TensorSpace) -
     sub_dim = math.prod(space.dims[a] for a in axes)
     if matrix.shape != (sub_dim, sub_dim):
         raise ValueError(f"group operator shape {matrix.shape}, expected {(sub_dim, sub_dim)}")
-    rest = [i for i in range(len(space.factors)) if i not in axes]
-    rest_dim = math.prod(space.dims[i] for i in rest) if rest else 1
-    big = np.kron(matrix, np.eye(rest_dim, dtype=complex))
-    # big is ordered (targets..., rest...); permute tensor axes back to canonical order
-    order = axes + rest
-    inv = np.argsort(order)
-    dims_perm = [space.dims[i] for i in order]
     k = len(space.factors)
-    tensor = big.reshape(dims_perm + dims_perm)
-    tensor = np.transpose(tensor, list(inv) + [k + i for i in inv])
-    return Operator(space, tensor.reshape(space.dim, space.dim))
+    rest = [i for i in range(k) if i not in axes]
+    t, r = len(axes), len(rest)
+    rest_dims = [space.dims[i] for i in rest]
+    identity = np.eye(math.prod(rest_dims), dtype=complex).reshape(rest_dims * 2)
+    tensor = np.multiply.outer(matrix.reshape([space.dims[a] for a in axes] * 2), identity)
+    # tensor axes are (target rows, target cols, rest rows, rest cols); reorder to
+    # (rows, cols), each in canonical factor order
+    position = np.argsort(axes + rest)
+    rows = [p if p < t else p + t for p in position]
+    cols = [p + t if p < t else p + t + r for p in position]
+    return Operator(space, np.transpose(tensor, rows + cols).reshape(space.dim, space.dim))
 
 
 def partial_trace(rho: DensityMatrix, keep_labels: Iterable[str]) -> DensityMatrix:

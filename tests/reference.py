@@ -1,15 +1,23 @@
-"""Independent reference propagator for dual-route checks.
+"""Independent references for dual-route checks.
 
-Integrates the master equation exactly as written: dense matrices in the bare
-labeled basis, the static nonlinear Hamiltonian kept explicitly inside the
-generator, plain fixed-step RK4.  Deliberately shares no code with the
-production engine beyond the Hamiltonian builder it cross-checks.
+The propagator integrates the master equation exactly as written: dense
+matrices in the bare labeled basis, the static nonlinear Hamiltonian kept
+explicitly inside the generator, plain fixed-step RK4.  Deliberately shares no
+code with the production engine beyond the Hamiltonian builder it cross-checks.
+
+The gate references build every operator on the full joint space from
+Kronecker products and compose with full-space matrix products, the direct
+route that the production builders avoid.  They use only the space's labels
+and dimensions.
 """
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
-from epolsim import DensityMatrix, SystemConfig, build_ladder
+from epolsim import DensityMatrix, SystemConfig, TensorSpace, build_ladder
 
 
 def reference_lindblad(cfg: SystemConfig, rho0: np.ndarray, steps: int) -> np.ndarray:
@@ -55,3 +63,126 @@ def reference_steps(cfg: SystemConfig) -> int:
         cfg.gamma * n,
     )
     return max(200, int(np.ceil(cfg.interaction_time * rate / 0.03)))
+
+
+# ---------------------------------------------------------------------------
+# gates
+
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+QUBIT_ZERO = np.array([1.0, 0.0], dtype=complex)
+QUBIT_ONE = np.array([0.0, 1.0], dtype=complex)
+CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+
+def reference_scattering_blockade(omega: complex, lower: np.ndarray, upper: np.ndarray, rungs: int) -> np.ndarray:
+    """Blockade pass on (electron ladder x cavity) as a sum of Kronecker products."""
+    m = lower.size
+    mag = abs(omega)
+    arg = cmath.phase(omega) if mag > 0 else 0.0
+    b = np.zeros((rungs, rungs), dtype=complex)
+    cols = np.arange(rungs)
+    b[(cols - 1) % rungs, cols] = 1.0
+    proj = np.outer(lower, lower.conj()) + np.outer(upper, upper.conj())
+    raise_pair = np.outer(upper, lower.conj())
+    mat = np.eye(rungs * m, dtype=complex)
+    mat += (math.cos(mag) - 1.0) * np.kron(np.eye(rungs), proj)
+    mat += -1j * math.sin(mag) * (
+        np.exp(1j * arg) * np.kron(b, raise_pair) + np.exp(-1j * arg) * np.kron(b.conj().T, raise_pair.conj().T)
+    )
+    return mat
+
+
+def reference_embed_group(matrix: np.ndarray, labels, space: TensorSpace) -> np.ndarray:
+    """kron(matrix, identity on the other factors), its tensor axes permuted into space order."""
+    axes = [space.axis(lab) for lab in labels]
+    rest = [i for i in range(len(space.factors)) if i not in axes]
+    rest_dim = math.prod(space.dims[i] for i in rest)
+    big = np.kron(np.asarray(matrix, dtype=complex), np.eye(rest_dim, dtype=complex))
+    order = axes + rest
+    inv = list(np.argsort(order))
+    k = len(space.factors)
+    dims = [space.dims[i] for i in order]
+    tensor = np.transpose(big.reshape(dims + dims), inv + [k + i for i in inv])
+    return tensor.reshape(space.dim, space.dim)
+
+
+def reference_pass(omega: complex, space: TensorSpace, qubit: str, conditioned: bool) -> np.ndarray:
+    """p0 + p1 @ s on the full space (just s when not conditioned on the path)."""
+    d = space.dim_of("electron")
+    s = reference_embed_group(reference_scattering_blockade(omega, QUBIT_ZERO, QUBIT_ONE, d),
+                              ["electron", qubit], space)
+    if not conditioned:
+        return s
+    p0 = reference_embed_group(np.diag([1.0, 0.0]), ["path"], space)
+    p1 = reference_embed_group(np.diag([0.0, 1.0]), ["path"], space)
+    return p0 + p1 @ s
+
+
+def reference_cep_rz(phi: float, space: TensorSpace, qubit: str, conditioned: bool) -> np.ndarray:
+    half_pi = 0.5 * math.pi
+    return reference_pass(half_pi * cmath.exp(1j * phi), space, qubit, conditioned) @ reference_pass(
+        half_pi, space, qubit, conditioned)
+
+
+def reference_cpe_path(space: TensorSpace, center: int, qubit: str, phase_first: float,
+                       loss_to_path: int, phase_second: float = 0.0) -> np.ndarray:
+    """Conditioned pass, spectrometer, pass, each on the full space."""
+    d = space.dim_of("electron")
+    flip = (center - 1) % d if loss_to_path == 0 else (center + 1) % d
+    router = np.zeros((2 * d, 2 * d), dtype=complex)
+    for rung in range(d):
+        router[2 * rung : 2 * rung + 2, 2 * rung : 2 * rung + 2] = PAULI_X if rung == flip else np.eye(2)
+    half_pi = 0.5 * math.pi
+    first = reference_pass(half_pi * cmath.exp(1j * phase_first), space, qubit, True)
+    second = reference_pass(half_pi * cmath.exp(1j * phase_second), space, qubit, False)
+    return second @ reference_embed_group(router, ["electron", "path"], space) @ first
+
+
+def reference_cz(rungs: int, calibration: dict | None = None, n_random: int = 20, seed: int = 7):
+    """The controlled-Z calibration search on the dense circuit u = h rz1 h rz2 cpe.
+
+    Returns (calibration, induced map, ancilla state, max probe entropy) of the
+    first candidate that passes, else of the one nearest CZ.  The ancilla phase
+    is fixed on its largest entry, the last of entries equal to 1e-12.
+    """
+    center = rungs // 2
+    space = TensorSpace((("electron", rungs), ("path", 2), ("pol1", 2), ("pol2", 2)))
+    rng = np.random.default_rng(seed)
+    probes = list(np.eye(4, dtype=complex)) + [0.5 * np.ones(4, dtype=complex)]
+    for _ in range(n_random):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        probes.append(v / np.linalg.norm(v))
+    if calibration is not None:
+        candidates = [(calibration["pass_phase_difference"], calibration["loss_to_path"])]
+    else:
+        candidates = [(k * math.pi / 4.0, lp) for lp in (0, 1) for k in range(8)]
+    h = reference_embed_group(HADAMARD, ["path"], space)
+    rz1 = reference_cep_rz(0.5 * math.pi, space, "pol1", True)
+    rz2 = reference_cep_rz(0.5 * math.pi, space, "pol2", True)
+    anc_in = np.zeros(2 * rungs, dtype=complex)
+    anc_in[2 * center + 1] = 1.0  # centre rung, near path
+    best = None
+    for delta, loss_to in candidates:
+        u = h @ rz1 @ h @ rz2 @ reference_cpe_path(space, center, "pol1", delta, loss_to)
+        left = np.linalg.svd((u @ np.kron(anc_in, probes[4])).reshape(2 * rungs, 4))[0]
+        anc_out = left[:, 0]
+        mags = np.abs(anc_out)
+        k = np.flatnonzero(mags >= mags.max() - 1e-12)[-1]
+        anc_out = anc_out * np.exp(-1j * np.angle(anc_out[k]))
+        entropy = 0.0
+        for chi in probes:
+            p = np.linalg.svd((u @ np.kron(anc_in, chi)).reshape(2 * rungs, 4), compute_uv=False) ** 2
+            p = p[p > 1e-15]
+            entropy = max(entropy, float(-(p * np.log(p)).sum()))
+        induced = np.stack([anc_out.conj() @ (u @ np.kron(anc_in, e)).reshape(2 * rungs, 4) for e in probes[:4]],
+                           axis=1)
+        tr = np.trace(CZ.conj().T @ induced)
+        deviation = float(np.max(np.abs(induced - np.exp(1j * np.angle(tr)) * CZ)))
+        unit = float(np.max(np.abs(induced @ induced.conj().T - np.eye(4))))
+        record = ({"pass_phase_difference": delta, "loss_to_path": loss_to}, induced, anc_out, entropy, deviation)
+        if deviation <= 1e-9 and entropy <= 1e-10 and unit <= 1e-10:
+            return record[:4]
+        if best is None or deviation < best[4]:
+            best = record
+    return best[:4]

@@ -408,6 +408,20 @@ def test_levels_checked_against_every_grid_model():
         normalize_config(cfg)
 
 
+@pytest.mark.parametrize("field, overrides", [
+    ("pair.lower", {"pair": {"lower": 0, "upper": "1"}}),
+    ("pair.upper", {"pair": {"lower": "0", "upper": 1}}),
+    ("initial_level", {"initial_level": 0}),
+    ("initial_level", {"initial_level": ["0"]}),
+])
+def test_level_labels_must_be_strings(tmp_path, capsys, field, overrides):
+    # a number or list is rejected, not rewritten to its string form
+    cfg = minimal_evolve(**overrides)
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "level label string" in err
+
+
 def test_programming_error_in_a_point_propagates(tmp_path, monkeypatch):
     import epolsim.cli as cli
 

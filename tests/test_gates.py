@@ -1,5 +1,6 @@
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from epolsim import (
     IntegratorConfig,
     LadderConfig,
+    Operator,
     SystemConfig,
+    TensorSpace,
     build_kerr,
     cep_rz,
     cep_rz_target,
@@ -19,10 +22,18 @@ from epolsim import (
     gate_space,
     noisy_gate_fidelity,
     r_transverse,
+    scattering_blockade,
     spectrometer,
     two_polariton_cz,
 )
 from epolsim.gates import CZ_TARGET, HADAMARD, PAULI_X, PAULI_Z, _ancilla_tail
+from reference import (
+    reference_cep_rz,
+    reference_cpe_path,
+    reference_cz,
+    reference_pass,
+    reference_scattering_blockade,
+)
 
 RUNGS = 7
 CENTER = 3
@@ -238,6 +249,112 @@ def test_identity_suite_all_pass():
     checks, report = gate_identity_suite(rungs=RUNGS)
     assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
     assert report.passed
+
+
+@pytest.mark.parametrize("rungs", [7, 18])
+def test_scattering_blockade_matches_kron_reference(rungs):
+    rng = np.random.default_rng(rungs)
+    for m in (2, 5):
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        space = TensorSpace((("electron", rungs), ("cav", m)))
+        for omega in (0.0, 0.5 * math.pi, 1.3 * cmath.exp(0.7j)):
+            s = scattering_blockade(omega, q[:, 0], q[:, 1], space).matrix
+            ref = reference_scattering_blockade(omega, q[:, 0], q[:, 1], rungs)
+            assert np.max(np.abs(s - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("rungs", [7, 18])
+def test_gate_pass_matches_dense_reference(rungs):
+    space = gate_space(rungs=rungs, n_qubits=2)
+    omega = 0.5 * math.pi * cmath.exp(0.4j)
+    for qubit in ("pol1", "pol2"):
+        for conditioned in (True, False):
+            op = gate_pass(omega, space, qubit, conditioned_on_path=conditioned).matrix
+            assert np.max(np.abs(op - reference_pass(omega, space, qubit, conditioned))) <= 1e-12
+
+
+@pytest.mark.parametrize("rungs", [7, 18])
+def test_cep_rz_and_cpe_path_match_dense_composition(rungs):
+    center = rungs // 2
+    space = gate_space(rungs=rungs, n_qubits=2)
+    for qubit in ("pol1", "pol2"):
+        op = cep_rz(0.93, space, qubit).matrix
+        assert np.max(np.abs(op - reference_cep_rz(0.93, space, qubit, True))) <= 1e-12
+        for loss_to in (0, 1):
+            op = cpe_path(space, center, qubit, phase_first=0.6, phase_second=-0.2, loss_to_path=loss_to).matrix
+            ref = reference_cpe_path(space, center, qubit, 0.6, loss_to, phase_second=-0.2)
+            assert np.max(np.abs(op - ref)) <= 1e-12
+    free = TensorSpace((("electron", rungs), ("pol", 2)))
+    op = cep_rz(1.7, free, conditioned=False).matrix
+    assert np.max(np.abs(op - reference_cep_rz(1.7, free, "pol", False))) <= 1e-12
+
+
+@pytest.mark.parametrize("rungs", [7, 18])
+@pytest.mark.parametrize("calibration", [None, {"pass_phase_difference": math.pi / 4 + 0.25, "loss_to_path": 0}])
+def test_two_polariton_cz_matches_dense_circuit(rungs, calibration):
+    # the four-column evaluation against the dense u = h rz1 h rz2 cpe
+    report = two_polariton_cz(rungs=rungs, calibration=calibration)
+    ref_calibration, induced, ancilla, entropy = reference_cz(rungs, calibration)
+    assert report.calibration == ref_calibration
+    assert np.max(np.abs(report.induced - induced)) <= 1e-12
+    assert np.max(np.abs(report.ancilla_state - ancilla)) <= 1e-12
+    assert abs(report.ancilla_entropy - entropy) <= 1e-12
+
+
+def test_two_polariton_cz_makes_no_full_space_operator_product(monkeypatch):
+    # at 41 rungs the joint space has 41 * 8 = 328 dimensions; gates compose on the
+    # factors they touch and the circuit acts on four input columns.  Both Operator
+    # products and raw-matrix products of the circuit's gates are counted.
+    import epolsim.gates as gates
+
+    full = (328, 328)
+    operator_products = []
+    matrix_products = []
+    matmul = Operator.__matmul__
+
+    def counting(self, other):
+        if isinstance(other, Operator):
+            operator_products.append(self.space.dim)
+        return matmul(self, other)
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [np.asarray(x) for x in inputs]
+            if ufunc is np.matmul:
+                matrix_products.append(tuple(x.shape for x in plain))
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    def recorded(build):
+        def wrapper(*args, **kwargs):
+            op = build(*args, **kwargs)
+            return SimpleNamespace(space=op.space, matrix=op.matrix.view(Recorded))
+
+        return wrapper
+
+    monkeypatch.setattr(Operator, "__matmul__", counting)
+    for name in ("electron_hadamard", "cep_rz", "cpe_path"):
+        monkeypatch.setattr(gates, name, recorded(getattr(gates, name)))
+    assert two_polariton_cz(rungs=41).passed
+    assert matrix_products, "the circuit's gate matrices were not seen"
+    assert operator_products.count(328) == 0, f"{operator_products.count(328)} operator products on the full space"
+    square = [shapes for shapes in matrix_products if shapes == (full, full)]
+    assert not square, f"{len(square)} matrix-matrix products on the full space"
+
+
+def test_wrap_probe_runs_the_reported_calibration(monkeypatch):
+    import epolsim.gates as gates
+
+    seen = []
+    probe = gates.two_qubit_wrap_probe
+
+    def recording(rungs, center, calibration):
+        seen.append(calibration)
+        return probe(rungs, center, calibration)
+
+    monkeypatch.setattr(gates, "two_qubit_wrap_probe", recording)
+    _, report = gate_identity_suite(rungs=RUNGS, corrupt_cz_phase=0.3)
+    assert seen == [report.calibration]
+    assert report.calibration["pass_phase_difference"] == pytest.approx(math.pi / 4 + 0.3)
 
 
 def test_noisy_pass_approaches_ideal_gate():

@@ -12,6 +12,7 @@ from epolsim import (
     kron,
     partial_trace,
 )
+from reference import reference_embed_group
 
 
 def random_matrix(rng, n):
@@ -124,6 +125,19 @@ def test_embed_group_order_matters():
     swapped = embed_group(m, ["b", "a"], space).matrix
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
     assert np.max(np.abs(swapped - swap @ m @ swap)) < 1e-14
+
+
+@pytest.mark.parametrize("rungs", [7, 18])
+def test_embed_group_matches_kron_reference(rungs):
+    # non-adjacent labels out of space order, every factor out of order, and in order
+    rng = np.random.default_rng(rungs)
+    space = TensorSpace((("electron", rungs), ("path", 2), ("pol1", 2), ("pol2", 2)))
+    for labels in (["pol2", "electron"], ["pol1", "electron", "pol2"], ["path", "pol2", "electron", "pol1"],
+                   ["electron", "path", "pol1", "pol2"]):
+        sub = int(np.prod([space.dim_of(lab) for lab in labels]))
+        m = random_matrix(rng, sub)
+        lifted = embed_group(m, labels, space).matrix
+        assert np.max(np.abs(lifted - reference_embed_group(m, labels, space))) <= 1e-12
 
 
 def test_partial_trace_product_state():
