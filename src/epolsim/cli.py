@@ -13,14 +13,16 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
-
-import numpy as np
+from typing import NamedTuple
 
 from . import __version__
 from .cavity import build_jc, build_kerr, pair_states, polariton_eigenbasis
 from .dynamics import (
     RETIRED_STEP_KEYS,
+    Diagnostics,
     IntegratorConfig,
     NumericsError,
     SystemConfig,
@@ -36,18 +38,41 @@ from .observables import Distribution, ProbabilityError, sideband_distribution
 
 SCHEMA_VERSION = 1
 
-SCENARIOS = ("evolve", "sweep_kappa", "sweep_velocity", "sweep_gq", "fidelity_map", "gates", "feasibility")
-SWEEP_SCENARIOS = ("sweep_kappa", "sweep_velocity", "sweep_gq", "fidelity_map")
+
+class _Axis(NamedTuple):  # a sweep list, the payload field each entry sets, and its CSV column
+    key: str
+    field: str
+    column: str
+    minimum: float | None = None
+    maximum: float | None = None
+
+
+class _Sweep(NamedTuple):
+    axes: tuple[_Axis, ...]  # the swept list, then any list crossed with each of its entries
+    fixed: dict  # payload overrides at every point
+    per_point: bool = True  # the _PER_POINT lists may give each entry of axes[0] its own cutoffs
+
+
+# per-point list: (payload field, smallest entry), the bounds of model.n_cut and electron.rungs
+_PER_POINT = {"n_cut_values": ("n_cut", 2), "rungs_values": ("rungs", 3)}
+_KAPPA = _Axis("kappa_values", "kappa", "kappa_ratio", minimum=0.0)
+# a velocity sweep sets the velocity itself, so it neither tunes to the pair nor keeps a delta
+_SWEEPS = {
+    "sweep_kappa": _Sweep((_KAPPA,), {}),
+    "sweep_velocity": _Sweep((_Axis("velocity_ratios", "velocity_ratio", "velocity_ratio", 0.1, 1.9),),
+                             {"tune_to_pair": False, "delta": None}),
+    "sweep_gq": _Sweep((_Axis("g_q_values", "g_q", "g_q"),), {}, per_point=False),
+    "fidelity_map": _Sweep((_KAPPA, _Axis("gamma_values", "gamma", "gamma_ratio", minimum=0.0)),
+                           {"want_fidelity": True}),
+}
+SWEEP_SCENARIOS = tuple(_SWEEPS)
+SCENARIOS = ("evolve", *SWEEP_SCENARIOS, "gates", "feasibility")
 
 
 class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"config field {field!r}: {message}")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +201,8 @@ def normalize_config(raw: dict) -> dict:
             if tag in tags:
                 raise ConfigError(f"runs[{i}].tag", f"duplicate tag {tag!r}")
             tags.add(tag)
+            if "runs" in sub:
+                raise ConfigError(f"runs[{i}].runs", "a run of a composite config cannot hold runs of its own")
             body = {k: v for k, v in sub.items() if k != "tag"}
             body.setdefault("schema_version", SCHEMA_VERSION)
             norm = normalize_config(body)
@@ -325,43 +352,27 @@ def normalize_config(raw: dict) -> dict:
     }
 
     sweep = raw.get("sweep")
-    if scenario == "evolve":
+    if scenario not in _SWEEPS:
         if sweep is not None:
             raise ConfigError("sweep", "not allowed for the evolve scenario")
     else:
-        sweep = _require_mapping(sweep if sweep is not None else {}, "sweep")
-        if scenario == "sweep_kappa":
-            _check_keys(sweep, "sweep", ("kappa_values",), ("n_cut_values", "rungs_values"))
-            kappas = _number_list(sweep, "sweep", "kappa_values", minimum=0.0)
-            out = {"kappa_values": kappas}
-            out.update(_cutoff_lists(sweep, len(kappas), "kappa_values", center))
-            cfg["sweep"] = out
-        elif scenario == "sweep_velocity":
-            _check_keys(sweep, "sweep", ("velocity_ratios",), ("n_cut_values", "rungs_values"))
-            ratios = _number_list(sweep, "sweep", "velocity_ratios", minimum=0.1, maximum=1.9)
-            out = {"velocity_ratios": ratios}
-            out.update(_cutoff_lists(sweep, len(ratios), "velocity_ratios", center))
-            cfg["sweep"] = out
-        elif scenario == "sweep_gq":
-            _check_keys(sweep, "sweep", ("g_q_values",))
-            cfg["sweep"] = {"g_q_values": _number_list(sweep, "sweep", "g_q_values")}
-        elif scenario == "fidelity_map":
-            _check_keys(sweep, "sweep", ("kappa_values", "gamma_values"), ("n_cut_values", "rungs_values"))
-            kappas = _number_list(sweep, "sweep", "kappa_values", minimum=0.0)
-            out = {"kappa_values": kappas,
-                   "gamma_values": _number_list(sweep, "sweep", "gamma_values", minimum=0.0)}
-            out.update(_cutoff_lists(sweep, len(kappas), "kappa_values", center))
-            cfg["sweep"] = out
+        cfg["sweep"] = _sweep_lists(_require_mapping(sweep if sweep is not None else {}, "sweep"),
+                                    _SWEEPS[scenario], center)
     _check_levels(cfg)
     return cfg
 
 
-def _cutoff_lists(sweep: dict, length: int, match: str, center: int) -> dict:
-    """Per-point photon cutoffs and ladder sizes, with the bounds of model.n_cut and electron.rungs."""
-    out = {}
-    for key, minimum in (("n_cut_values", 2), ("rungs_values", 3)):
+def _sweep_lists(sweep: dict, spec: _Sweep, center: int) -> dict:
+    """The sweep lists of a scenario, and per-axis-entry cutoffs with the bounds of
+    model.n_cut and electron.rungs."""
+    optional = tuple(_PER_POINT) if spec.per_point else ()
+    _check_keys(sweep, "sweep", tuple(axis.key for axis in spec.axes), optional)
+    out = {axis.key: _number_list(sweep, "sweep", axis.key, minimum=axis.minimum, maximum=axis.maximum)
+           for axis in spec.axes}
+    first = spec.axes[0].key
+    for key, (_, minimum) in _PER_POINT.items():
         if key in sweep:
-            out[key] = _integer_list(sweep, "sweep", key, length, minimum, match)
+            out[key] = _integer_list(sweep, "sweep", key, len(out[first]), minimum, first)
     for rungs in out.get("rungs_values", []):
         if rungs <= center:
             raise ConfigError("sweep.rungs_values", f"entries must exceed electron.center ({center}), got {rungs}")
@@ -416,39 +427,40 @@ def _build_point(payload: dict):
     return cfg, IntegratorConfig(**payload["integrator"])
 
 
-def _evaluate_point(payload: dict) -> dict:
-    """Run one grid point; returns plain data for the writers.
+@dataclass(frozen=True)
+class PointResult:
+    """One grid point's spectra, statistics, diagnostics and fidelity, or the reason it failed."""
+
+    eels: Distribution | None = None
+    stats: Distribution | None = None
+    diagnostics: Diagnostics | None = None
+    fidelity: float = math.nan  # nan unless the point is scored
+    reason: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return not self.reason
+
+
+def _evaluate_point(payload: dict) -> PointResult:
+    """Run one grid point.
 
     A numerical failure marks the point unconverged with its reason.  Faults
     of the config are rejected earlier by normalize_config, so any other
     exception is a fault of the program and propagates.
     """
     cfg, icfg = _build_point(payload)
-    out: dict = {"converged": True, "reason": ""}
     try:
         psi0 = initial_state(cfg, cavity_level=payload["initial_level"])
         result = evolve_lindblad(psi0, cfg, icfg)
         diag = result.diagnostics
         eels = sideband_distribution(diag.electron_populations, cfg.ladder.center)
         stats = Distribution.from_values(polariton_eigenbasis(cfg.model).labels, diag.level_populations)
-        out.update(
-            eels_labels=list(eels.labels),
-            eels_probs=[float(p) for p in eels.probabilities],
-            stats_labels=list(stats.labels),
-            stats_probs=[float(p) for p in stats.probabilities],
-            steps=diag.steps,
-            trace_error=diag.trace_error,
-            cutoff_occupancy=diag.cutoff_occupancy,
-            wrap_occupancy=diag.wrap_occupancy,
-            halving_delta=diag.halving_delta,
-            min_eigenvalue=diag.min_eigenvalue,
-        )
-        if payload.get("want_fidelity"):
-            out["fidelity"] = blockade_fidelity(result, psi0, payload["lower"], payload["upper"])
+        fidelity = (blockade_fidelity(result, psi0, payload["lower"], payload["upper"])
+                    if payload["want_fidelity"] else math.nan)
     except (NumericsError, ProbabilityError) as exc:
-        out["converged"] = False
-        out["reason"] = f"{type(exc).__name__}: {exc}"
-    return out
+        return PointResult(reason=f"{type(exc).__name__}: {exc}")
+    return PointResult(eels, stats, diag, fidelity)
 
 
 def _point_payload(cfg: dict, index: int, **overrides) -> dict:
@@ -476,42 +488,27 @@ def _point_payload(cfg: dict, index: int, **overrides) -> dict:
     return payload
 
 
-# scenario: (sweep list, payload field it sets, CSV axis column, fixed payload overrides);
-# a velocity sweep sets the velocity itself, so it neither tunes to the pair nor keeps a delta
-_SWEEPS = {
-    "sweep_kappa": ("kappa_values", "kappa", "kappa_ratio", {}),
-    "sweep_velocity": ("velocity_ratios", "velocity_ratio", "velocity_ratio",
-                       {"tune_to_pair": False, "delta": None}),
-    "sweep_gq": ("g_q_values", "g_q", "g_q", {}),
-    "fidelity_map": ("kappa_values", "kappa", "kappa_ratio", {"want_fidelity": True}),
-}
-
-
 def _grid(cfg: dict) -> list[dict]:
     """Payloads of every grid point in grid order; an evolve config is one point.
 
-    Each payload's `axis` is its value on the sweep axis, or the (kappa, gamma)
-    pair of a fidelity map.
+    Each payload's `axis` holds its values on the sweep's axes: one value, or
+    the (kappa, gamma) pair of a fidelity map.
     """
     if cfg["scenario"] not in _SWEEPS:
         return [_point_payload(cfg, 0)]
-    key, field, _, fixed = _SWEEPS[cfg["scenario"]]
-    sweep = cfg["sweep"]
+    spec, sweep = _SWEEPS[cfg["scenario"]], cfg["sweep"]
     points = []
-    for i, value in enumerate(sweep[key]):
-        over = {**fixed, field: (value, 0.0) if field == "g_q" else value}
-        for name, values in (("n_cut", "n_cut_values"), ("rungs", "rungs_values")):
-            if values in sweep:
-                over[name] = sweep[values][i]
-        if "gamma_values" in sweep:
-            points.extend(({**over, "gamma": gamma}, (value, gamma)) for gamma in sweep["gamma_values"])
-        else:
-            points.append((over, value))
-    return [_point_payload(cfg, index, axis=axis, **over) for index, (over, axis) in enumerate(points)]
+    for entries in product(*(enumerate(sweep[axis.key]) for axis in spec.axes)):
+        i = entries[0][0]
+        axis = tuple(value for _, value in entries)
+        over = {**spec.fixed, **{a.field: (v, 0.0) if a.field == "g_q" else v for a, v in zip(spec.axes, axis)}}
+        over.update({field: sweep[key][i] for key, (field, _) in _PER_POINT.items() if key in sweep})
+        points.append(_point_payload(cfg, len(points), axis=axis, **over))
+    return points
 
 
-def _grid_exit_code(results: list[dict]) -> int:
-    if all(not r["converged"] for r in results):
+def _grid_exit_code(results: list[PointResult]) -> int:
+    if all(not r.converged for r in results):
         sys.stderr.write("numerical failure: every grid point failed\n")
         return 3
     return 0
@@ -521,30 +518,23 @@ def _grid_exit_code(results: list[dict]) -> int:
 # output writers
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = [cell if isinstance(cell, str) else _fmt(cell) for cell in row]
+            cells = [cell if isinstance(cell, str) else format(float(cell), ".17g") for cell in row]
             fh.write(",".join(cells) + "\n")
 
 
-def _write_distribution(path: Path, header: list[str], labels, probs) -> None:
-    total = float(np.sum(probs))
-    if abs(total - 1.0) > 1e-8:
-        raise NumericsError(f"distribution for {path.name} sums to {total!r}, not 1 within 1e-8")
-    _write_csv(path, header, list(map(list, zip(labels, probs))))
-
-
-def _write_point_files(point_dir: Path, result: dict) -> None:
+def _write_point_files(point_dir: Path, result: PointResult) -> None:
     point_dir.mkdir(parents=True, exist_ok=True)
-    if result["converged"]:
-        _write_distribution(point_dir / "eels.csv", ["sideband", "probability"],
-                            result["eels_labels"], result["eels_probs"])
-        _write_distribution(point_dir / "stats.csv", ["level", "probability"],
-                            result["stats_labels"], result["stats_probs"])
+    if result.converged:
+        _write_csv(point_dir / "eels.csv", ["sideband", "probability"],
+                   zip(result.eels.labels, result.eels.probabilities))
+        _write_csv(point_dir / "stats.csv", ["level", "probability"],
+                   zip(result.stats.labels, result.stats.probabilities))
     else:
-        (point_dir / "FAILED.txt").write_text(result["reason"] + "\n")
+        (point_dir / "FAILED.txt").write_text(result.reason + "\n")
 
 
 def _write_effective_config(out_dir: Path, cfg: dict) -> None:
@@ -553,15 +543,13 @@ def _write_effective_config(out_dir: Path, cfg: dict) -> None:
         fh.write("\n")
 
 
-def _diag_columns(result: dict) -> list:
-    return [
-        "true" if result["converged"] else "false",
-        result.get("steps", 0),
-        result.get("trace_error", float("nan")),
-        result.get("cutoff_occupancy", float("nan")),
-        result.get("wrap_occupancy", float("nan")),
-        result.get("halving_delta", float("nan")) if result.get("halving_delta") is not None else 0.0,
-    ]
+def _diag_columns(result: PointResult) -> list:
+    """DIAG_HEADER cells; nan where the point has no such figure (failed, or not checked)."""
+    d = result.diagnostics
+    if d is None:
+        return ["false"] + [math.nan] * 5
+    halving = math.nan if d.halving_delta is None else d.halving_delta
+    return ["true", d.steps, d.trace_error, d.cutoff_occupancy, d.wrap_occupancy, halving]
 
 
 DIAG_HEADER = ["converged", "steps", "trace_error", "cutoff_occupancy", "wrap_occupancy", "halving_delta"]
@@ -577,13 +565,10 @@ HBAR_C_KEV_NM = 0.1973269804  # hbar * c
 def _scenario_evolve(cfg: dict, out_dir: Path) -> int:
     [point] = _grid(cfg)
     result = _evaluate_point(point)
-    if not result["converged"]:
-        sys.stderr.write(f"numerical failure: {result['reason']}\n")
+    if not result.converged:
+        sys.stderr.write(f"numerical failure: {result.reason}\n")
         return 3
-    _write_distribution(out_dir / "eels.csv", ["sideband", "probability"],
-                        result["eels_labels"], result["eels_probs"])
-    _write_distribution(out_dir / "stats.csv", ["level", "probability"],
-                        result["stats_labels"], result["stats_probs"])
+    _write_point_files(out_dir, result)
     _write_csv(out_dir / "diagnostics.csv", DIAG_HEADER, [_diag_columns(result)])
     electron = cfg["electron"]
     beta = electron.get("beta")
@@ -595,40 +580,38 @@ def _scenario_evolve(cfg: dict, out_dir: Path) -> int:
         # physical energy axis: final energy = E + l * hbar * q0 * v
         quantum_kev = 2.0 * math.pi * beta * HBAR_C_KEV_NM / electron["wavelength_nm"]
         base = electron.get("energy_kev", 0.0)
-        energies = [base + int(lab) * quantum_kev for lab in result["eels_labels"]]
+        energies = [base + int(lab) * quantum_kev for lab in result.eels.labels]
         _write_csv(out_dir / "eels_energy.csv", ["energy_kev", "probability"],
-                   list(map(list, zip(energies, result["eels_probs"]))))
+                   zip(energies, result.eels.probabilities))
     return 0
 
 
 def _scenario_sweep(cfg: dict, out_dir: Path) -> int:
-    axis = _SWEEPS[cfg["scenario"]][2]
+    axis = [a.column for a in _SWEEPS[cfg["scenario"]].axes]
     points = _grid(cfg)
     results = [_evaluate_point(p) for p in points]
     stats_rows, eels_rows, summary_rows = [], [], []
     for point, result in zip(points, results):
         value = point["axis"]
         _write_point_files(out_dir / f"point_{point['index']:03d}", result)
-        summary_rows.append([value] + _diag_columns(result))
-        if result["converged"]:
-            stats_rows.extend([value, lab, p] for lab, p in zip(result["stats_labels"], result["stats_probs"]))
-            eels_rows.extend([value, lab, p] for lab, p in zip(result["eels_labels"], result["eels_probs"]))
-    _write_csv(out_dir / "sweep_stats.csv", [axis, "level", "probability"], stats_rows)
-    _write_csv(out_dir / "sweep_eels.csv", [axis, "sideband", "probability"], eels_rows)
-    _write_csv(out_dir / "sweep_summary.csv", [axis] + DIAG_HEADER, summary_rows)
+        summary_rows.append([*value, *_diag_columns(result)])
+        if result.converged:
+            stats_rows.extend([*value, *row] for row in zip(result.stats.labels, result.stats.probabilities))
+            eels_rows.extend([*value, *row] for row in zip(result.eels.labels, result.eels.probabilities))
+    _write_csv(out_dir / "sweep_stats.csv", [*axis, "level", "probability"], stats_rows)
+    _write_csv(out_dir / "sweep_eels.csv", [*axis, "sideband", "probability"], eels_rows)
+    _write_csv(out_dir / "sweep_summary.csv", axis + DIAG_HEADER, summary_rows)
     return _grid_exit_code(results)
 
 
 def _scenario_fidelity_map(cfg: dict, out_dir: Path) -> int:
+    axis = [a.column for a in _SWEEPS[cfg["scenario"]].axes]
     points = _grid(cfg)
     results = [_evaluate_point(p) for p in points]
-    rows = []
-    for point, result in zip(points, results):
-        fid = result.get("fidelity", float("nan")) if result["converged"] else float("nan")
-        rows.append([*point["axis"], fid, "true" if result["converged"] else "false"])
-    _write_csv(out_dir / "fidelity_map.csv", ["kappa_ratio", "gamma_ratio", "fidelity", "converged"], rows)
-    _write_csv(out_dir / "fidelity_diagnostics.csv", ["kappa_ratio", "gamma_ratio"] + DIAG_HEADER,
-               [[*p["axis"]] + _diag_columns(r) for p, r in zip(points, results)])
+    _write_csv(out_dir / "fidelity_map.csv", axis + ["fidelity", "converged"],
+               [[*p["axis"], r.fidelity, "true" if r.converged else "false"] for p, r in zip(points, results)])
+    _write_csv(out_dir / "fidelity_diagnostics.csv", axis + DIAG_HEADER,
+               [[*p["axis"], *_diag_columns(r)] for p, r in zip(points, results)])
     return _grid_exit_code(results)
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -88,12 +87,6 @@ class Distribution:
         if self.labels != other.labels:
             raise ValueError("distributions are over different outcome sets")
         return 0.5 * float(np.abs(self.probabilities - other.probabilities).sum())
-
-    def to_csv(self, path: str | Path, header: str = "label,probability"):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(header + "\n")
-            for lab, p in zip(self.labels, self.probabilities):
-                fh.write(f"{lab},{p:.17g}\n")
 
 
 def eels_spectrum(rho: DensityMatrix, center: int = 0, electron_label: str = ELECTRON_LABEL) -> Distribution:

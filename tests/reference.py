@@ -139,6 +139,14 @@ def reference_cpe_path(space: TensorSpace, center: int, qubit: str, phase_first:
     return second @ reference_embed_group(router, ["electron", "path"], space) @ first
 
 
+def reference_cz_stages(space: TensorSpace, center: int, delta: float, loss_to: int) -> list[np.ndarray]:
+    """The controlled-Z circuit's five gates on the full space, in the order they act."""
+    h = reference_embed_group(HADAMARD, ["path"], space)
+    rz1 = reference_cep_rz(0.5 * math.pi, space, "pol1", True)
+    rz2 = reference_cep_rz(0.5 * math.pi, space, "pol2", True)
+    return [reference_cpe_path(space, center, "pol1", delta, loss_to), rz2, h, rz1, h]
+
+
 def reference_cz(rungs: int, calibration: dict | None = None, n_random: int = 20, seed: int = 7):
     """The controlled-Z calibration search on the dense circuit u = h rz1 h rz2 cpe.
 
@@ -157,14 +165,11 @@ def reference_cz(rungs: int, calibration: dict | None = None, n_random: int = 20
         candidates = [(calibration["pass_phase_difference"], calibration["loss_to_path"])]
     else:
         candidates = [(k * math.pi / 4.0, lp) for lp in (0, 1) for k in range(8)]
-    h = reference_embed_group(HADAMARD, ["path"], space)
-    rz1 = reference_cep_rz(0.5 * math.pi, space, "pol1", True)
-    rz2 = reference_cep_rz(0.5 * math.pi, space, "pol2", True)
     anc_in = np.zeros(2 * rungs, dtype=complex)
     anc_in[2 * center + 1] = 1.0  # centre rung, near path
     best = None
     for delta, loss_to in candidates:
-        u = h @ rz1 @ h @ rz2 @ reference_cpe_path(space, center, "pol1", delta, loss_to)
+        u = np.linalg.multi_dot(reference_cz_stages(space, center, delta, loss_to)[::-1])
         left = np.linalg.svd((u @ np.kron(anc_in, probes[4])).reshape(2 * rungs, 4))[0]
         anc_out = left[:, 0]
         mags = np.abs(anc_out)

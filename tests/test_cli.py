@@ -307,6 +307,36 @@ def write_config(tmp_path: Path, cfg: dict) -> str:
     return str(path)
 
 
+def test_composite_runs_cannot_nest(tmp_path, capsys):
+    cfg = {"schema_version": 1, "runs": [{"tag": "a", "runs": [{"tag": "b", "scenario": "gates"}]}]}
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "runs[0].runs" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_diagnostics_cells_without_a_figure_are_nan(tmp_path):
+    # a failed point has no diagnostics at all, and an unchecked point no halving delta;
+    # neither may read as zero work or as two computations that agreed exactly
+    cfg = minimal_evolve(scenario="sweep_kappa", integrator={"convergence_check": False},
+                         sweep={"kappa_values": [0.05, 0.05], "n_cut_values": [3, 6]})
+    assert run_config(normalize_config(cfg), tmp_path) == 0
+    failed, unchecked = read_rows(tmp_path / "sweep_summary.csv")
+    assert failed[1:] == ["false"] + ["nan"] * 5
+    assert (tmp_path / "point_000" / "FAILED.txt").exists()
+    assert unchecked[1] == "true" and unchecked[-1] == "nan"
+    assert int(unchecked[2]) > 0 and all(math.isfinite(float(x)) for x in unchecked[3:6])
+
+
+def test_point_files_write_each_probability_to_17_digits(tmp_path):
+    from epolsim.cli import PointResult, _write_point_files
+    from epolsim.observables import Distribution
+
+    third = Distribution(("x", "y"), np.array([1 / 3, 2 / 3]))
+    _write_point_files(tmp_path, PointResult(eels=third, stats=Distribution(("0",), np.array([1.0]))))
+    assert (tmp_path / "eels.csv").read_text() == "sideband,probability\nx,0.33333333333333331\ny,0.66666666666666663\n"
+    assert (tmp_path / "stats.csv").read_text() == "level,probability\n0,1\n"
+
+
 def test_explicit_false_tune_to_pair_needs_a_velocity(tmp_path, capsys):
     cfg = minimal_evolve()
     cfg["electron"].pop("velocity_ratio")
@@ -459,14 +489,14 @@ def test_point_spectra_match_dense_state(kind, pair, gamma):
     raw["electron"].update(rungs=33, center=16)
     payload = _point_payload(normalize_config(raw), 0)
     out = _evaluate_point(payload)
-    assert out["converged"], out["reason"]
+    assert out.converged, out.reason
     system, icfg = _build_point(payload)
     state = evolve_lindblad(initial_state(system, cavity_level=pair[0]), system, icfg).state
     eels = eels_spectrum(state, center=system.ladder.center)
     stats = polariton_statistics(state, polariton_eigenbasis(system.model))
-    assert out["eels_labels"] == list(eels.labels) and out["stats_labels"] == list(stats.labels)
-    assert np.max(np.abs(np.array(out["eels_probs"]) - eels.probabilities)) < 1e-12
-    assert np.max(np.abs(np.array(out["stats_probs"]) - stats.probabilities)) < 1e-12
+    assert out.eels.labels == eels.labels and out.stats.labels == stats.labels
+    assert np.max(np.abs(out.eels.probabilities - eels.probabilities)) < 1e-12
+    assert np.max(np.abs(out.stats.probabilities - stats.probabilities)) < 1e-12
 
 
 def test_lossless_fidelity_point_allocates_no_joint_matrix():
@@ -488,5 +518,5 @@ def test_lossless_fidelity_point_allocates_no_joint_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out["converged"] and 0.0 < out["fidelity"] < 1.0
+    assert out.converged and 0.0 < out.fidelity < 1.0
     assert peak < 16e6, f"one point allocated {peak / 1e6:.1f} MB at its peak"

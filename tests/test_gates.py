@@ -16,6 +16,7 @@ from epolsim import (
     cep_rz_target,
     cpe_path,
     electron_hadamard,
+    embed_group,
     equivalence_up_to_phase,
     gate_identity_suite,
     gate_pass,
@@ -31,6 +32,8 @@ from reference import (
     reference_cep_rz,
     reference_cpe_path,
     reference_cz,
+    reference_cz_stages,
+    reference_embed_group,
     reference_pass,
     reference_scattering_blockade,
 )
@@ -236,8 +239,10 @@ def test_equivalence_up_to_phase_examples():
     assert theta == pytest.approx(0.7, abs=1e-12)
     ok, _, _ = equivalence_up_to_phase(PAULI_X, PAULI_Z)
     assert not ok
-    ok, theta, dev = equivalence_up_to_phase(-np.eye(2), np.eye(2))
-    assert ok and abs(theta) == pytest.approx(math.pi, abs=1e-12)
+    # a real negative trace reports +pi whichever way round-off tips its imaginary part
+    for eps in (1e-17, -1e-17):
+        ok, theta, dev = equivalence_up_to_phase((-1.0 + 1j * eps) * np.eye(2), np.eye(2))
+        assert ok and theta == math.pi
 
 
 def test_equivalence_rejects_shape_mismatch():
@@ -341,20 +346,39 @@ def test_two_polariton_cz_makes_no_full_space_operator_product(monkeypatch):
     assert not square, f"{len(square)} matrix-matrix products on the full space"
 
 
-def test_wrap_probe_runs_the_reported_calibration(monkeypatch):
+@pytest.mark.parametrize("leaky", [False, True])
+def test_wrap_population_matches_stagewise_reference(monkeypatch, leaky):
     import epolsim.gates as gates
 
-    seen = []
-    probe = gates.two_qubit_wrap_probe
-
-    def recording(rungs, center, calibration):
-        seen.append(calibration)
-        return probe(rungs, center, calibration)
-
-    monkeypatch.setattr(gates, "two_qubit_wrap_probe", recording)
-    _, report = gate_identity_suite(rungs=RUNGS, corrupt_cz_phase=0.3)
-    assert seen == [report.calibration]
-    assert report.calibration["pass_phase_difference"] == pytest.approx(math.pi / 4 + 0.3)
+    # the wrap population the suite reports at a corrupted calibration, read off the
+    # circuit's columns, against a state carried through the five full-space stages.
+    # Every ideal stage returns the electron to the centre rung, so the leaky variant
+    # swaps in a Hadamard that lowers the near-path electron one rung, and the second
+    # one then leaves part of the state on a wrap rung.
+    rungs, center = RUNGS, CENTER
+    hadamard = np.kron(np.eye(rungs), HADAMARD)
+    if leaky:
+        lower = np.roll(np.eye(rungs), -1, axis=0)  # |l> -> |l-1 mod D>
+        hadamard = (np.kron(np.eye(rungs), np.diag([1.0, 0.0])) + np.kron(lower, np.diag([0.0, 1.0]))) @ hadamard
+        monkeypatch.setattr(gates, "electron_hadamard",
+                            lambda space: embed_group(hadamard, ["electron", "path"], space))
+    checks, report = gate_identity_suite(rungs=rungs, corrupt_cz_phase=0.3)
+    calibration = report.calibration
+    assert calibration["pass_phase_difference"] == pytest.approx(math.pi / 4 + 0.3)
+    space = TensorSpace((("electron", rungs), ("path", 2), ("pol1", 2), ("pol2", 2)))
+    stages = reference_cz_stages(space, center, calibration["pass_phase_difference"], calibration["loss_to_path"])
+    stages[2] = stages[4] = reference_embed_group(hadamard, ["electron", "path"], space)
+    state = np.zeros(space.dim, dtype=complex)
+    state[(2 * center + 1) * 4 : (2 * center + 2) * 4] = 0.5  # centre rung, near path, uniform polaritons
+    wrap = LadderConfig(rungs=rungs, center=center).wrap_rungs()
+    want = 0.0
+    for stage in stages:
+        state = stage @ state
+        want = max(want, float((np.abs(state.reshape(rungs, -1)[wrap]) ** 2).sum()))
+    assert report.wrap_population == pytest.approx(want, abs=1e-14)
+    assert (want > 0.2) == leaky
+    [check] = [c for c in checks if c.name == "ladder wrap-around rungs stay unpopulated"]
+    assert check.deviation == report.wrap_population and check.passed != leaky
 
 
 def test_noisy_pass_approaches_ideal_gate():

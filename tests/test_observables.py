@@ -176,14 +176,6 @@ def test_distribution_validation():
         d.probability("c")
 
 
-def test_distribution_csv(tmp_path):
-    d = Distribution(("x", "y"), np.array([0.125, 0.875]))
-    path = tmp_path / "dist.csv"
-    d.to_csv(path)
-    text = path.read_text()
-    assert text == "label,probability\nx,0.125\ny,0.875\n"
-
-
 def test_total_variation_requires_same_support():
     a = Distribution(("0", "1"), np.array([0.5, 0.5]))
     b = Distribution(("0", "2"), np.array([0.5, 0.5]))
