@@ -78,7 +78,6 @@ from .gates import (
     two_polariton_cz,
     equivalence_up_to_phase,
     gate_identity_suite,
-    noisy_gate_fidelity,
 )
 
 __version__ = "0.1.0"

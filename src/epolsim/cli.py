@@ -246,7 +246,7 @@ def normalize_config(raw: dict) -> dict:
         gates = _require_mapping(raw.get("gates", {}), "gates")
         _check_keys(gates, "gates", (), ("rungs", "seed", "corrupt_cz_phase"))
         cfg["gates"] = {
-            "rungs": _integer(gates, "gates", "rungs", default=7, minimum=5),
+            "rungs": _integer(gates, "gates", "rungs", default=7, minimum=6),
             "seed": _integer(gates, "gates", "seed", default=11, minimum=0),
             "corrupt_cz_phase": _number(gates, "gates", "corrupt_cz_phase", default=0.0),
         }
@@ -760,14 +760,8 @@ def build_presets() -> dict[str, dict]:
     fig5_kappas = [0.005, 0.01, 0.02]
     fig5a = _preset_fidelity_map("jc", ("0*", "1-"), math.pi / math.sqrt(2), fig5_kappas, [20, 12, 10], [49, 33, 33])
     fig5b = _preset_fidelity_map("kerr", ("0", "1"), math.pi / 2, fig5_kappas, [16, 10, 8], [49, 33, 33])
-    fig5c_jc = {k: v for k, v in fig5a.items() if k != "schema_version"}
-    fig5c_kerr = {k: v for k, v in fig5b.items() if k != "schema_version"}
-    fig5c_jc = json.loads(json.dumps(fig5c_jc))
-    fig5c_kerr = json.loads(json.dumps(fig5c_kerr))
-    for sub, n_cut, d in ((fig5c_jc, 10, 33), (fig5c_kerr, 8, 33)):
-        sub["sweep"]["kappa_values"] = [0.02]
-        sub["sweep"]["n_cut_values"] = [n_cut]
-        sub["sweep"]["rungs_values"] = [d]
+    fig5c_jc = _preset_fidelity_map("jc", ("0*", "1-"), math.pi / math.sqrt(2), [0.02], [10], [33])
+    fig5c_kerr = _preset_fidelity_map("kerr", ("0", "1"), math.pi / 2, [0.02], [8], [33])
     smoke = {
         "schema_version": SCHEMA_VERSION,
         "scenario": "sweep_kappa",

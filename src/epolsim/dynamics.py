@@ -127,6 +127,8 @@ class SystemConfig:
 
 # step controls of the retired fixed-step integrator, kept at these values only
 RETIRED_STEP_KEYS = {"steps": None, "phase_per_step": 0.12, "drive_per_step": 0.04}
+POSITIVITY_BOUND = -1e-8  # smallest eigenvalue of the final state accepted
+CONVERGENCE_BOUND = 1e-6  # largest change of a reported probability between the two computations
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ class IntegratorConfig:
     """Numerical-hygiene bounds of the exact propagator.
 
     `convergence_check` computes the final state a second, independent way and
-    bounds the change of every reported probability by `convergence_bound`.
+    bounds the change of every reported probability by CONVERGENCE_BOUND.
     `steps`, `phase_per_step` and `drive_per_step` sized the time steps of an
     earlier fixed-step integrator; they are accepted at their defaults only.
     """
@@ -145,10 +147,7 @@ class IntegratorConfig:
     trace_bound: float = 1e-8
     cutoff_bound: float = 1e-6
     wrap_bound: float = 1e-8
-    positivity_bound: float = -1e-8
     convergence_check: bool = True
-    convergence_bound: float = 1e-6
-    check_positivity: bool = True
 
     def __post_init__(self):
         for name, default in RETIRED_STEP_KEYS.items():
@@ -172,7 +171,7 @@ class Diagnostics:
 
     steps: int
     trace_error: float
-    min_eigenvalue: float | None
+    min_eigenvalue: float
     cutoff_occupancy: float
     wrap_occupancy: float
     halving_delta: float | None
@@ -432,10 +431,9 @@ def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector, icfg: Integ
         work += 2 * half_calls
         delta = pops.distance(_block_populations(sec, _fold(sec, pairs, half, blocks)))
     out = {key: sec.phase[:, None] * x * sec.phase.conj()[None, :] for key, x in final.items()}  # V(T)
-    min_eig = None
-    if icfg.check_positivity and all(k == q for k, q in pairs):
+    if all(k == q for k, q in pairs):
         min_eig = min(float(np.linalg.eigvalsh(x)[0]) for x in out.values())
-    elif icfg.check_positivity:
+    else:
         min_eig = float(np.linalg.eigvalsh(_scatter(sec.joint_of, out, sec.d * sec.m))[0])
     return out, pops, work, delta, min_eig
 
@@ -472,7 +470,7 @@ def evolve_lindblad(
         nrm = float(np.linalg.norm(amp))
         trace_error = abs(nrm**2 - 1.0)
         pure_out = StateVector(cfg.space, amp / nrm)
-        min_eig = 0.0 if icfg.check_positivity else None
+        min_eig = 0.0
     else:
         blocks, pops, work, delta, min_eig = _evolve_chain(sec, state, icfg)
         trace_error = abs(float(pops.electron.sum()) - 1.0)
@@ -507,14 +505,12 @@ def _enforce_bounds(diag: Diagnostics, icfg: IntegratorConfig):
         raise WrapAroundError(
             f"wrap-around rungs hold {diag.wrap_occupancy:.3e} > {icfg.wrap_bound:.1e}; widen the ladder"
         )
-    if diag.min_eigenvalue is not None and diag.min_eigenvalue < icfg.positivity_bound:
-        raise NumericsError(
-            f"minimum eigenvalue {diag.min_eigenvalue:.3e} below bound {icfg.positivity_bound:.1e}"
-        )
-    if diag.halving_delta is not None and diag.halving_delta > icfg.convergence_bound:
+    if diag.min_eigenvalue < POSITIVITY_BOUND:
+        raise NumericsError(f"minimum eigenvalue {diag.min_eigenvalue:.3e} below bound {POSITIVITY_BOUND:.1e}")
+    if diag.halving_delta is not None and diag.halving_delta > CONVERGENCE_BOUND:
         raise ConvergenceError(
             f"the two computations of the final state differ on a reported probability by "
-            f"{diag.halving_delta:.3e} > {icfg.convergence_bound:.1e}"
+            f"{diag.halving_delta:.3e} > {CONVERGENCE_BOUND:.1e}"
         )
 
 

@@ -10,18 +10,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    IntegratorConfig,
-    SystemConfig,
-    blockade_fidelity,
-    evolve_lindblad,
-    initial_state,
-    scattering_blockade,
-)
+from .cavity import build_kerr
+from .dynamics import scattering_blockade, scattering_linear
 from .electron import ELECTRON_LABEL, LadderConfig, comb_state
 from .tensor import Operator, TensorSpace, embed, embed_group
 
@@ -41,7 +35,7 @@ __all__ = [
     "two_polariton_cz",
     "equivalence_up_to_phase",
     "gate_identity_suite",
-    "noisy_gate_fidelity",
+    "CZ_CALIBRATION",
     "CZ_TARGET",
 ]
 
@@ -52,6 +46,15 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 CZ_TARGET = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+
+# With the electron entering at the centre rung on the near path, cpe_path at pass
+# phase difference phi sends qubit-1 |0> to the far path with phase -e^{i phi} and
+# |1> to the near path with -e^{-i phi}; cep_rz(pi/2) acts as iZ on the near path
+# and as the identity on the far path.  The rest of the circuit gives CZ when the
+# two branches differ by e^{2i phi} = i, that is 2 phi = pi/2 (mod 2 pi).  Of the
+# sixteen settings k pi/4 x loss_to_path {0, 1}, only pi/4 and 5 pi/4, both with
+# loss_to_path 0, pass.
+CZ_CALIBRATION = {"pass_phase_difference": math.pi / 4, "loss_to_path": 0}
 
 QUBIT_ZERO = np.array([1.0, 0.0], dtype=complex)
 QUBIT_ONE = np.array([0.0, 1.0], dtype=complex)
@@ -235,7 +238,6 @@ class CircuitReport:
     wrap_population: float  # largest wrap-rung population after any stage, uniform polariton input
     calibration: dict
     passed: bool
-    notes: tuple[str, ...] = field(default_factory=tuple)
 
     def to_text(self) -> str:
         lines = [
@@ -246,7 +248,6 @@ class CircuitReport:
             f"ancilla fidelity to |path 0, center rung>: {self.ancilla_fidelity_reference:.12f}",
             f"calibration: {self.calibration}",
         ]
-        lines.extend(f"note: {n}" for n in self.notes)
         return "\n".join(lines)
 
 
@@ -259,106 +260,75 @@ def _ancilla_tail(space: TensorSpace, center: int, path_index: int) -> np.ndarra
     return np.kron(anc, path)
 
 
-def _evaluate_cz_candidate(cols: np.ndarray, anc_dim: int, probes: list[np.ndarray]):
-    """Extract the induced two-polariton map and ancilla diagnostics.
+def two_polariton_cz(rungs: int = 7, seed: int = 7, calibration: dict | None = None) -> CircuitReport:
+    """Compose and verify the two-polariton controlled-Z mediated by the electron.
 
-    `cols[:, j]` is the circuit's output for the input kron(ancilla, e_j), so
-    the output for a polariton input chi is `cols @ chi`.
+    Sequence: controlled-path gate on qubit 1 at `calibration` (default: the
+    derived CZ_CALIBRATION), path-conditioned z-gate on qubit 2, electron
+    Hadamard, path-conditioned z-gate on qubit 1, electron Hadamard; the
+    electron enters at the centre rung on the near path.  `seed` draws the
+    random probes of the entanglement check.  Below 6 rungs the rungs next to
+    the centre, which the passes populate, are wrap rungs: ValueError.
     """
-    # reference ancilla output from the uniform-superposition probe
+    center = rungs // 2
+    wrap = LadderConfig(rungs=rungs, center=center).wrap_rungs()
+    if np.isin([center - 1, center + 1], wrap).any():
+        raise ValueError(f"{rungs} rungs put the rungs next to the centre on the wrap-around; need at least 6")
+    if calibration is None:
+        calibration = CZ_CALIBRATION
+    delta = float(calibration["pass_phase_difference"])
+    loss_to = int(calibration["loss_to_path"])
+    space = gate_space(rungs=rungs, n_qubits=2, with_path=True)
+    rng = np.random.default_rng(seed)
     uniform = 0.5 * np.ones(4, dtype=complex)
-    left = np.linalg.svd((cols @ uniform).reshape(anc_dim, 4))[0]
-    anc_out = left[:, 0]
+    probes = [*np.eye(4, dtype=complex), uniform]
+    for _ in range(20):
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        probes.append(v / np.linalg.norm(v))
+
+    anc_in = _ancilla_tail(space, center, path_index=1)
+    anc_dim = anc_in.size
+    # column j: the circuit's output for the input kron(anc_in, e_j); a polariton
+    # input chi gives cols @ chi
+    cols = np.kron(anc_in[:, None], np.eye(4))
+    cpe = cpe_path(space, center, "pol1", phase_first=delta, loss_to_path=loss_to).matrix
+    rz1, rz2 = (cep_rz(0.5 * math.pi, space, qubit).matrix for qubit in ("pol1", "pol2"))
+    h = electron_hadamard(space).matrix
+    wrap_pop = 0.0
+    for stage in (cpe, rz2, h, rz1, h):
+        cols = stage @ cols
+        # by linearity, the state of a uniform polariton input after this stage
+        pops = (np.abs((cols @ uniform).reshape(rungs, -1)) ** 2).sum(axis=1)
+        wrap_pop = max(wrap_pop, float(pops[wrap].sum()))
+
+    # reference ancilla output from the uniform-superposition probe
+    anc_out = np.linalg.svd((cols @ uniform).reshape(anc_dim, 4))[0][:, 0]
     # the phase is fixed on the largest entry; of entries equal up to 1e-12 (the
     # ancilla splits evenly over the two paths) the last is taken, so round-off
     # does not choose
     mags = np.abs(anc_out)
     k = int(np.flatnonzero(mags >= mags.max() - 1e-12)[-1])
     anc_out = anc_out * np.exp(-1j * cmath.phase(anc_out[k]))
-    max_entropy = 0.0
+    entropy = 0.0
     for chi in probes:
         p = np.linalg.svd((cols @ chi).reshape(anc_dim, 4), compute_uv=False) ** 2
         p = p[p > 1e-15]
-        max_entropy = max(max_entropy, float(-(p * np.log(p)).sum()))
+        entropy = max(entropy, float(-(p * np.log(p)).sum()))
     induced = (anc_out.conj() @ cols.reshape(anc_dim, 16)).reshape(4, 4)
-    return induced, anc_out, max_entropy
 
-
-def two_polariton_cz(
-    rungs: int = 7,
-    center: int | None = None,
-    n_random: int = 20,
-    seed: int = 7,
-    cz_tol: float = 1e-9,
-    entropy_tol: float = 1e-10,
-    calibration: dict | None = None,
-) -> CircuitReport:
-    """Compose and verify the two-polariton controlled-Z mediated by the electron.
-
-    Sequence: controlled-path gate on qubit 1, path-conditioned z-gate on
-    qubit 2, electron Hadamard, path-conditioned z-gate on qubit 1, electron
-    Hadamard.  The relative phase between the controlled-path passes and the
-    spectrometer routing are calibrated by a composition search; the chosen
-    setting is recorded in the report.
-    """
-    if center is None:
-        center = rungs // 2
-    space = gate_space(rungs=rungs, n_qubits=2, with_path=True)
-    rng = np.random.default_rng(seed)
-    uniform = 0.5 * np.ones(4, dtype=complex)
-    probes = [np.eye(4, dtype=complex)[:, j] for j in range(4)]
-    probes.append(uniform)
-    for _ in range(n_random):
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        probes.append(v / np.linalg.norm(v))
-
-    if calibration is not None:
-        candidates = [(float(calibration["pass_phase_difference"]), int(calibration["loss_to_path"]))]
-    else:
-        candidates = [(k * math.pi / 4.0, lp) for lp in (0, 1) for k in range(8)]
-
-    anc_in = _ancilla_tail(space, center, path_index=1)
-    inputs = np.kron(anc_in[:, None], np.eye(4))  # column j: kron(anc_in, e_j)
-
-    h = electron_hadamard(space).matrix
-    rest = [cep_rz(0.5 * math.pi, space, "pol2").matrix, h, cep_rz(0.5 * math.pi, space, "pol1").matrix, h]
-    wrap = LadderConfig(rungs=rungs, center=center).wrap_rungs()
-    best = None
-    for delta, loss_to in candidates:
-        cols, wrap_pop = inputs, 0.0
-        for stage in [cpe_path(space, center, "pol1", phase_first=delta, loss_to_path=loss_to).matrix, *rest]:
-            cols = stage @ cols
-            # by linearity, the state of a uniform polariton input after this stage
-            pops = (np.abs((cols @ uniform).reshape(rungs, -1)) ** 2).sum(axis=1)
-            wrap_pop = max(wrap_pop, float(pops[wrap].sum()))
-        induced, anc_out, entropy = _evaluate_cz_candidate(cols, anc_in.size, probes)
-        ok, theta, deviation = equivalence_up_to_phase(induced, CZ_TARGET, cz_tol)
-        unit_defect = float(np.max(np.abs(induced @ induced.conj().T - np.eye(4))))
-        passed = ok and entropy <= entropy_tol and unit_defect <= 1e-10
-        record = (passed, deviation, delta, loss_to, induced, anc_out, entropy, theta, wrap_pop)
-        if passed:
-            best = record
-            break
-        if best is None or deviation < best[1]:
-            best = record
-    passed, deviation, delta, loss_to, induced, anc_out, entropy, theta, wrap_pop = best
-    ref = _ancilla_tail(space, center, path_index=0)
-    fid_ref = float(abs(np.vdot(ref, anc_out)) ** 2)
-    notes = []
-    if not passed:
-        notes.append("calibration search failed to reach the controlled-Z target")
+    ok, theta, deviation = equivalence_up_to_phase(induced, CZ_TARGET, 1e-9)
+    unit_defect = float(np.max(np.abs(induced @ induced.conj().T - np.eye(4))))
     return CircuitReport(
         induced=induced,
         target=CZ_TARGET.copy(),
         phase=theta,
         deviation=deviation,
         ancilla_entropy=entropy,
-        ancilla_fidelity_reference=fid_ref,
+        ancilla_fidelity_reference=float(abs(np.vdot(_ancilla_tail(space, center, 0), anc_out)) ** 2),
         ancilla_state=anc_out,
         wrap_population=wrap_pop,
         calibration={"pass_phase_difference": delta, "loss_to_path": loss_to},
-        passed=passed,
-        notes=tuple(notes),
+        passed=ok and entropy <= 1e-10 and unit_defect <= 1e-10,
     )
 
 
@@ -386,10 +356,6 @@ def gate_identity_suite(
     `corrupt_cz_phase` is a negative-control hook: a nonzero value skews the
     controlled-path calibration so the CZ verification must fail.
     """
-    from .cavity import build_kerr
-    from .dynamics import scattering_linear
-    from .electron import LadderConfig
-
     checks: list[IdentityCheck] = []
     rng = np.random.default_rng(seed)
     center = rungs // 2
@@ -408,27 +374,29 @@ def gate_identity_suite(
 
     # z-rotation family: phase gate, group law, S^2 = Z chain
     free = TensorSpace(((ELECTRON_LABEL, rungs), ("pol", 2)))
-    _, _, dev = equivalence_up_to_phase(cep_rz_target(0.5 * math.pi), PAULI_Z, 1e-10)
+
+    def rz(phi: float) -> Operator:  # the two-pass z-rotation without a path register
+        return cep_rz(phi, free, conditioned=False)
+
+    # the composed rotations' polariton factors on the centre rung
+    z_half, z_zero = (rz(phi).matrix.reshape(rungs, 2, rungs, 2)[center, :, center, :] for phi in (0.5 * math.pi, 0.0))
+    _, _, dev = equivalence_up_to_phase(z_half, PAULI_Z, 1e-10)
     add("two passes at relative phase pi/2 give Z (up to phase)", dev <= 1e-10, dev)
-    _, _, dev = equivalence_up_to_phase(cep_rz_target(0.0), np.eye(2), 1e-10)
+    _, _, dev = equivalence_up_to_phase(z_zero, np.eye(2), 1e-10)
     add("zero relative phase gives identity (up to phase)", dev <= 1e-10, dev)
     worst = 0.0
     for _ in range(20):
         p1, p2 = rng.uniform(0, 2 * math.pi, size=2)
-        lhs = cep_rz(p1, free, conditioned=False) @ cep_rz(p2, free, conditioned=False)
-        rhs = cep_rz(p1 + p2, free, conditioned=False)
-        _, _, dev = equivalence_up_to_phase(lhs, rhs, 1e-10)
-        worst = max(worst, dev)
+        worst = max(worst, equivalence_up_to_phase(rz(p1) @ rz(p2), rz(p1 + p2), 1e-10)[2])
     add("z-rotation group law (20 random phase pairs)", worst <= 1e-10, worst)
-    lhs = cep_rz(math.pi / 4, free, conditioned=False) @ cep_rz(math.pi / 4, free, conditioned=False)
-    _, _, dev = equivalence_up_to_phase(lhs, cep_rz(math.pi / 2, free, conditioned=False), 1e-10)
+    _, _, dev = equivalence_up_to_phase(rz(math.pi / 4) @ rz(math.pi / 4), rz(math.pi / 2), 1e-10)
     add("quarter-phase gate squared equals half-phase gate", dev <= 1e-10, dev)
 
     # electron energy marginal untouched by the two-pass z-rotation
     amp = rng.standard_normal(2 * rungs) + 1j * rng.standard_normal(2 * rungs)
     amp /= np.linalg.norm(amp)
     before = (np.abs(amp.reshape(rungs, 2)) ** 2).sum(axis=1)
-    out = cep_rz(0.7, free, conditioned=False).matrix @ amp
+    out = rz(0.7).matrix @ amp
     after = (np.abs(out.reshape(rungs, 2)) ** 2).sum(axis=1)
     dev = float(np.max(np.abs(before - after)))
     add("electron energy marginal restored by z-rotation", dev <= 1e-12, dev)
@@ -449,35 +417,30 @@ def gate_identity_suite(
     add("antipodal comb phase inverts the rotation", dev <= 1e-12, dev)
 
     # controlled-path gate: polariton basis routes the electron path
-    space2 = gate_space(rungs=rungs, n_qubits=1, with_path=True)
-    cpe = cpe_path(space2, center, "pol").matrix
-    anc = _ancilla_tail(space2, center, path_index=1)
+    cpe = cpe_path(space1, center, "pol").matrix
+    anc = _ancilla_tail(space1, center, path_index=1)
     worst = 0.0
     for alpha, beta in ((1.0, 0.0), (0.0, 1.0), (1 / math.sqrt(2), 1 / math.sqrt(2))):
         chi = np.array([alpha, beta], dtype=complex)
         out = cpe @ np.kron(anc, chi)
-        target = alpha * np.kron(_ancilla_tail(space2, center, 0), QUBIT_ZERO) + beta * np.kron(
-            _ancilla_tail(space2, center, 1), QUBIT_ONE
-        )
+        target = (alpha * np.kron(_ancilla_tail(space1, center, 0), QUBIT_ZERO)
+                  + beta * np.kron(_ancilla_tail(space1, center, 1), QUBIT_ONE))
         _, _, dev = equivalence_up_to_phase(out.reshape(-1, 1), target.reshape(-1, 1), 1e-10)
         worst = max(worst, dev)
     add("controlled-path gate matches its target action", worst <= 1e-10, worst)
 
-    h = electron_hadamard(space2)
-    dev = float(np.max(np.abs((h @ h).matrix - np.eye(space2.dim))))
+    h = electron_hadamard(space1)
+    dev = float(np.max(np.abs((h @ h).matrix - np.eye(space1.dim))))
     add("electron Hadamard squares to identity", dev <= 1e-14, dev)
 
     # two-polariton controlled-Z with calibrated pass phases
     calibration = None
     if corrupt_cz_phase:
-        calibration = {"pass_phase_difference": math.pi / 4 + corrupt_cz_phase, "loss_to_path": 0}
+        calibration = dict(CZ_CALIBRATION)
+        calibration["pass_phase_difference"] += corrupt_cz_phase
     report = two_polariton_cz(rungs=rungs, calibration=calibration)
-    add(
-        "two-polariton controlled-Z (up to global phase)",
-        report.passed,
-        report.deviation,
-        f"ancilla entropy {report.ancilla_entropy:.1e}",
-    )
+    add("two-polariton controlled-Z (up to global phase)", report.passed, report.deviation,
+        f"ancilla entropy {report.ancilla_entropy:.1e}")
 
     # universality smoke test: H T H S composed from the primitives
     t_ind = cep_rz_target(math.pi / 8)
@@ -494,19 +457,3 @@ def gate_identity_suite(
 
     return checks, report
 
-
-def noisy_gate_fidelity(
-    cfg: SystemConfig,
-    lower: str,
-    upper: str,
-    initial_level: str | None = None,
-    icfg: IntegratorConfig = IntegratorConfig(),
-) -> float:
-    """Fidelity of one physical (Lindblad-propagated) pass against the ideal pass.
-
-    Replaces the closed-form scattering matrix with a full master-equation
-    propagation at the configured loss and nonlinearity, aligns frames, and
-    scores against the ideal two-level pass from the same initial state.
-    """
-    psi0 = initial_state(cfg, cavity_level=initial_level if initial_level is not None else lower)
-    return blockade_fidelity(evolve_lindblad(psi0, cfg, icfg), psi0, lower, upper)

@@ -403,7 +403,7 @@ def test_criterion_07_integrator_hygiene():
 def test_criterion_08_gate_identity_suite():
     checks, report = gate_identity_suite(rungs=7)
     failing = [c.name for c in checks if not c.passed]
-    cz = two_polariton_cz(rungs=7, n_random=20, seed=3)
+    cz = two_polariton_cz(rungs=7, seed=3)
     ok = not failing and cz.passed and cz.deviation <= 1e-9 and cz.ancilla_entropy <= 1e-10
     announce(
         "8 gate identity suite",

@@ -258,6 +258,14 @@ def test_cli_gates_default_and_negative_control(tmp_path):
     assert "FAIL" in (tmp_path / "bad" / "gates_report.txt").read_text()
 
 
+def test_gates_need_six_rungs(tmp_path, capsys):
+    cfg = {"schema_version": 1, "scenario": "gates", "gates": {"rungs": 5}}
+    assert main(["gates", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "gates.rungs" in capsys.readouterr().err
+    cfg["gates"]["rungs"] = 6
+    assert main(["gates", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 def test_cli_check_feasibility(tmp_path, capsys):
     good = {
         "schema_version": 1,
