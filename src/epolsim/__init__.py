@@ -41,7 +41,6 @@ from .dynamics import (
     WrapAroundError,
     ConvergenceError,
     FeasibilityReport,
-    interaction_hamiltonian,
     evolve_lindblad,
     scattering_linear,
     scattering_blockade,

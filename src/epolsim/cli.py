@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
 from typing import NamedTuple
@@ -39,7 +39,7 @@ from .observables import Distribution, ProbabilityError, sideband_distribution
 SCHEMA_VERSION = 1
 
 
-class _Axis(NamedTuple):  # a sweep list, the payload field each entry sets, and its CSV column
+class _Axis(NamedTuple):  # a sweep list, the point setting each entry overrides, and its CSV column
     key: str
     field: str
     column: str
@@ -49,11 +49,11 @@ class _Axis(NamedTuple):  # a sweep list, the payload field each entry sets, and
 
 class _Sweep(NamedTuple):
     axes: tuple[_Axis, ...]  # the swept list, then any list crossed with each of its entries
-    fixed: dict  # payload overrides at every point
+    fixed: dict  # setting overrides at every point
     per_point: bool = True  # the _PER_POINT lists may give each entry of axes[0] its own cutoffs
 
 
-# per-point list: (payload field, smallest entry), the bounds of model.n_cut and electron.rungs
+# per-point list: (point setting, smallest entry), the bounds of model.n_cut and electron.rungs
 _PER_POINT = {"n_cut_values": ("n_cut", 2), "rungs_values": ("rungs", 3)}
 _KAPPA = _Axis("kappa_values", "kappa", "kappa_ratio", minimum=0.0)
 # a velocity sweep sets the velocity itself, so it neither tunes to the pair nor keeps a delta
@@ -112,12 +112,12 @@ def _number(obj: dict, path: str, key: str, default=None, minimum=None, maximum=
     return val
 
 
-def _integer(obj: dict, path: str, key: str, default=None, minimum=None):
-    if key not in obj and default is not None:
-        return int(default)
-    val = _number(obj, path, key, default=default, minimum=minimum)
+def _integer(obj: dict, path: str, key: str, default=None, minimum=None) -> int:
+    val = _number(obj, path, key, default=default)
     if val != int(val):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {val}")
+        raise ConfigError(f"{path}.{key}", f"takes integers only, got {val}")
+    if minimum is not None and val < minimum:
+        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {int(val)}")
     return int(val)
 
 
@@ -151,12 +151,7 @@ def _integer_list(obj: dict, path: str, key: str, length: int, minimum: int, mat
     vals = _number_list(obj, path, key)
     if len(vals) != length:
         raise ConfigError(f"{path}.{key}", f"length must match {match}")
-    for v in vals:
-        if v != int(v):
-            raise ConfigError(f"{path}.{key}", f"expected integers, got {v}")
-        if v < minimum:
-            raise ConfigError(f"{path}.{key}", f"entries must be >= {minimum}, got {int(v)}")
-    return [int(v) for v in vals]
+    return [_integer({key: v}, path, key, minimum=minimum) for v in vals]
 
 
 def _complex_field(obj: dict, path: str, key: str) -> complex:
@@ -257,13 +252,10 @@ def normalize_config(raw: dict) -> dict:
     kind = model["kind"]
     if kind not in ("kerr", "jc"):
         raise ConfigError("model.kind", f"must be 'kerr' or 'jc', got {kind!r}")
-    n_cut = _integer(model, "model", "n_cut")
-    if n_cut < 2:
-        raise ConfigError("model.n_cut", f"must be >= 2, got {n_cut}")
     cfg["model"] = {
         "kind": kind,
+        "n_cut": _integer(model, "model", "n_cut", minimum=2),
         "kappa_ratio": _number(model, "model", "kappa_ratio", minimum=0.0),
-        "n_cut": n_cut,
     }
 
     electron = _require_mapping(raw.get("electron", {}), "electron")
@@ -331,25 +323,21 @@ def normalize_config(raw: dict) -> dict:
     cfg["pair"] = {"lower": lower, "upper": upper}
     cfg["initial_level"] = _level_label(raw.get("initial_level", lower), "initial_level")
 
+    # the integrator section holds IntegratorConfig's fields, at its defaults unless given
     integ = _require_mapping(raw.get("integrator", {}), "integrator")
-    _check_keys(
-        integ,
-        "integrator",
-        (),
-        ("steps", "phase_per_step", "drive_per_step", "convergence_check", "trace_bound", "cutoff_bound", "wrap_bound"),
-    )
-    # step sizes of the retired fixed-step integrator: echoed, accepted at their defaults only
-    for key, default in RETIRED_STEP_KEYS.items():
-        if key in integ and integ[key] != default:
-            raise ConfigError(f"integrator.{key}",
-                              f"only {json.dumps(default)} is accepted: the propagator is exact and takes no steps")
-    cfg["integrator"] = {
-        **RETIRED_STEP_KEYS,
-        "convergence_check": _boolean(integ, "integrator", "convergence_check", default=True),
-        "trace_bound": _number(integ, "integrator", "trace_bound", default=1e-8, minimum=0.0),
-        "cutoff_bound": _number(integ, "integrator", "cutoff_bound", default=1e-6, minimum=0.0),
-        "wrap_bound": _number(integ, "integrator", "wrap_bound", default=1e-8, minimum=0.0),
-    }
+    defaults = {f.name: f.default for f in fields(IntegratorConfig)}
+    _check_keys(integ, "integrator", (), tuple(defaults))
+    cfg["integrator"] = {}
+    for key, default in defaults.items():
+        if key in RETIRED_STEP_KEYS:  # step sizes of the retired fixed-step integrator: echoed only
+            if key in integ and integ[key] != default:
+                raise ConfigError(f"integrator.{key}",
+                                  f"only {json.dumps(default)} is accepted: the propagator is exact and takes no steps")
+            cfg["integrator"][key] = default
+        elif isinstance(default, bool):
+            cfg["integrator"][key] = _boolean(integ, "integrator", key, default=default)
+        else:
+            cfg["integrator"][key] = _number(integ, "integrator", key, default=default, minimum=0.0)
 
     sweep = raw.get("sweep")
     if scenario not in _SWEEPS:
@@ -358,7 +346,7 @@ def normalize_config(raw: dict) -> dict:
     else:
         cfg["sweep"] = _sweep_lists(_require_mapping(sweep if sweep is not None else {}, "sweep"),
                                     _SWEEPS[scenario], center)
-    _check_levels(cfg)
+    _grid(cfg)  # builds every model and checks its levels
     return cfg
 
 
@@ -379,52 +367,80 @@ def _sweep_lists(sweep: dict, spec: _Sweep, center: int) -> dict:
     return out
 
 
-def _check_levels(cfg: dict) -> None:
-    """Every grid point's model must hold the pair and initial levels, and a pair the
-    electron is tuned to, or scored against, must be a ladder transition it can reach."""
-    kind, pair = cfg["model"]["kind"], cfg["pair"]
-    models = {(p["kappa"], p["n_cut"], p["tune_to_pair"], p["want_fidelity"]) for p in _grid(cfg)}
-    for kappa, n_cut, tuned, scored in sorted(models):
-        model = (build_kerr if kind == "kerr" else build_jc)(kappa, n_cut)
-        labels = polariton_eigenbasis(model).labels
-        for field, label in (("pair.lower", pair["lower"]), ("pair.upper", pair["upper"]),
-                             ("initial_level", cfg["initial_level"])):
-            if label not in labels:
-                raise ConfigError(field, f"no level {label!r} in the {kind} model at n_cut {n_cut}")
-        if tuned or scored:
-            try:
-                pair_states(model, pair["lower"], pair["upper"])
-            except ValueError as exc:
-                raise ConfigError("pair", str(exc)) from None
-        if tuned and abs(pair_detuning(model, pair["lower"], pair["upper"])) > 0.9:
-            raise ConfigError("pair", f"tuning to ({pair['lower']}, {pair['upper']}) needs |delta| > 0.9 "
-                              f"at kappa {kappa}")
-
-
 # ---------------------------------------------------------------------------
 # grid expansion and point evaluation
 
 
-def _build_point(payload: dict):
-    model = (build_kerr if payload["kind"] == "kerr" else build_jc)(payload["kappa"], payload["n_cut"])
-    ladder = LadderConfig(rungs=payload["rungs"], center=payload["center"])
-    if payload.get("delta") is not None:
-        delta = payload["delta"]
-    elif payload["tune_to_pair"]:
-        delta = pair_detuning(model, payload["lower"], payload["upper"])
-    else:
-        delta = payload["velocity_ratio"] - 1.0
-    omega_t = payload["q0_l"] / (1.0 + delta)
-    cfg = SystemConfig(
-        model=model,
-        ladder=ladder,
-        g_q=complex(*payload["g_q"]),
-        interaction_time=omega_t,
-        delta=delta,
-        gamma=payload["gamma"],
-        energy_spread=payload.get("energy_spread", 0.0),
-    )
-    return cfg, IntegratorConfig(**payload["integrator"])
+class _Point(NamedTuple):
+    """One grid point as the library's objects."""
+
+    index: int
+    axis: tuple  # its values on the sweep's axes: one value, a fidelity map's (kappa, gamma), () for evolve
+    system: SystemConfig
+    integrator: IntegratorConfig
+    initial_level: str
+    pair: tuple[str, str]  # (lower, upper)
+    scored: bool  # whether the point's blockade fidelity is computed
+
+
+def _checked_model(cfg: dict, kappa: float, n_cut: int, tuned: bool, scored: bool):
+    """The (kappa, n_cut) cavity model and, when tuned, the delta that tunes the electron to the
+    pair.  The model must hold the pair and initial levels, and a pair the electron is tuned
+    to, or scored against, must be a ladder transition it can reach."""
+    kind, lower, upper = cfg["model"]["kind"], cfg["pair"]["lower"], cfg["pair"]["upper"]
+    model = (build_kerr if kind == "kerr" else build_jc)(kappa, n_cut)
+    labels = polariton_eigenbasis(model).labels
+    for field, label in (("pair.lower", lower), ("pair.upper", upper), ("initial_level", cfg["initial_level"])):
+        if label not in labels:
+            raise ConfigError(field, f"no level {label!r} in the {kind} model at n_cut {n_cut}")
+    if tuned or scored:
+        try:
+            pair_states(model, lower, upper)
+        except ValueError as exc:
+            raise ConfigError("pair", str(exc)) from None
+    if not tuned:
+        return model, None
+    delta = pair_detuning(model, lower, upper)
+    if abs(delta) > 0.9:
+        raise ConfigError("pair", f"tuning to ({lower}, {upper}) needs |delta| > 0.9 at kappa {kappa}")
+    return model, delta
+
+
+def _grid(cfg: dict) -> list[_Point]:
+    """Every grid point of a normalized config in grid order; an evolve config is one point.
+
+    Each distinct (kappa, n_cut) model is built, and its levels checked, once.
+    """
+    spec = _SWEEPS.get(cfg["scenario"], _Sweep((), {}))
+    sweep, electron, loss = cfg.get("sweep", {}), cfg["electron"], cfg["loss"]
+    pair, integrator = (cfg["pair"]["lower"], cfg["pair"]["upper"]), IntegratorConfig(**cfg["integrator"])
+    models: dict[tuple[float, int], tuple] = {}
+    points = []
+    for entries in product(*(enumerate(sweep[axis.key]) for axis in spec.axes)):
+        row = entries[0][0] if entries else 0
+        at = {**spec.fixed, **{axis.field: value for axis, (_, value) in zip(spec.axes, entries)},
+              **{field: sweep[key][row] for key, (field, _) in _PER_POINT.items() if key in sweep}}
+        key = (at.get("kappa", cfg["model"]["kappa_ratio"]), at.get("n_cut", cfg["model"]["n_cut"]))
+        tuned, scored = at.get("tune_to_pair", electron["tune_to_pair"]), at.get("want_fidelity", False)
+        if key not in models:
+            models[key] = _checked_model(cfg, *key, tuned, scored)
+        model, delta = models[key]
+        if not tuned:
+            delta = at.get("delta", electron.get("delta"))
+            if delta is None:
+                delta = at.get("velocity_ratio", electron.get("velocity_ratio")) - 1.0
+        system = SystemConfig(
+            model=model,
+            ladder=LadderConfig(rungs=at.get("rungs", electron["rungs"]), center=electron["center"]),
+            g_q=complex(at["g_q"]) if "g_q" in at else complex(*electron["g_q"]),
+            interaction_time=electron["q0_l"] / (1.0 + delta),
+            delta=delta,
+            gamma=at.get("gamma", loss["gamma_ratio"]),
+            energy_spread=loss["energy_spread"],
+        )
+        points.append(_Point(len(points), tuple(value for _, value in entries), system, integrator,
+                             cfg["initial_level"], pair, scored))
+    return points
 
 
 @dataclass(frozen=True)
@@ -442,69 +458,24 @@ class PointResult:
         return not self.reason
 
 
-def _evaluate_point(payload: dict) -> PointResult:
+def _evaluate_point(point: _Point) -> PointResult:
     """Run one grid point.
 
     A numerical failure marks the point unconverged with its reason.  Faults
     of the config are rejected earlier by normalize_config, so any other
     exception is a fault of the program and propagates.
     """
-    cfg, icfg = _build_point(payload)
+    system = point.system
     try:
-        psi0 = initial_state(cfg, cavity_level=payload["initial_level"])
-        result = evolve_lindblad(psi0, cfg, icfg)
+        psi0 = initial_state(system, cavity_level=point.initial_level)
+        result = evolve_lindblad(psi0, system, point.integrator)
         diag = result.diagnostics
-        eels = sideband_distribution(diag.electron_populations, cfg.ladder.center)
-        stats = Distribution.from_values(polariton_eigenbasis(cfg.model).labels, diag.level_populations)
-        fidelity = (blockade_fidelity(result, psi0, payload["lower"], payload["upper"])
-                    if payload["want_fidelity"] else math.nan)
+        eels = sideband_distribution(diag.electron_populations, system.ladder.center)
+        stats = Distribution.from_values(polariton_eigenbasis(system.model).labels, diag.level_populations)
+        fidelity = blockade_fidelity(result, psi0, *point.pair) if point.scored else math.nan
     except (NumericsError, ProbabilityError) as exc:
         return PointResult(reason=f"{type(exc).__name__}: {exc}")
     return PointResult(eels, stats, diag, fidelity)
-
-
-def _point_payload(cfg: dict, index: int, **overrides) -> dict:
-    payload = {
-        "index": index,
-        "kind": cfg["model"]["kind"],
-        "kappa": cfg["model"]["kappa_ratio"],
-        "n_cut": cfg["model"]["n_cut"],
-        "rungs": cfg["electron"]["rungs"],
-        "center": cfg["electron"]["center"],
-        "g_q": tuple(cfg["electron"]["g_q"]),
-        "q0_l": cfg["electron"]["q0_l"],
-        "tune_to_pair": cfg["electron"]["tune_to_pair"],
-        "velocity_ratio": cfg["electron"].get("velocity_ratio", 1.0),
-        "delta": cfg["electron"].get("delta"),
-        "gamma": cfg["loss"]["gamma_ratio"],
-        "energy_spread": cfg["loss"]["energy_spread"],
-        "lower": cfg["pair"]["lower"],
-        "upper": cfg["pair"]["upper"],
-        "initial_level": cfg["initial_level"],
-        "integrator": cfg["integrator"],
-        "want_fidelity": False,
-    }
-    payload.update(overrides)
-    return payload
-
-
-def _grid(cfg: dict) -> list[dict]:
-    """Payloads of every grid point in grid order; an evolve config is one point.
-
-    Each payload's `axis` holds its values on the sweep's axes: one value, or
-    the (kappa, gamma) pair of a fidelity map.
-    """
-    if cfg["scenario"] not in _SWEEPS:
-        return [_point_payload(cfg, 0)]
-    spec, sweep = _SWEEPS[cfg["scenario"]], cfg["sweep"]
-    points = []
-    for entries in product(*(enumerate(sweep[axis.key]) for axis in spec.axes)):
-        i = entries[0][0]
-        axis = tuple(value for _, value in entries)
-        over = {**spec.fixed, **{a.field: (v, 0.0) if a.field == "g_q" else v for a, v in zip(spec.axes, axis)}}
-        over.update({field: sweep[key][i] for key, (field, _) in _PER_POINT.items() if key in sweep})
-        points.append(_point_payload(cfg, len(points), axis=axis, **over))
-    return points
 
 
 def _grid_exit_code(results: list[PointResult]) -> int:
@@ -592,8 +563,8 @@ def _scenario_sweep(cfg: dict, out_dir: Path) -> int:
     results = [_evaluate_point(p) for p in points]
     stats_rows, eels_rows, summary_rows = [], [], []
     for point, result in zip(points, results):
-        value = point["axis"]
-        _write_point_files(out_dir / f"point_{point['index']:03d}", result)
+        value = point.axis
+        _write_point_files(out_dir / f"point_{point.index:03d}", result)
         summary_rows.append([*value, *_diag_columns(result)])
         if result.converged:
             stats_rows.extend([*value, *row] for row in zip(result.stats.labels, result.stats.probabilities))
@@ -609,9 +580,9 @@ def _scenario_fidelity_map(cfg: dict, out_dir: Path) -> int:
     points = _grid(cfg)
     results = [_evaluate_point(p) for p in points]
     _write_csv(out_dir / "fidelity_map.csv", axis + ["fidelity", "converged"],
-               [[*p["axis"], r.fidelity, "true" if r.converged else "false"] for p, r in zip(points, results)])
+               [[*p.axis, r.fidelity, "true" if r.converged else "false"] for p, r in zip(points, results)])
     _write_csv(out_dir / "fidelity_diagnostics.csv", axis + DIAG_HEADER,
-               [[*p["axis"], *_diag_columns(r)] for p, r in zip(points, results)])
+               [[*p.axis, *_diag_columns(r)] for p, r in zip(points, results)])
     return _grid_exit_code(results)
 
 

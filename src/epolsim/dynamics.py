@@ -54,7 +54,6 @@ __all__ = [
     "WrapAroundError",
     "ConvergenceError",
     "FeasibilityReport",
-    "interaction_hamiltonian",
     "evolve_lindblad",
     "scattering_linear",
     "scattering_blockade",
@@ -515,20 +514,7 @@ def _enforce_bounds(diag: Diagnostics, icfg: IntegratorConfig):
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonian and closed-form scattering matrices (labeled joint space)
-
-
-def interaction_hamiltonian(t: float, cfg: SystemConfig) -> Operator:
-    """Interaction-picture Hamiltonian at time t on the labeled joint space.
-
-    H(t) = H_nl + i (g_q/T) e^{i delta t} (bdag x a) - i (g_q*/T) e^{-i delta t} (b x adag).
-    """
-    b = build_ladder(cfg.ladder).matrix
-    a = cfg.model.a
-    coeff = 1j * cfg.coupling_rate * np.exp(1j * cfg.delta * t)
-    drive = coeff * np.kron(b.conj().T, a)
-    h = np.kron(np.eye(cfg.ladder.rungs), cfg.model.h_nl) + drive + drive.conj().T
-    return Operator(cfg.space, h)
+# closed-form scattering matrices (labeled joint space)
 
 
 def scattering_linear(g_q: complex, model: CavityModel, ladder: LadderConfig) -> Operator:

@@ -32,15 +32,10 @@ ELECTRON_LABEL = "electron"
 
 @dataclass(frozen=True)
 class LadderConfig:
-    """Sideband ladder: `rungs` levels with the initial electron at `center`.
-
-    `quantum` is the sideband spacing q0*v in units of the cavity frequency;
-    it only matters when converting sideband indices to physical energies.
-    """
+    """Sideband ladder: `rungs` levels with the initial electron at `center`."""
 
     rungs: int
     center: int
-    quantum: float = 1.0
 
     def __post_init__(self):
         if self.rungs < 3:

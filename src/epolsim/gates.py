@@ -378,8 +378,10 @@ def gate_identity_suite(
     def rz(phi: float) -> Operator:  # the two-pass z-rotation without a path register
         return cep_rz(phi, free, conditioned=False)
 
-    # the composed rotations' polariton factors on the centre rung
-    z_half, z_zero = (rz(phi).matrix.reshape(rungs, 2, rungs, 2)[center, :, center, :] for phi in (0.5 * math.pi, 0.0))
+    def factor(phi: float) -> np.ndarray:  # the composed rotation's polariton factor on the centre rung
+        return rz(phi).matrix.reshape(rungs, 2, rungs, 2)[center, :, center, :]
+
+    z_half, z_zero = factor(0.5 * math.pi), factor(0.0)
     _, _, dev = equivalence_up_to_phase(z_half, PAULI_Z, 1e-10)
     add("two passes at relative phase pi/2 give Z (up to phase)", dev <= 1e-10, dev)
     _, _, dev = equivalence_up_to_phase(z_zero, np.eye(2), 1e-10)
@@ -443,9 +445,7 @@ def gate_identity_suite(
         f"ancilla entropy {report.ancilla_entropy:.1e}")
 
     # universality smoke test: H T H S composed from the primitives
-    t_ind = cep_rz_target(math.pi / 8)
-    s_ind = cep_rz_target(math.pi / 4)
-    composed = had @ t_ind @ had @ s_ind
+    composed = had @ factor(math.pi / 8) @ had @ factor(math.pi / 4)
     t_gate = np.diag([1.0, cmath.exp(1j * math.pi / 4)])
     s_gate = np.diag([1.0, 1j])
     target = HADAMARD @ t_gate @ HADAMARD @ s_gate

@@ -2,8 +2,9 @@
 
 The propagator integrates the master equation exactly as written: dense
 matrices in the bare labeled basis, the static nonlinear Hamiltonian kept
-explicitly inside the generator, plain fixed-step RK4.  Deliberately shares no
-code with the production engine beyond the Hamiltonian builder it cross-checks.
+explicitly inside the generator, plain fixed-step RK4.  It writes the
+interaction Hamiltonian itself, and shares no code with the production engine
+beyond the cavity model's operators and the ladder's shift operator.
 
 The gate references build every operator on the full joint space from
 Kronecker products and compose with full-space matrix products, the direct

@@ -261,7 +261,9 @@ def test_cli_gates_default_and_negative_control(tmp_path):
 def test_gates_need_six_rungs(tmp_path, capsys):
     cfg = {"schema_version": 1, "scenario": "gates", "gates": {"rungs": 5}}
     assert main(["gates", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "gates.rungs" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # an integer field reports the integer the config holds, not its float form
+    assert "gates.rungs" in err and "got 5" in err and "5.0" not in err
     cfg["gates"]["rungs"] = 6
     assert main(["gates", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
 
@@ -484,22 +486,48 @@ def test_sweep_rungs_at_or_below_center_rejected(tmp_path, capsys):
     assert normalize_config(cfg)["sweep"]["rungs_values"] == [33, 17]
 
 
+def test_grid_follows_the_effective_config():
+    # every preset run's grid: one point per combination of its sweep lists, each
+    # carrying its row's cutoffs and the interaction time of its own delta
+    from epolsim.cli import _SWEEPS, _grid
+
+    for name, preset in build_presets().items():
+        normalized = normalize_config(preset)
+        for cfg in normalized.get("runs", [normalized]):
+            if cfg["scenario"] not in _SWEEPS:
+                continue
+            sweep, axes = cfg["sweep"], _SWEEPS[cfg["scenario"]].axes
+            points = _grid(cfg)
+            assert len(points) == math.prod(len(sweep[axis.key]) for axis in axes), name
+            rows = len(sweep[axes[0].key])
+            for point in points:
+                row = point.index // (len(points) // rows)
+                system = point.system
+                n_cuts = sweep.get("n_cut_values", [cfg["model"]["n_cut"]] * rows)
+                kappas = sweep.get("kappa_values", [cfg["model"]["kappa_ratio"]] * rows)
+                rungs = sweep.get("rungs_values", [cfg["electron"]["rungs"]] * rows)
+                assert system.model.n_cut == n_cuts[row], name
+                assert system.model.kappa == kappas[row], name
+                assert system.ladder.rungs == rungs[row], name
+                assert system.interaction_time == cfg["electron"]["q0_l"] / (1.0 + system.delta), name
+
+
 @pytest.mark.parametrize("kind, pair", [("kerr", ("0", "1")), ("jc", ("0*", "1+"))])
 @pytest.mark.parametrize("gamma", [0.0, 1e-3])
 def test_point_spectra_match_dense_state(kind, pair, gamma):
     # the EELS and statistics a point writes come from the propagator's populations;
     # they must equal the partial traces of the dense state
     from epolsim import eels_spectrum, evolve_lindblad, initial_state, polariton_eigenbasis, polariton_statistics
-    from epolsim.cli import _build_point, _evaluate_point, _point_payload
+    from epolsim.cli import _evaluate_point, _grid
 
     raw = minimal_evolve(model={"kind": kind, "kappa_ratio": 0.05, "n_cut": 10},
                          pair={"lower": pair[0], "upper": pair[1]}, loss={"gamma_ratio": gamma})
     raw["electron"].update(rungs=33, center=16)
-    payload = _point_payload(normalize_config(raw), 0)
-    out = _evaluate_point(payload)
+    [point] = _grid(normalize_config(raw))
+    out = _evaluate_point(point)
     assert out.converged, out.reason
-    system, icfg = _build_point(payload)
-    state = evolve_lindblad(initial_state(system, cavity_level=pair[0]), system, icfg).state
+    system = point.system
+    state = evolve_lindblad(initial_state(system, cavity_level=pair[0]), system, point.integrator).state
     eels = eels_spectrum(state, center=system.ladder.center)
     stats = polariton_statistics(state, polariton_eigenbasis(system.model))
     assert out.eels.labels == eels.labels and out.stats.labels == stats.labels
@@ -512,17 +540,18 @@ def test_lossless_fidelity_point_allocates_no_joint_matrix():
     # 49 rungs (2058 dimensions) is 68 MB; a point is scored from 42 x 42 blocks
     import tracemalloc
 
-    from epolsim.cli import _evaluate_point, _point_payload
+    from epolsim.cli import _evaluate_point, _grid
 
-    raw = minimal_evolve(model={"kind": "jc", "kappa_ratio": 0.005, "n_cut": 20},
+    raw = minimal_evolve(scenario="fidelity_map", model={"kind": "jc", "kappa_ratio": 0.005, "n_cut": 20},
                          electron={"rungs": 49, "center": 24, "g_q": math.pi / math.sqrt(2), "q0_l": 472.43,
                                    "tune_to_pair": True},
-                         loss={"gamma_ratio": 0.0}, pair={"lower": "0*", "upper": "1-"})
-    payload = _point_payload(normalize_config(raw), 0, want_fidelity=True)
-    _evaluate_point(payload)  # first call: lazy imports and caches
+                         pair={"lower": "0*", "upper": "1-"}, sweep={"kappa_values": [0.005], "gamma_values": [0.0]})
+    [point] = _grid(normalize_config(raw))
+    assert point.scored and point.system.gamma == 0.0
+    _evaluate_point(point)  # first call: lazy imports and caches
     tracemalloc.start()
     try:
-        out = _evaluate_point(payload)
+        out = _evaluate_point(point)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

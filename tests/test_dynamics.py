@@ -26,7 +26,6 @@ from epolsim import (
     feasibility_check,
     frame_align,
     initial_state,
-    interaction_hamiltonian,
     pair_detuning,
     pair_states,
     polariton_eigenbasis,
@@ -65,46 +64,6 @@ def small_jc(kappa=0.05, n_cut=4, g_q=1.0, delta=0.0, gamma=0.0, t=40.0, rungs=9
 
 
 LOOSE = IntegratorConfig(cutoff_bound=1.0, wrap_bound=1.0)
-
-
-# ---------------------------------------------------------------------------
-# interaction Hamiltonian
-
-
-def test_hamiltonian_reduces_to_nonlinear_part_without_coupling():
-    cfg = small_kerr(g_q=0.0)
-    expected = np.kron(np.eye(cfg.ladder.rungs), cfg.model.h_nl)
-    for t in (0.0, 0.37 * cfg.interaction_time, cfg.interaction_time):
-        assert np.max(np.abs(interaction_hamiltonian(t, cfg).matrix - expected)) < 1e-15
-
-
-def test_hamiltonian_hermitian():
-    cfg = small_kerr(g_q=0.8 + 0.4j, delta=0.07)
-    h = interaction_hamiltonian(0.37 * cfg.interaction_time, cfg)
-    assert h.hermiticity_defect() <= 1e-14
-
-
-def test_hamiltonian_emission_matrix_element():
-    # <l-1, 1| H(0) |l, 0> = -i g_q / T for real g_q, from the drive term
-    # -i (g_q*/T) (b x adag); the sign follows the written Hamiltonian.
-    cfg = small_kerr(g_q=0.9)
-    h = interaction_hamiltonian(0.0, cfg).matrix
-    m = cfg.model.dim
-    l = cfg.ladder.center
-    row = (l - 1) * m + 1
-    col = l * m + 0
-    expected = -1j * 0.9 / cfg.interaction_time
-    assert abs(h[row, col] - expected) < 1e-15
-
-
-def test_hamiltonian_absorption_matrix_element():
-    cfg = small_kerr(g_q=0.9)
-    h = interaction_hamiltonian(0.0, cfg).matrix
-    m = cfg.model.dim
-    l = cfg.ladder.center
-    row = (l + 1) * m + 0
-    col = l * m + 1
-    assert abs(h[row, col] - 1j * 0.9 / cfg.interaction_time) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,7 @@ PERTURBATIONS = {
     "spectrometer to the other path": ("spectrometer", lambda build: lambda space, center, loss_to_path=0: build(
         space, center, 1 - loss_to_path)),
     "comb phase +0.01": ("comb_state", lambda build: lambda phi, cfg: build(phi + 0.01, cfg)),
+    "z-rotation phase +0.01": ("cep_rz", lambda build: lambda phi, *args, **kwargs: build(phi + 0.01, *args, **kwargs)),
 }
 
 NEGATIVE_CONTROLS = {
@@ -463,7 +464,8 @@ NEGATIVE_CONTROLS = {
     "controlled-path gate matches its target action": "spectrometer to the other path",
     "electron Hadamard squares to identity": "skewed Hadamard",
     "two-polariton controlled-Z (up to global phase)": "spectrometer to the other path",
-    "H T H S composite matches direct construction": "skewed Hadamard",
+    # T and S are the composed z-rotations' factors, so a fault of cep_rz must reach the composite
+    "H T H S composite matches direct construction": "z-rotation phase +0.01",
     "ladder wrap-around rungs stay unpopulated": "pass angle x1.01",
 }
 
