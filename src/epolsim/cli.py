@@ -102,7 +102,10 @@ def _number(obj: dict, path: str, key: str, default=None, minimum=None, maximum=
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}", f"expected a number, got {val!r}")
-    val = float(val)
+    try:
+        val = float(val)
+    except OverflowError:  # a JSON integer beyond the largest float
+        val = math.inf
     if not math.isfinite(val):
         raise ConfigError(f"{path}.{key}", "must be finite")
     if minimum is not None and val < minimum:
@@ -113,12 +116,16 @@ def _number(obj: dict, path: str, key: str, default=None, minimum=None, maximum=
 
 
 def _integer(obj: dict, path: str, key: str, default=None, minimum=None) -> int:
-    val = _number(obj, path, key, default=default)
-    if val != int(val):
-        raise ConfigError(f"{path}.{key}", f"takes integers only, got {val}")
+    """A JSON integer, read exactly, or an integral float such as 7.0."""
+    val = obj.get(key)
+    if not isinstance(val, int) or isinstance(val, bool):
+        num = _number(obj, path, key, default=default)
+        if num != int(num):
+            raise ConfigError(f"{path}.{key}", f"takes integers only, got {num}")
+        val = int(num)
     if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {int(val)}")
-    return int(val)
+        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {val}")
+    return val
 
 
 def _is_number(x) -> bool:
@@ -148,10 +155,9 @@ def _number_list(obj: dict, path: str, key: str, min_len=1, minimum=None, maximu
 
 
 def _integer_list(obj: dict, path: str, key: str, length: int, minimum: int, match: str) -> list[int]:
-    vals = _number_list(obj, path, key)
-    if len(vals) != length:
+    if len(_number_list(obj, path, key)) != length:
         raise ConfigError(f"{path}.{key}", f"length must match {match}")
-    return [_integer({key: v}, path, key, minimum=minimum) for v in vals]
+    return [_integer({key: v}, path, key, minimum=minimum) for v in obj[key]]
 
 
 def _complex_field(obj: dict, path: str, key: str) -> complex:

@@ -21,17 +21,22 @@ Without loss each sector column evolves by one m x m exponential,
 With loss, a (k, k') block X of the density matrix evolves under
 X -> -i (H_eff X - X H_eff^dag), H_eff = H' - delta nu - (i gamma / 2) adag a
 (the photon number, not nu), and every photon loss X -> gamma a X adag moves
-it to block (k - 1, k' - 1).  That lower-bidiagonal chain is solved with the
-action of the matrix exponential of a sparse chain generator (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 2011); chain depth j lands on the sector
-pair (k - j, k' - j) mod D.
+it to block (k - 1, k' - 1).  That lower-bidiagonal chain is solved with a
+Chebyshev series of exp(tG) on a sparse chain generator G (Tal-Ezer & Kosloff,
+J. Chem. Phys. 81, 3967 (1984)), one three-term recurrence of products with G;
+chain depth j lands on the sector pair (k - j, k' - j) mod D.  The series runs
+on an ellipse around a rectangle that holds the numerical range W(G), and its
+degree comes from Crouzeix's bound ||p(G)|| <= (1 + sqrt 2) max over W(G) of
+|p| (Crouzeix & Palencia, SIAM J. Matrix Anal. Appl. 38, 649 (2017)).  A sink
+entry at the end of the chain measures the population a chain cut short of
+the ladder drops, and a chain that drops more than CHAIN_TAIL is grown.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -162,10 +167,12 @@ class Diagnostics:
 
     `steps` counts the propagator's work: dense matrix exponentials on the
     lossless route (expm, plus the eigendecomposition of the check), and
-    expm_multiply calls on the loss chain (both routes of the check).
+    generator applications (products of the sparse chain generator with the
+    propagated columns) on the loss chain, over every pass: a chain grown
+    after its first pass, and both routes of the check.
     `halving_delta` is the largest change of a reported probability between
     the two computations of the final state: expm against eigh without loss,
-    expm_multiply over [0, T] against two applications over T/2 with loss.
+    one Chebyshev series over [0, T] against two over T/2 with loss.
     """
 
     steps: int
@@ -206,12 +213,6 @@ class EvolveResult:
 
 
 CHAIN_TAIL = 1e-14  # bound on the population lost by cutting the loss chain short
-
-# Condition (3.13) of Al-Mohy & Higham with m_max = 55, p_max = 8, ell = 2 and
-# theta_55 = 9.9 admits 1-norms up to 63.36 / (columns).  Below it expm_multiply
-# chooses its Taylor degree from the exact 1-norm; above it, from randomized norm
-# estimates, which would make repeated runs differ in the last bits.
-EXACT_NORM_LIMIT = 63.0
 
 
 def _joint_index(cfg: SystemConfig) -> np.ndarray:
@@ -300,18 +301,18 @@ def _evolve_pure(sec: _Sectors, amplitudes: np.ndarray, icfg: IntegratorConfig):
 
 
 # ---------------------------------------------------------------------------
-# loss chain: sparse generator on (block depth, vec X), expm_multiply
+# loss chain: sparse generator on (block depth, vec X), Chebyshev series of exp(tG)
 
 
 def _chain_blocks(sec: _Sectors) -> int:
-    """Blocks in the loss chain; D means the exact cyclic chain.
+    """First guess at the loss chain's length; D means the exact cyclic chain.
 
-    Photons leave at rate gamma <adag a> <= gamma n_cut, so the number of
-    losses is stochastically below Poisson(gamma T n_cut).  The chain stops at
+    One photon held over the window is lost Poisson(gamma T) times; the guess is
     the first depth whose Poisson tail, bounded geometrically, is below
-    CHAIN_TAIL; that tail is the most population the cut can drop.
+    CHAIN_TAIL.  The chain's sink measures what the guess really drops, and
+    _evolve_chain grows a chain that drops more.
     """
-    lam = sec.cfg.gamma * sec.cfg.interaction_time * sec.cfg.model.n_cut
+    lam = sec.cfg.gamma * sec.cfg.interaction_time
     depth = 0
     while lam > 0 and depth + 1 < sec.d:
         ratio = lam / (depth + 2)
@@ -324,38 +325,145 @@ def _chain_blocks(sec: _Sectors) -> int:
 
 
 def _chain_generator(sec: _Sectors, blocks: int) -> sp.csr_matrix:
-    """Lindblad generator on the chain, row-major vec per block: vec(A X B) = (A x B^T) vec(X)."""
+    """Lindblad generator on the chain, row-major vec per block: vec(A X B) = (A x B^T) vec(X).
+
+    A chain shorter than the ladder ends in one more entry, the sink, which
+    gathers gamma tr(a X_last adag) / n_cut, the population leaving the last
+    block over n_cut.  That scale keeps the sink's Gershgorin disc inside the
+    blocks' own, so it does not widen the numerical range the series covers.
+    """
     # only the loss chain uses scipy.sparse; imported here, it costs lossless and
     # gate runs neither its import time nor its ~4 MB of resident memory
     import scipy.sparse as sp
 
-    model, gamma = sec.cfg.model, sec.cfg.gamma
+    model, gamma, m = sec.cfg.model, sec.cfg.gamma, sec.m
     h_eff = sp.csr_matrix(sec.h - 0.5j * gamma * np.diag(sec.n_photon))
-    eye = sp.identity(sec.m, dtype=complex, format="csr")
+    eye = sp.identity(m, dtype=complex, format="csr")
     diagonal = -1j * (sp.kron(h_eff, eye) - sp.kron(eye, h_eff.conj()))
     a = sp.csr_matrix(model.a)
     jump = gamma * sp.kron(a, a.conj())
     shift = sp.eye(blocks, k=-1, format="csr")
     if blocks == sec.d:  # the whole cyclic ladder: the loss out of the last block re-enters the first
         shift = shift + sp.csr_matrix(([1.0], ([0], [blocks - 1])), shape=(blocks, blocks))
-    return (sp.kron(sp.identity(blocks, format="csr"), diagonal) + sp.kron(shift, jump)).tocsr()
+    gen = (sp.kron(sp.identity(blocks, format="csr"), diagonal) + sp.kron(shift, jump)).tocsr()
+    if blocks == sec.d:
+        return gen
+    size = blocks * m * m
+    last = (blocks - 1) * m * m + np.arange(m) * (m + 1)  # the diagonal of the last block
+    sink = sp.csr_matrix((gamma * sec.n_photon / model.n_cut, (np.zeros(m, dtype=int), last)), shape=(1, size))
+    gen = sp.vstack([gen, sink], format="csr")
+    gen.resize((size + 1, size + 1))
+    return gen
 
 
-def _substeps(gen: sp.csr_matrix, t: float, columns: int) -> int:
-    """Fewest equal sub-intervals that keep every expm_multiply call under EXACT_NORM_LIMIT."""
+def _numerical_box(gen: sp.csr_matrix) -> tuple[float, float, float, float]:
+    """(re_lo, re_hi, im_lo, im_hi): a rectangle that holds the numerical range of `gen`.
+
+    Re <x, G x> lies in the spectrum of (G + G^H) / 2 and Im <x, G x> in that
+    of (G - G^H) / 2i; Gershgorin's discs bound both.
+    """
+    bounds = []
+    for part in ((gen + gen.conj().T) * 0.5, (gen - gen.conj().T) * -0.5j):
+        centre = part.diagonal().real
+        radius = np.asarray(abs(part).sum(axis=1)).ravel() - np.abs(part.diagonal())
+        bounds += [float(np.min(centre - radius)), float(np.max(centre + radius))]
+    return tuple(bounds)
+
+
+CROUZEIX = 1.0 + math.sqrt(2.0)  # ||p(G)|| <= CROUZEIX max |p| over the numerical range of G
+SERIES_TAIL = 2.0**-53  # bound on the dropped tail of the series, per unit of the propagated norm
+AMPLIFICATION_LIMIT = 1e3  # largest sum |c_k| r^k of one piece: it scales the rounding of the sum
+_ELLIPSE_ANGLES = (np.arange(32) + 0.5) * (math.pi / 64)  # semi-axes (alpha / cos, beta / sin)
+_MARGINS = np.geomspace(1e-4, 4.0, 400)  # ln(R / r) of the ellipses the coefficient bound is taken on
+
+
+class _Plan(NamedTuple):
+    """A Chebyshev series of exp(t G) on the ellipse c + d E_r, E_r the Bernstein
+    ellipse of parameter r around [-1, 1], applied `pieces` times over t / pieces."""
+
+    pieces: int
+    op: sp.csr_matrix  # 2 (G - c) / d
+    coeffs: np.ndarray  # of exp((t / pieces) (c + d w)) in the Chebyshev polynomials T_k(w)
+
+    @property
+    def work(self) -> int:
+        return self.pieces * (len(self.coeffs) - 1)
+
+
+def _chebyshev_plan(gen: sp.csr_matrix, box: tuple, t: float, pieces: int = 1) -> _Plan:
+    """The series for exp(t G) with the fewest pieces, from `pieces` up, whose rounding
+    amplification is at most AMPLIFICATION_LIMIT.
+
+    Each candidate ellipse c + d E_r holds the box, with d along its longer
+    axis.  Its coefficients obey |c_k| <= 2 max |f| over c + d E_R / R^k for
+    every R > 1, so with Crouzeix's bound the dropped tail of degree K is at
+    most 2 CROUZEIX e^{tau (Re c + X_R)} (r/R)^{K+1} / (1 - r/R), X_R the
+    largest Re(d w) on E_R; the degree is the first K at which that falls
+    below SERIES_TAIL, minimized over R.  The candidates are tried in order of
+    degree, skipping those whose amplification cannot stay within the limit: it
+    is at least e^{tau (Re c + A)}, |exp| at the ellipse's rightmost point.
+    """
     import scipy.sparse as sp
 
-    shifted = gen - (gen.diagonal().sum() / gen.shape[0]) * sp.identity(gen.shape[0], format="csr")
-    norm = float(abs(shifted).sum(axis=0).max())
-    return max(1, math.ceil(t * norm * columns / EXACT_NORM_LIMIT))
+    x0, x1, y0, y1 = box
+    centre = complex(x0 + x1, y0 + y1) / 2
+    while True:
+        tau = t / pieces
+        floor = 1e-3 / tau  # a box of zero width still gets an ellipse with distinct foci
+        semi_re = max((x1 - x0) / 2, floor) / np.cos(_ELLIPSE_ANGLES)
+        semi_im = max((y1 - y0) / 2, floor) / np.sin(_ELLIPSE_ANGLES)
+        focal = np.sqrt(np.abs(semi_re**2 - semi_im**2))
+        real_foci = semi_re > semi_im
+        with np.errstate(divide="ignore", invalid="ignore"):  # equal semi-axes: no foci, r infinite
+            r = (semi_re + semi_im) / focal
+            big_r = r[:, None] * np.exp(_MARGINS)[None, :]
+            reach = focal[:, None] * np.where(real_foci[:, None], big_r + 1 / big_r, big_r - 1 / big_r) / 2
+            log_bound = (math.log(2 * CROUZEIX / SERIES_TAIL) + tau * (centre.real + reach)
+                         - np.log1p(-np.exp(-_MARGINS))[None, :])
+            degree = np.ceil(np.min(log_bound / _MARGINS[None, :], axis=1)) - 1
+        usable = np.isfinite(r) & (tau * (centre.real + semi_re) <= math.log(AMPLIFICATION_LIMIT))
+        for j in np.argsort(np.where(usable, degree, np.inf), kind="stable")[: np.count_nonzero(usable)]:
+            d = focal[j] if real_foci[j] else 1j * focal[j]
+            coeffs = _chebyshev_coefficients(tau * centre, tau * d, r[j], max(1, int(degree[j])))
+            if np.sum(np.abs(coeffs) * r[j] ** np.arange(len(coeffs))) <= AMPLIFICATION_LIMIT:
+                shifted = gen - centre * sp.identity(gen.shape[0], dtype=complex, format="csr")
+                return _Plan(pieces, (shifted * (2 / d)).tocsr(), coeffs)
+        pieces += 1
 
 
-def _expm_action(gen: sp.csr_matrix, cols: np.ndarray, t: float, calls: int) -> np.ndarray:
-    from scipy.sparse.linalg import expm_multiply
+def _chebyshev_coefficients(z0: complex, z1: complex, r: float, degree: int) -> np.ndarray:
+    """Chebyshev coefficients c_0..c_degree of exp(z0 + z1 w), each by the better of two FFTs.
 
-    step = (gen * (t / calls)).tocsr()
-    for _ in range(calls):
-        cols = expm_multiply(step, cols)
+    On the Bernstein ellipse E_rho, w = (zeta + 1/zeta) / 2 with zeta = rho e^{2 pi i j / n}
+    (rho = 1: the Chebyshev points of [-1, 1]), the FFT of n >= 2 (degree + 1) samples
+    returns c_k rho^k / 2, with rounding near 2^-53 times the largest sample.  So the
+    rounding in c_k is about max |exp| on E_rho over rho^k: [-1, 1] has the smaller
+    samples, E_r damps the rounding of the high coefficients that T_k(W), of norm up to
+    CROUZEIX r^k, multiplies back up.
+    """
+    n = 1 << (2 * degree + 1).bit_length()
+    k = np.arange(degree + 1)
+    found = []
+    for rho in (1.0, r):
+        zeta = rho * np.exp(2j * np.pi * np.arange(n) / n)
+        samples = np.exp(z0 + z1 * (zeta + 1 / zeta) / 2)
+        coeffs = np.fft.fft(samples)[: degree + 1] / n * np.where(k == 0, 1.0, 2.0) / rho**k
+        found.append((coeffs, np.max(np.abs(samples)) / rho**k))
+    (on_interval, noise_interval), (on_ellipse, noise_ellipse) = found
+    return np.where(noise_interval <= noise_ellipse, on_interval, on_ellipse)
+
+
+def _chebyshev_action(plan: _Plan, cols: np.ndarray) -> np.ndarray:
+    """exp(t G) cols: per piece, the three-term recurrence T_{k+1} = 2 W T_k - T_{k-1},
+    W = (G - c) / d, summed with the plan's coefficients."""
+    op, coeffs = plan.op, plan.coeffs
+    for _ in range(plan.pieces):
+        prev, cur = cols, 0.5 * (op @ cols)
+        out = coeffs[0] * prev + coeffs[1] * cur
+        for c in coeffs[2:]:
+            prev, cur = cur, op @ cur - prev
+            out += c * cur
+        cols = out
     return cols
 
 
@@ -413,22 +521,30 @@ def _block_populations(sec: _Sectors, blocks: dict) -> _Populations:
 def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector, icfg: IntegratorConfig):
     t = sec.cfg.interaction_time
     pairs, seeds = _seed_blocks(sec, state)
-    blocks = _chain_blocks(sec)
-    gen = _chain_generator(sec, blocks)
-    cols = np.zeros((blocks * sec.m * sec.m, len(pairs)), dtype=complex)
-    cols[: sec.m * sec.m] = seeds.reshape(len(pairs), -1).T
-    calls = _substeps(gen, t, len(pairs))
-    final = _fold(sec, pairs, _expm_action(gen, cols, t, calls), blocks)
+    diagonal = [i for i, (k, q) in enumerate(pairs) if k == q]  # their sinks add up to the population lost
+    blocks, work = _chain_blocks(sec), 0
+    while True:  # grow the chain until its sink holds at most CHAIN_TAIL
+        gen = _chain_generator(sec, blocks)
+        box = _numerical_box(gen)  # shared by the full-window plan and the half-window plan
+        cols = np.zeros((gen.shape[0], len(pairs)), dtype=complex)
+        cols[: sec.m * sec.m] = seeds.reshape(len(pairs), -1).T
+        plan = _chebyshev_plan(gen, box, t)
+        end = _chebyshev_action(plan, cols)
+        work += plan.work
+        if blocks == sec.d or sec.cfg.model.n_cut * float(np.sum(end[-1, diagonal].real)) <= CHAIN_TAIL:
+            break
+        blocks = min(2 * blocks, sec.d)
+    size = blocks * sec.m * sec.m  # the sink, if any, follows the blocks
+    final = _fold(sec, pairs, end[:size], blocks)
     pops = _block_populations(sec, final)
-    work, delta = calls, None
+    delta = None
     if icfg.convergence_check:
-        # more calls per half than the full route, in a ratio 2 * half_calls / calls that is
-        # no power of two: scaling by a power of two is exact in floating point and
-        # would repeat the full route's arithmetic bit for bit
-        half_calls = calls + 1 + (calls == 1)
-        half = _expm_action(gen, _expm_action(gen, cols, t / 2, half_calls), t / 2, half_calls)
-        work += 2 * half_calls
-        delta = pops.distance(_block_populations(sec, _fold(sec, pairs, half, blocks)))
+        half = _chebyshev_plan(gen, box, t / 2)
+        if 2 * half.pieces == plan.pieces:  # the full route's own pieces would repeat its arithmetic bit for bit
+            half = _chebyshev_plan(gen, box, t / 2, half.pieces + 1)
+        mid = _chebyshev_action(half, _chebyshev_action(half, cols))
+        work += 2 * half.work
+        delta = pops.distance(_block_populations(sec, _fold(sec, pairs, mid[:size], blocks)))
     out = {key: sec.phase[:, None] * x * sec.phase.conj()[None, :] for key, x in final.items()}  # V(T)
     if all(k == q for k, q in pairs):
         min_eig = min(float(np.linalg.eigvalsh(x)[0]) for x in out.values())

@@ -6,6 +6,9 @@ explicitly inside the generator, plain fixed-step RK4.  It writes the
 interaction Hamiltonian itself, and shares no code with the production engine
 beyond the cavity model's operators and the ladder's shift operator.
 
+The loss chain's Chebyshev series is checked against scipy's Taylor-based
+action of the matrix exponential on the same sparse generator.
+
 The gate references build every operator on the full joint space from
 Kronecker products and compose with full-space matrix products, the direct
 route that the production builders avoid.  They use only the space's labels
@@ -52,6 +55,14 @@ def reference_lindblad(cfg: SystemConfig, rho0: np.ndarray, steps: int) -> np.nd
         rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         rho = 0.5 * (rho + rho.conj().T)
     return rho
+
+
+def reference_expm_action(gen, cols: np.ndarray, t: float) -> np.ndarray:
+    """exp(t gen) cols by a truncated Taylor series with scaling (Al-Mohy & Higham,
+    SIAM J. Sci. Comput. 33, 2011), scipy's expm_multiply."""
+    from scipy.sparse.linalg import expm_multiply
+
+    return expm_multiply(gen * t, cols)
 
 
 def reference_steps(cfg: SystemConfig) -> int:

@@ -268,6 +268,25 @@ def test_gates_need_six_rungs(tmp_path, capsys):
     assert main(["gates", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+def test_integer_fields_are_read_exactly(tmp_path):
+    # a JSON integer above 2^53 has no float of its own; an integral float is still accepted
+    seed = 2**53 + 1
+    cfg = {"schema_version": 1, "scenario": "gates", "gates": {"rungs": 7.0, "seed": seed}}
+    assert main(["gates", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    echoed = json.loads((tmp_path / "o" / "effective_config.json").read_text())["gates"]
+    assert echoed["seed"] == seed and type(echoed["rungs"]) is int and echoed["rungs"] == 7
+    sweep = normalize_config(minimal_evolve(scenario="sweep_kappa",
+                                            sweep={"kappa_values": [0.0, 0.02], "rungs_values": [2**53 + 1, 33]}))
+    assert sweep["sweep"]["rungs_values"][0] == 2**53 + 1
+
+
+def test_integer_beyond_the_largest_float_is_rejected_by_field():
+    cfg = {"schema_version": 1, "scenario": "feasibility",
+           "feasibility": {"pm_bandwidth": 7e-4, "kappa_ratio": 10**400, "gamma_ratio": 1e-5, "energy_spread": 1e-5}}
+    with pytest.raises(ConfigError, match="feasibility.kappa_ratio"):
+        normalize_config(cfg)
+
+
 def test_cli_check_feasibility(tmp_path, capsys):
     good = {
         "schema_version": 1,

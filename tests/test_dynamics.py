@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +42,7 @@ from epolsim import (
 
 from epolsim import dynamics
 from epolsim.tensor import DensityMatrix, partial_trace
-from reference import reference_lindblad, reference_steps
+from reference import reference_expm_action, reference_lindblad, reference_steps
 
 
 def small_kerr(kappa=0.05, n_cut=4, g_q=1.0, delta=0.0, gamma=0.0, t=40.0, rungs=9):
@@ -157,9 +161,10 @@ def test_pure_and_density_paths_agree():
 def test_fixed_step_runs_are_deterministic():
     # the exact propagator has no step size; two default runs must agree bit for bit
     cfg = small_kerr(kappa=0.03, n_cut=4, g_q=1.0, gamma=0.002, t=30.0)
-    a = evolve_lindblad(initial_state(cfg), cfg, LOOSE).state.matrix
-    b = evolve_lindblad(initial_state(cfg), cfg, LOOSE).state.matrix
-    assert np.array_equal(a, b)
+    a = evolve_lindblad(initial_state(cfg), cfg, LOOSE).blocks
+    b = evolve_lindblad(initial_state(cfg), cfg, LOOSE).blocks
+    assert a.keys() == b.keys()
+    assert all(np.array_equal(a[key], b[key]) for key in a)
 
 
 def photon_distribution(res, cfg) -> np.ndarray:
@@ -363,9 +368,9 @@ def gate_and_work(cfg):
 
 
 def test_step_halving_gate_reports_small_delta():
-    # lossy: one expm_multiply pass over [0, T] against two passes over T/2; they
-    # differ in rounding, so the gate reads a small nonzero value.  steps counts
-    # the expm_multiply calls of both routes.
+    # lossy: one Chebyshev series over [0, T] against two over T/2; they differ in
+    # rounding, so the gate reads a small nonzero value.  steps counts the products
+    # with the chain generator of both routes.
     delta, steps_on, steps_off = gate_and_work(small_kerr(kappa=0.05, g_q=1.2, gamma=0.003, t=60.0))
     assert 0.0 < delta < 1e-6
     assert 1 <= steps_off < steps_on
@@ -408,25 +413,66 @@ def test_convergence_error_raised_for_unresolved_drive(monkeypatch):
 
 
 def test_convergence_error_raised_for_perturbed_loss_chain(monkeypatch):
-    # stretch the half-interval route of the loss chain by 1e-5 of T: the gate must trip
+    # stretch the half-window series of the loss chain by 1e-5 of T: the gate must trip
     cfg = small_kerr(kappa=0.05, n_cut=4, g_q=1.2, gamma=0.003, t=60.0)
-    exact = dynamics._expm_action
+    exact = dynamics._chebyshev_plan
 
-    def stretched(gen, cols, t, calls):
-        return exact(gen, cols, t * (1 + 1e-5) if t < cfg.interaction_time else t, calls)
+    def stretched(gen, box, t, *args):
+        return exact(gen, box, t * (1 + 1e-5) if t < cfg.interaction_time else t, *args)
 
-    monkeypatch.setattr(dynamics, "_expm_action", stretched)
+    monkeypatch.setattr(dynamics, "_chebyshev_plan", stretched)
     with pytest.raises(ConvergenceError):
         evolve_lindblad(initial_state(cfg), cfg, LOOSE)
 
 
+def test_series_cut_short_trips_a_bound(monkeypatch):
+    # every series of the loss chain cut to 90% of its degree.  At rho T ~ 670 the cut
+    # reaches below the Bessel turning point of the coefficients, and the trace bound
+    # or the gate must trip; at the lossy-map points' rho T ~ 330 the same cut leaves
+    # errors near 4e-9, under both bounds.
+    cfg = SystemConfig(model=build_kerr(0.025, 8), ladder=LadderConfig(rungs=33, center=16), g_q=math.pi / 2,
+                       interaction_time=472.43, gamma=1e-4)
+    assert evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics.trace_error < 1e-8
+    exact = dynamics._chebyshev_plan
+
+    def cut(*args):
+        plan = exact(*args)
+        return plan._replace(coeffs=plan.coeffs[: int(0.9 * len(plan.coeffs))])
+
+    monkeypatch.setattr(dynamics, "_chebyshev_plan", cut)
+    with pytest.raises((ConvergenceError, TraceDriftError)):
+        evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+
+
 def test_trace_drift_error_raised_for_cut_loss_chain(monkeypatch):
-    # a chain cut after its first block drops the population every photon loss moves down
+    # a chain cut after its first block, and kept there whatever its sink reads,
+    # drops the population every photon loss moves down
     cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.05, t=30.0)
     assert evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics.trace_error < 1e-8
     monkeypatch.setattr(dynamics, "_chain_blocks", lambda sec: 1)
+    monkeypatch.setattr(dynamics, "CHAIN_TAIL", math.inf)
     with pytest.raises(TraceDriftError):
         evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+
+
+def test_loss_chain_grows_until_its_sink_is_empty(monkeypatch):
+    # a first guess of one block: the sink reads the population that leaves it, and the
+    # chain doubles until that is below CHAIN_TAIL, short of the 33-rung cyclic ladder
+    cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.01, t=30.0, rungs=33)
+    want = evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+    built = []
+    exact = dynamics._chain_generator
+
+    def recorded(sec, blocks):
+        built.append(blocks)
+        return exact(sec, blocks)
+
+    monkeypatch.setattr(dynamics, "_chain_blocks", lambda sec: 1)
+    monkeypatch.setattr(dynamics, "_chain_generator", recorded)
+    got = evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+    assert built == [1, 2, 4, 8]
+    assert got.diagnostics.trace_error < 1e-12
+    assert np.max(np.abs(got.diagnostics.electron_populations - want.diagnostics.electron_populations)) < 1e-12
 
 
 @pytest.mark.parametrize("second_sector", [False, True])
@@ -467,6 +513,66 @@ def test_loss_chain_depth_folds_onto_cyclic_ladder():
     rho_ref = reference_lindblad(cfg, np.outer(psi0.amplitudes, psi0.amplitudes.conj()), reference_steps(cfg))
     res = evolve_lindblad(psi0, cfg, LOOSE)
     assert np.max(np.abs(res.state.matrix - rho_ref)) < 1e-8
+
+
+def lossy_map_kerr(gamma=1e-4):
+    return SystemConfig(model=build_kerr(0.012, 8), ladder=LadderConfig(rungs=33, center=16), g_q=math.pi / 2,
+                        interaction_time=472.43, gamma=gamma)
+
+
+def lossy_jc(gamma=1e-3):
+    model = build_jc(0.015, 10)
+    return SystemConfig(model=model, ladder=LadderConfig(rungs=33, center=16), g_q=math.pi / math.sqrt(2),
+                        interaction_time=472.43, delta=pair_detuning(model, "0*", "1-"), gamma=gamma)
+
+
+KERNEL_POINTS = {
+    "kerr_lossy_map": (lossy_map_kerr, "0"),
+    "jc_gamma_1e-3": (lossy_jc, "0*"),
+    "pure_loss": (lambda: small_kerr(kappa=0.0, g_q=0.0, gamma=0.02, t=30.0, n_cut=3), "1"),
+    "heavy_loss_cyclic": (lambda: small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.05, t=30.0, rungs=5), "0"),
+    # gamma T = 20: |exp| at the right edge of the numerical range alone exceeds AMPLIFICATION_LIMIT
+    "long_pure_loss": (lambda: small_kerr(kappa=0.0, g_q=0.0, gamma=0.2, t=100.0, n_cut=3), "1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_POINTS))
+def test_chebyshev_series_matches_taylor_reference(name):
+    # the series against scipy's Taylor-based expm_multiply on the same generator and seeds
+    make, level = KERNEL_POINTS[name]
+    cfg = make()
+    t = cfg.interaction_time
+    sec = dynamics._Sectors(cfg)
+    pairs, seeds = dynamics._seed_blocks(sec, initial_state(cfg, cavity_level=level))
+    gen = dynamics._chain_generator(sec, dynamics._chain_blocks(sec))
+    cols = np.zeros((gen.shape[0], len(pairs)), dtype=complex)
+    cols[: sec.m * sec.m] = seeds.reshape(len(pairs), -1).T
+    box = dynamics._numerical_box(gen)
+    plan = dynamics._chebyshev_plan(gen, box, t)
+    got = dynamics._chebyshev_action(plan, cols)
+    assert np.max(np.abs(got - reference_expm_action(gen, cols, t))) < 1e-12
+    if name == "kerr_lossy_map":
+        assert (box[3] - box[2]) / 2 * t >= 300  # rho T: the imaginary half-width of the numerical range
+    if name == "pure_loss":
+        assert np.allclose(gen.diagonal().imag, 0.0)  # a real spectrum: foci on the real axis
+    assert (plan.pieces > 1) == (name == "long_pure_loss")
+
+
+def test_loss_chain_loads_neither_scipy_special_nor_sparse_linalg():
+    # the loss chain's resident memory: scipy.sparse.linalg costs ~1.4 MB, scipy.special ~2.7 MB
+    code = (
+        "import sys\n"
+        "from epolsim import IntegratorConfig, LadderConfig, SystemConfig, build_kerr, evolve_lindblad, initial_state\n"
+        "cfg = SystemConfig(model=build_kerr(0.05, 4), ladder=LadderConfig(rungs=9, center=4), g_q=1.2,\n"
+        "                   interaction_time=60.0, gamma=0.003)\n"
+        "icfg = IntegratorConfig(cutoff_bound=1.0, wrap_bound=1.0)\n"
+        "assert evolve_lindblad(initial_state(cfg), cfg, icfg).diagnostics.halving_delta is not None\n"
+        "print(sorted(m for m in ('scipy.special', 'scipy.sparse.linalg') if m in sys.modules))\n"
+    )
+    src = str(Path(dynamics.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
