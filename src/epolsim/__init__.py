@@ -20,6 +20,8 @@ from .cavity import (
     transition_frequency,
     jc_splitting_factors,
     pair_states,
+    pair_detuning,
+    blockade_angle,
 )
 from .electron import (
     LadderConfig,
@@ -47,9 +49,6 @@ from .dynamics import (
     frame_align,
     blockade_fidelity,
     initial_state,
-    blockade_angle,
-    pair_detuning,
-    feasibility_check,
     check_feasibility,
 )
 from .observables import (

@@ -4,11 +4,13 @@ Both models are specified by a single nonlinearity ratio kappa (in units of the
 mode frequency, omega = 1) and a photon-number cutoff.  The Kerr cavity keeps
 the bare Fock states as eigenstates with frequencies n + n(n-1)*kappa; the JC
 cavity hybridizes photon and emitter into dressed doublets at n +/- sqrt(n)*kappa.
+Each model is built with this analytic eigenbasis, and the level facts that
+follow from it (pair states, detunings, Rabi angles, transition frequencies)
+are read from it here.
 """
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,8 @@ __all__ = [
     "transition_frequency",
     "jc_splitting_factors",
     "pair_states",
+    "pair_detuning",
+    "blockade_angle",
 ]
 
 KERR = "kerr"
@@ -37,10 +41,12 @@ def lowering_operator(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CavityModel:
-    """Cavity factor(s), ladder operators and the nonlinear Hamiltonian.
+    """Cavity factor(s), ladder operators, the nonlinear Hamiltonian and its eigenbasis.
 
     All operator matrices act on the cavity subspace only (photon, or
-    photon x emitter for JC), ordered photon-major.
+    photon x emitter for JC), ordered photon-major.  `basis` is the analytic
+    eigenbasis of `h_nl`, built with it; every frequency is in units of the
+    mode frequency omega = 1.
     """
 
     kind: str
@@ -50,10 +56,9 @@ class CavityModel:
     a: np.ndarray
     h_nl: np.ndarray
     excitations: np.ndarray  # total excitation number per cavity basis state
+    basis: PolaritonBasis
     sigma_plus: np.ndarray | None = None
     sigma_minus: np.ndarray | None = None
-    sigma_z: np.ndarray | None = None
-    omega: float = 1.0
 
     @property
     def dim(self) -> int:
@@ -63,11 +68,6 @@ class CavityModel:
     def a_dag(self) -> np.ndarray:
         return self.a.conj().T
 
-    def ground_state(self) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[0] = 1.0
-        return vec
-
 
 def _check_cutoff(n_cut: int):
     if n_cut < 2:
@@ -75,21 +75,31 @@ def _check_cutoff(n_cut: int):
 
 
 def build_kerr(kappa: float, n_cut: int) -> CavityModel:
-    """Kerr cavity: single bosonic mode with H_nl = kappa * adag adag a a."""
+    """Kerr cavity: single bosonic mode with H_nl = kappa * adag adag a a.
+
+    The Fock states are its eigenstates, so the basis is the identity.
+    """
     _check_cutoff(n_cut)
+    kappa = float(kappa)
     dim = n_cut + 1
-    a = lowering_operator(dim)
     n = np.arange(dim, dtype=float)
-    h_nl = np.diag(kappa * n * (n - 1)).astype(complex)
-    space = TensorSpace.single("photon", dim)
+    shift = kappa * n * (n - 1)
+    excitations = np.arange(dim, dtype=int)
+    basis = PolaritonBasis(
+        u=np.eye(dim, dtype=complex),
+        labels=tuple(str(i) for i in range(dim)),
+        frequencies=n + shift,
+        excitations=excitations,
+    )
     return CavityModel(
         kind=KERR,
-        kappa=float(kappa),
+        kappa=kappa,
         n_cut=int(n_cut),
-        space=space,
-        a=a,
-        h_nl=h_nl,
-        excitations=np.arange(dim, dtype=int),
+        space=TensorSpace.single("photon", dim),
+        a=lowering_operator(dim),
+        h_nl=np.diag(shift).astype(complex),
+        excitations=excitations,
+        basis=basis,
     )
 
 
@@ -99,8 +109,13 @@ def build_jc(kappa: float, n_cut: int) -> CavityModel:
     Basis ordering is photon-major: |n, s> with s = 0 (ground) or 1 (excited).
     H_nl = kappa (sigma+ a + sigma- adag); the emitter sits exactly on the
     cavity resonance, so H_nl is the full interaction-picture Hamiltonian.
+    Its eigenbasis: the ground level 0*, then dressed doublets
+    |n+>, |n-> = (|g,n> +- |e,n-1>)/sqrt(2) with the sign fixed by a positive
+    |g,n> coefficient, then the truncation-edge bare state |e,N> left over by
+    the cutoff.
     """
     _check_cutoff(n_cut)
+    kappa = float(kappa)
     n_ph = n_cut + 1
     a_ph = lowering_operator(n_ph)
     id_ph = np.eye(n_ph, dtype=complex)
@@ -109,21 +124,37 @@ def build_jc(kappa: float, n_cut: int) -> CavityModel:
     a = np.kron(a_ph, id_em)
     sigma_minus = np.kron(id_ph, sm)
     sigma_plus = sigma_minus.conj().T
-    sigma_z = np.kron(id_ph, np.diag([-1.0, 1.0]).astype(complex))
     h_nl = kappa * (sigma_plus @ a + sigma_minus @ a.conj().T)
-    space = TensorSpace((("photon", n_ph), ("emitter", 2)))
     excitations = (np.arange(n_ph)[:, None] + np.arange(2)[None, :]).reshape(-1)
+
+    u = np.zeros((2 * n_ph, 2 * n_ph), dtype=complex)
+    u[0, 0] = 1.0  # |g, 0>
+    labels, freqs, excs = ["0*"], [0.0], [0]
+    for n in range(1, n_ph):
+        for sign, tag in ((+1.0, "+"), (-1.0, "-")):
+            col = len(labels)
+            u[2 * n, col] = 1.0 / math.sqrt(2.0)  # |g, n>
+            u[2 * n - 1, col] = sign / math.sqrt(2.0)  # |e, n-1>
+            labels.append(f"{n}{tag}")
+            freqs.append(n + sign * math.sqrt(n) * kappa)
+            excs.append(n)
+    u[2 * n_ph - 1, len(labels)] = 1.0  # truncation edge: |e, N> has no partner above the cutoff
+    labels.append(f"e{n_cut}")
+    freqs.append(float(n_ph))
+    excs.append(n_ph)
+    basis = PolaritonBasis(u=u, labels=tuple(labels), frequencies=np.array(freqs, dtype=float),
+                           excitations=np.array(excs, dtype=int))
     return CavityModel(
         kind=JC,
-        kappa=float(kappa),
+        kappa=kappa,
         n_cut=int(n_cut),
-        space=space,
+        space=TensorSpace((("photon", n_ph), ("emitter", 2))),
         a=a,
         h_nl=h_nl,
         excitations=excitations.astype(int),
+        basis=basis,
         sigma_plus=sigma_plus,
         sigma_minus=sigma_minus,
-        sigma_z=sigma_z,
     )
 
 
@@ -136,7 +167,6 @@ class PolaritonBasis:
     and `excitations` follow the same column order.
     """
 
-    kind: str
     u: np.ndarray
     labels: tuple[str, ...]
     frequencies: np.ndarray
@@ -162,63 +192,8 @@ class PolaritonBasis:
 
 
 def polariton_eigenbasis(model: CavityModel) -> PolaritonBasis:
-    """Analytic eigenbasis of the nonlinear Hamiltonian.
-
-    Kerr: the identity (Fock states are eigenstates).  JC: the ground level,
-    then dressed doublets |n+>, |n-> = (|g,n> +- |e,n-1>)/sqrt(2) with the
-    sign fixed by a positive |g,n> coefficient, then the truncation-edge bare
-    state |e,N> left over by the cutoff.
-    """
-    kappa = model.kappa
-    if model.kind == KERR:
-        dim = model.dim
-        n = np.arange(dim, dtype=float)
-        return PolaritonBasis(
-            kind=KERR,
-            u=np.eye(dim, dtype=complex),
-            labels=tuple(str(i) for i in range(dim)),
-            frequencies=n + kappa * n * (n - 1),
-            excitations=np.arange(dim, dtype=int),
-        )
-    n_ph = model.n_cut + 1
-    dim = 2 * n_ph
-    u = np.zeros((dim, dim), dtype=complex)
-    labels: list[str] = []
-    freqs: list[float] = []
-    excs: list[int] = []
-
-    def bare(n: int, s: int) -> int:
-        return 2 * n + s
-
-    col = 0
-    u[bare(0, 0), col] = 1.0
-    labels.append("0*")
-    freqs.append(0.0)
-    excs.append(0)
-    col += 1
-    for n in range(1, n_ph):
-        for sign, tag in ((+1.0, "+"), (-1.0, "-")):
-            u[bare(n, 0), col] = 1.0 / math.sqrt(2.0)
-            u[bare(n - 1, 1), col] = sign / math.sqrt(2.0)
-            labels.append(f"{n}{tag}")
-            freqs.append(n + sign * math.sqrt(n) * kappa)
-            excs.append(n)
-            col += 1
-    # truncation edge: |e, N> has no partner above the cutoff
-    u[bare(n_ph - 1, 1), col] = 1.0
-    labels.append(f"e{model.n_cut}")
-    freqs.append(float(n_ph))
-    excs.append(n_ph)
-    return PolaritonBasis(
-        kind=JC,
-        u=u,
-        labels=tuple(labels),
-        frequencies=np.array(freqs, dtype=float),
-        excitations=np.array(excs, dtype=int),
-    )
-
-
-_JC_LEVEL = re.compile(r"^(\d+)([+-])$")
+    """The analytic eigenbasis of the nonlinear Hamiltonian, `model.basis`."""
+    return model.basis
 
 
 def jc_splitting_factors(n: int) -> tuple[float, float]:
@@ -228,47 +203,44 @@ def jc_splitting_factors(n: int) -> tuple[float, float]:
     return math.sqrt(n + 1) + math.sqrt(n), math.sqrt(n + 1) - math.sqrt(n)
 
 
-def transition_frequency(model: CavityModel, upper_level: str) -> float:
-    """Frequency of the transition from the same-branch predecessor to upper_level.
-
-    Kerr level n: omega + 2(n-1) kappa.  JC level n+/-: omega +/- (sqrt(n) -
-    sqrt(n-1)) kappa, with the ground level 0* acting as the n=1 predecessor.
-    """
-    kappa, omega = model.kappa, model.omega
-    if model.kind == KERR:
-        if not upper_level.isdigit():
-            raise KeyError(f"unknown Kerr level {upper_level!r}")
-        n = int(upper_level)
-        if n > model.n_cut:
-            raise KeyError(f"level {upper_level!r} above cutoff {model.n_cut}")
-        if n < 1:
-            raise KeyError(f"level {upper_level!r} has no predecessor")
-        return omega + 2.0 * (n - 1) * kappa
-    m = _JC_LEVEL.match(upper_level)
-    if not m:
-        raise KeyError(f"unknown JC level {upper_level!r}")
-    n = int(m.group(1))
-    sign = 1.0 if m.group(2) == "+" else -1.0
-    if n > model.n_cut:
-        raise KeyError(f"level {upper_level!r} above cutoff {model.n_cut}")
-    if n < 1:
-        raise KeyError(f"level {upper_level!r} has no predecessor")
-    return omega + sign * (math.sqrt(n) - math.sqrt(n - 1)) * kappa
-
-
 def pair_states(model: CavityModel, lower: str, upper: str) -> tuple[np.ndarray, np.ndarray, float]:
     """Bare-basis vectors of a two-level pair and their raising matrix element.
 
     Returns (lower_vec, upper_vec, mu) with mu = <upper| adag |lower>; mu is
     real and positive for every on-ladder pair under the sign convention of
-    polariton_eigenbasis, and mu * g_q is the effective Rabi angle of the pair.
+    the model's basis, and mu * g_q is the effective Rabi angle of the pair.
     """
-    basis = polariton_eigenbasis(model)
-    lo = basis.state(lower)
-    up = basis.state(upper)
+    lo = model.basis.state(lower)
+    up = model.basis.state(upper)
     mu = complex(np.vdot(up, model.a_dag @ lo))
     if abs(mu.imag) > 1e-12:
         raise ValueError(f"pair ({lower!r}, {upper!r}) has non-real raising element {mu!r}")
     if mu.real <= 1e-12:
         raise ValueError(f"pair ({lower!r}, {upper!r}) is not connected by the photon ladder")
     return lo, up, float(mu.real)
+
+
+def pair_detuning(model: CavityModel, lower: str, upper: str) -> float:
+    """Phase mismatch q0*v - omega that tunes the electron to the pair transition."""
+    basis = model.basis
+    return float(basis.frequencies[basis.index(upper)] - basis.frequencies[basis.index(lower)] - 1.0)
+
+
+def blockade_angle(model: CavityModel, lower: str, upper: str, g_q: complex) -> complex:
+    """Effective Rabi angle of a pair: g_q times the pair's raising element."""
+    _, _, mu = pair_states(model, lower, upper)
+    return mu * complex(g_q)
+
+
+def transition_frequency(model: CavityModel, upper_level: str) -> float:
+    """Frequency of the transition from the same-branch predecessor to upper_level.
+
+    Kerr level n: omega + 2(n-1) kappa.  JC level n+/-: omega +/- (sqrt(n) -
+    sqrt(n-1)) kappa, with the ground level 0* acting as the n=1 predecessor.
+    """
+    n = int(model.basis.excitations[model.basis.index(upper_level)])
+    branch = upper_level[-1] if model.kind == JC else ""
+    if n < 1 or branch not in ("", "+", "-"):
+        raise KeyError(f"level {upper_level!r} has no same-branch predecessor")
+    lower = "0*" if branch and n == 1 else f"{n - 1}{branch}"
+    return 1.0 + pair_detuning(model, lower, upper_level)

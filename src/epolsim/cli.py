@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .cavity import build_jc, build_kerr, pair_states, polariton_eigenbasis
+from .cavity import build_jc, build_kerr, pair_detuning, pair_states
 from .dynamics import (
     RETIRED_STEP_KEYS,
     Diagnostics,
@@ -30,7 +30,6 @@ from .dynamics import (
     check_feasibility,
     evolve_lindblad,
     initial_state,
-    pair_detuning,
 )
 from .electron import LadderConfig
 from .gates import gate_identity_suite
@@ -313,11 +312,8 @@ def normalize_config(raw: dict) -> dict:
         cfg["electron"]["beta"] = _number(electron, "electron", "beta", minimum=0.0, maximum=0.999999)
 
     loss = _require_mapping(raw.get("loss", {}), "loss")
-    _check_keys(loss, "loss", (), ("gamma_ratio", "energy_spread"))
-    cfg["loss"] = {
-        "gamma_ratio": _number(loss, "loss", "gamma_ratio", default=0.0, minimum=0.0),
-        "energy_spread": _number(loss, "loss", "energy_spread", default=0.0, minimum=0.0),
-    }
+    _check_keys(loss, "loss", (), ("gamma_ratio",))
+    cfg["loss"] = {"gamma_ratio": _number(loss, "loss", "gamma_ratio", default=0.0, minimum=0.0)}
 
     pair = raw.get("pair")
     if pair is None:
@@ -395,7 +391,7 @@ def _checked_model(cfg: dict, kappa: float, n_cut: int, tuned: bool, scored: boo
     to, or scored against, must be a ladder transition it can reach."""
     kind, lower, upper = cfg["model"]["kind"], cfg["pair"]["lower"], cfg["pair"]["upper"]
     model = (build_kerr if kind == "kerr" else build_jc)(kappa, n_cut)
-    labels = polariton_eigenbasis(model).labels
+    labels = model.basis.labels
     for field, label in (("pair.lower", lower), ("pair.upper", upper), ("initial_level", cfg["initial_level"])):
         if label not in labels:
             raise ConfigError(field, f"no level {label!r} in the {kind} model at n_cut {n_cut}")
@@ -442,7 +438,6 @@ def _grid(cfg: dict) -> list[_Point]:
             interaction_time=electron["q0_l"] / (1.0 + delta),
             delta=delta,
             gamma=at.get("gamma", loss["gamma_ratio"]),
-            energy_spread=loss["energy_spread"],
         )
         points.append(_Point(len(points), tuple(value for _, value in entries), system, integrator,
                              cfg["initial_level"], pair, scored))
@@ -477,7 +472,7 @@ def _evaluate_point(point: _Point) -> PointResult:
         result = evolve_lindblad(psi0, system, point.integrator)
         diag = result.diagnostics
         eels = sideband_distribution(diag.electron_populations, system.ladder.center)
-        stats = Distribution.from_values(polariton_eigenbasis(system.model).labels, diag.level_populations)
+        stats = Distribution.from_values(system.model.basis.labels, diag.level_populations)
         fidelity = blockade_fidelity(result, psi0, *point.pair) if point.scored else math.nan
     except (NumericsError, ProbabilityError) as exc:
         return PointResult(reason=f"{type(exc).__name__}: {exc}")

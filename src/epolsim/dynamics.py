@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 from scipy.linalg import expm
 
-from .cavity import CavityModel, pair_states, polariton_eigenbasis
+from .cavity import CavityModel, blockade_angle, pair_states
 from .electron import ELECTRON_LABEL, LadderConfig, build_ladder
 from .tensor import HERMITICITY_TOL, DensityMatrix, Operator, StateVector, TensorSpace
 
@@ -65,9 +65,6 @@ __all__ = [
     "frame_align",
     "blockade_fidelity",
     "initial_state",
-    "blockade_angle",
-    "pair_detuning",
-    "feasibility_check",
     "check_feasibility",
 ]
 
@@ -100,8 +97,7 @@ class SystemConfig:
     All frequencies are ratios to the cavity frequency (omega = 1, hbar = 1):
     `interaction_time` is omega*T, `delta` is the phase mismatch q0*v - omega,
     `gamma` the photon loss ratio.  `g_q` is the dimensionless coupling (the
-    rate in the Hamiltonian is g_q / T).  `energy_spread` = dE/E enters the
-    feasibility inequalities only, never the dynamics.
+    rate in the Hamiltonian is g_q / T).
     """
 
     model: CavityModel
@@ -110,7 +106,6 @@ class SystemConfig:
     interaction_time: float
     delta: float = 0.0
     gamma: float = 0.0
-    energy_spread: float = 0.0
 
     def __post_init__(self):
         if self.interaction_time <= 0:
@@ -172,7 +167,8 @@ class Diagnostics:
     after its first pass, and both routes of the check.
     `halving_delta` is the largest change of a reported probability between
     the two computations of the final state: expm against eigh without loss,
-    one Chebyshev series over [0, T] against two over T/2 with loss.
+    the Chebyshev series over s pieces of [0, T] against one over 2s pieces
+    with loss.
     """
 
     steps: int
@@ -241,7 +237,7 @@ class _Sectors:
         self.joint_of = _joint_index(cfg)
         self.rung_of = self.joint_of // self.m  # (D, m): rung of sector k, state c
         self.n_photon = np.rint(np.real(np.diag(model.a_dag @ model.a))).astype(int)
-        self.u = polariton_eigenbasis(model).u
+        self.u = model.basis.u
         nu = model.excitations.astype(float)
         g = cfg.coupling_rate
         # H' - delta nu, Hermitian
@@ -525,7 +521,7 @@ def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector, icfg: Integ
     blocks, work = _chain_blocks(sec), 0
     while True:  # grow the chain until its sink holds at most CHAIN_TAIL
         gen = _chain_generator(sec, blocks)
-        box = _numerical_box(gen)  # shared by the full-window plan and the half-window plan
+        box = _numerical_box(gen)  # shared by the plan and the plan of the check
         cols = np.zeros((gen.shape[0], len(pairs)), dtype=complex)
         cols[: sec.m * sec.m] = seeds.reshape(len(pairs), -1).T
         plan = _chebyshev_plan(gen, box, t)
@@ -539,12 +535,11 @@ def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector, icfg: Integ
     pops = _block_populations(sec, final)
     delta = None
     if icfg.convergence_check:
-        half = _chebyshev_plan(gen, box, t / 2)
-        if 2 * half.pieces == plan.pieces:  # the full route's own pieces would repeat its arithmetic bit for bit
-            half = _chebyshev_plan(gen, box, t / 2, half.pieces + 1)
-        mid = _chebyshev_action(half, _chebyshev_action(half, cols))
-        work += 2 * half.work
-        delta = pops.distance(_block_populations(sec, _fold(sec, pairs, mid[:size], blocks)))
+        # twice the plan's pieces: the check can never repeat the plan's own arithmetic
+        check = _chebyshev_plan(gen, box, t, 2 * plan.pieces)
+        work += check.work
+        again = _chebyshev_action(check, cols)[:size]
+        delta = pops.distance(_block_populations(sec, _fold(sec, pairs, again, blocks)))
     out = {key: sec.phase[:, None] * x * sec.phase.conj()[None, :] for key, x in final.items()}  # V(T)
     if all(k == q for k, q in pairs):
         min_eig = min(float(np.linalg.eigvalsh(x)[0]) for x in out.values())
@@ -646,7 +641,6 @@ def scattering_blockade(
     lower: np.ndarray,
     upper: np.ndarray,
     space: TensorSpace,
-    electron_label: str = ELECTRON_LABEL,
 ) -> Operator:
     """Two-level blockade scattering matrix on (electron ladder x cavity).
 
@@ -655,8 +649,8 @@ def scattering_blockade(
     other cavity level.  `lower`/`upper` are orthonormal cavity-basis vectors;
     the electron factor must come first in `space`.
     """
-    if space.factors[0][0] != electron_label:
-        raise ValueError(f"first factor of the space must be {electron_label!r}")
+    if space.factors[0][0] != ELECTRON_LABEL:
+        raise ValueError(f"first factor of the space must be {ELECTRON_LABEL!r}")
     d = space.dims[0]
     m = space.dim // d
     lo = np.asarray(lower, dtype=complex).reshape(-1)
@@ -684,7 +678,7 @@ def scattering_blockade(
 
 def _frame_rotation(model: CavityModel, t: float) -> np.ndarray:
     """exp(+i H_nl t) on the cavity, from the analytic eigenbasis."""
-    basis = polariton_eigenbasis(model)
+    basis = model.basis
     return (basis.u * np.exp(1j * basis.nonlinear_shifts() * t)) @ basis.u.conj().T
 
 
@@ -733,7 +727,7 @@ def blockade_fidelity(result: EvolveResult, initial: StateVector, lower: str, up
 
 def initial_state(cfg: SystemConfig, cavity_level: str | None = None) -> StateVector:
     """Product state |center rung> x |cavity level> (ground level by default)."""
-    basis = polariton_eigenbasis(cfg.model)
+    basis = cfg.model.basis
     label = cavity_level if cavity_level is not None else basis.labels[0]
     cav = basis.state(label)
     amp = np.zeros(cfg.space.dim, dtype=complex)
@@ -741,20 +735,6 @@ def initial_state(cfg: SystemConfig, cavity_level: str | None = None) -> StateVe
     m = cfg.model.dim
     amp[l0 * m : (l0 + 1) * m] = cav
     return StateVector(cfg.space, amp)
-
-
-def blockade_angle(model: CavityModel, lower: str, upper: str, g_q: complex) -> complex:
-    """Effective Rabi angle of a pair: g_q times the pair's raising element."""
-    _, _, mu = pair_states(model, lower, upper)
-    return mu * complex(g_q)
-
-
-def pair_detuning(model: CavityModel, lower: str, upper: str) -> float:
-    """Phase mismatch q0*v - omega that tunes the electron to the pair transition."""
-    basis = polariton_eigenbasis(model)
-    f_lo = basis.frequencies[basis.index(lower)]
-    f_up = basis.frequencies[basis.index(upper)]
-    return float(f_up - f_lo - model.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -810,14 +790,4 @@ def check_feasibility(
         loss_ok=gamma <= pm_bandwidth / margin,
         spread_ok=energy_spread <= pm_bandwidth / margin,
         blockade_ok=pm_bandwidth <= kappa / margin,
-    )
-
-
-def feasibility_check(cfg: SystemConfig, margin: float = 10.0) -> FeasibilityReport:
-    return check_feasibility(
-        pm_bandwidth=1.0 / cfg.interaction_time,
-        kappa=cfg.model.kappa,
-        gamma=cfg.gamma,
-        energy_spread=cfg.energy_spread,
-        margin=margin,
     )

@@ -89,13 +89,13 @@ class Distribution:
         return 0.5 * float(np.abs(self.probabilities - other.probabilities).sum())
 
 
-def eels_spectrum(rho: DensityMatrix, center: int = 0, electron_label: str = ELECTRON_LABEL) -> Distribution:
+def eels_spectrum(rho: DensityMatrix, center: int = 0) -> Distribution:
     """Electron energy-change spectrum: sideband index relative to `center`.
 
     Traces out every non-electron factor and reads the diagonal; sidebands are
     reported as signed offsets on the cyclic ladder, ascending.
     """
-    reduced = partial_trace(rho, [electron_label])
+    reduced = partial_trace(rho, [ELECTRON_LABEL])
     return sideband_distribution(np.real(np.diag(reduced.matrix)), center)
 
 
@@ -108,9 +108,9 @@ def sideband_distribution(rung_populations: np.ndarray, center: int) -> Distribu
     return Distribution.from_values([str(int(offsets[i])) for i in order], rung_populations[order])
 
 
-def polariton_statistics(rho: DensityMatrix, basis: PolaritonBasis, electron_label: str = ELECTRON_LABEL) -> Distribution:
+def polariton_statistics(rho: DensityMatrix, basis: PolaritonBasis) -> Distribution:
     """Populations of the nonlinear-cavity eigenlevels after tracing out the electron."""
-    keep = [lab for lab in rho.space.labels if lab != electron_label]
+    keep = [lab for lab in rho.space.labels if lab != ELECTRON_LABEL]
     if not keep:
         raise ValueError("state has no cavity factors")
     reduced = partial_trace(rho, keep)

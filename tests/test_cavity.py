@@ -109,16 +109,18 @@ def test_transition_frequencies():
 
 
 def test_transition_frequency_errors():
-    kerr = build_kerr(KAPPA, 4)
-    with pytest.raises(KeyError):
-        transition_frequency(kerr, "0")
-    with pytest.raises(KeyError):
-        transition_frequency(kerr, "9")
-    jc = build_jc(KAPPA, 4)
-    with pytest.raises(KeyError):
-        transition_frequency(jc, "0*")
-    with pytest.raises(KeyError):
-        transition_frequency(jc, "nope")
+    # no predecessor on the branch, not a level of the model, or above the cutoff
+    for model, levels in ((build_kerr(KAPPA, 4), ("0", "0*", "e4", "nope", "5", "9")),
+                          (build_jc(KAPPA, 4), ("0", "0*", "e4", "nope", "5+", "5-", "9+"))):
+        for level in levels:
+            with pytest.raises(KeyError):
+                transition_frequency(model, level)
+
+
+def test_models_carry_their_eigenbasis():
+    for model in (build_kerr(KAPPA, 4), build_jc(KAPPA, 4)):
+        assert polariton_eigenbasis(model) is model.basis
+        assert model.basis.dim == model.dim
 
 
 def test_kerr_number_commutes_exactly():

@@ -287,6 +287,13 @@ def test_integer_beyond_the_largest_float_is_rejected_by_field():
         normalize_config(cfg)
 
 
+def test_loss_energy_spread_is_rejected_by_field(tmp_path, capsys):
+    # the energy spread enters only the feasibility scenario; a run never read it
+    cfg = minimal_evolve(loss={"gamma_ratio": 1e-4, "energy_spread": 0.3})
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "loss.energy_spread" in capsys.readouterr().err
+
+
 def test_cli_check_feasibility(tmp_path, capsys):
     good = {
         "schema_version": 1,
@@ -576,3 +583,25 @@ def test_lossless_fidelity_point_allocates_no_joint_matrix():
         tracemalloc.stop()
     assert out.converged and 0.0 < out.fidelity < 1.0
     assert peak < 16e6, f"one point allocated {peak / 1e6:.1f} MB at its peak"
+
+
+@pytest.mark.parametrize("kind, pair", [("kerr", ("0", "1")), ("jc", ("0*", "1-"))])
+def test_scored_grid_points_build_no_level_basis(monkeypatch, kind, pair):
+    # a model is built with its eigenbasis; running and scoring a point only reads it
+    from epolsim import cavity
+    from epolsim.cli import _evaluate_point, _grid
+
+    raw = minimal_evolve(scenario="fidelity_map", model={"kind": kind, "kappa_ratio": 0.05, "n_cut": 8},
+                         electron={"rungs": 25, "center": 12, "g_q": 0.8, "q0_l": 50.0, "tune_to_pair": True},
+                         pair={"lower": pair[0], "upper": pair[1]},
+                         sweep={"kappa_values": [0.03, 0.05], "gamma_values": [0.0, 1e-3]})
+    points = _grid(normalize_config(raw))
+    built = []
+    real = cavity.PolaritonBasis
+    monkeypatch.setattr(cavity, "PolaritonBasis", lambda **fields: built.append(fields) or real(**fields))
+    results = [_evaluate_point(point) for point in points]
+    assert len(points) == 4 and all(point.scored for point in points)
+    assert all(result.converged for result in results)
+    assert built == []
+    (cavity.build_kerr if kind == "kerr" else cavity.build_jc)(0.05, 8)
+    assert len(built) == 1
