@@ -227,6 +227,8 @@ def normalize_config(raw: dict) -> dict:
     if scenario == "feasibility":
         feas = _require_mapping(raw.get("feasibility", {}), "feasibility")
         _check_keys(feas, "feasibility", (), ("pm_bandwidth", "omega_t", "kappa_ratio", "gamma_ratio", "energy_spread", "margin"))
+        if "pm_bandwidth" in feas and "omega_t" in feas:
+            raise ConfigError("feasibility.omega_t", "give pm_bandwidth or omega_t, not both")
         if "pm_bandwidth" in feas:
             pm = _number(feas, "feasibility", "pm_bandwidth", minimum=0.0)
         elif "omega_t" in feas:

@@ -7,7 +7,8 @@ interaction Hamiltonian itself, and shares no code with the production engine
 beyond the cavity model's operators and the ladder's shift operator.
 
 The loss chain's Chebyshev series is checked against scipy's Taylor-based
-action of the matrix exponential on the same sparse generator.
+action of the matrix exponential on the same sparse generator, and the
+generator's one-pass sparse build against one from Kronecker products.
 
 The gate references build every operator on the full joint space from
 Kronecker products and compose with full-space matrix products, the direct
@@ -63,6 +64,33 @@ def reference_expm_action(gen, cols: np.ndarray, t: float) -> np.ndarray:
     from scipy.sparse.linalg import expm_multiply
 
     return expm_multiply(gen * t, cols)
+
+
+def reference_chain_generator(sec, blocks: int, jump_down: int = 1):
+    """The loss chain's generator (`dynamics._chain_generator` without a marginal
+    block) as Kronecker products: identity(blocks) x diagonal plus a shift x jump,
+    the sink row stacked below.  `jump_down` 0 puts the jump on the diagonal
+    blocks instead of one depth down, a fault that keeps the trace."""
+    import scipy.sparse as sp
+
+    model, gamma, m = sec.cfg.model, sec.cfg.gamma, sec.m
+    h_eff = sp.csr_matrix(sec.h - 0.5j * gamma * np.diag(sec.n_photon))
+    eye = sp.identity(m, dtype=complex, format="csr")
+    diagonal = -1j * (sp.kron(h_eff, eye) - sp.kron(eye, h_eff.conj()))
+    a = sp.csr_matrix(model.a)
+    jump = gamma * sp.kron(a, a.conj())
+    shift = sp.eye(blocks, k=-jump_down, format="csr")
+    if blocks == sec.d and jump_down:  # the whole cyclic ladder: the loss out of the last block re-enters the first
+        shift = shift + sp.csr_matrix(([1.0], ([0], [blocks - 1])), shape=(blocks, blocks))
+    gen = (sp.kron(sp.identity(blocks, format="csr"), diagonal) + sp.kron(shift, jump)).tocsr()
+    if blocks == sec.d:
+        return gen
+    size = blocks * m * m
+    last = (blocks - 1) * m * m + np.arange(m) * (m + 1)
+    sink = sp.csr_matrix((gamma * sec.n_photon / model.n_cut, (np.zeros(m, dtype=int), last)), shape=(1, size))
+    gen = sp.vstack([gen, sink], format="csr")
+    gen.resize((size + 1, size + 1))
+    return gen
 
 
 def reference_steps(cfg: SystemConfig) -> int:

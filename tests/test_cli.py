@@ -312,6 +312,14 @@ def test_cli_check_feasibility(tmp_path, capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
+def test_feasibility_bandwidth_given_twice_is_rejected_by_field(tmp_path, capsys):
+    # omega_t 10 alone is a bandwidth of 0.1, which fails the blockade inequality
+    cfg = {"schema_version": 1, "scenario": "feasibility",
+           "feasibility": {"pm_bandwidth": 7e-4, "omega_t": 10, "kappa_ratio": 0.02}}
+    assert main(["check", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "feasibility.omega_t" in capsys.readouterr().err
+
+
 def test_check_command_requires_feasibility_config(tmp_path):
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(minimal_evolve()))

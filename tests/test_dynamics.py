@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from epolsim import (
@@ -41,7 +42,7 @@ from epolsim import (
 
 from epolsim import dynamics
 from epolsim.tensor import DensityMatrix, partial_trace
-from reference import reference_expm_action, reference_lindblad, reference_steps
+from reference import reference_chain_generator, reference_expm_action, reference_lindblad, reference_steps
 
 
 def small_kerr(kappa=0.05, n_cut=4, g_q=1.0, delta=0.0, gamma=0.0, t=40.0, rungs=9):
@@ -367,12 +368,13 @@ def gate_and_work(cfg):
 
 
 def test_step_halving_gate_reports_small_delta():
-    # lossy: one Chebyshev series over [0, T] against two over T/2; they differ in
-    # rounding, so the gate reads a small nonzero value.  steps counts the products
-    # with the chain generator of both routes.
+    # lossy: the chain against the closed-form depth 0 and the cavity's own Lindblad
+    # marginal; they differ in rounding, so the gate reads a small nonzero value.
+    # steps counts the products with the chain generator: the marginal rides in the
+    # same products, and the depth-0 exponential is not one, so the check adds none.
     delta, steps_on, steps_off = gate_and_work(small_kerr(kappa=0.05, g_q=1.2, gamma=0.003, t=60.0))
     assert 0.0 < delta < 1e-6
-    assert 1 <= steps_off < steps_on
+    assert 1 <= steps_off == steps_on
 
 
 def test_lossless_accuracy_gate_reports_small_delta():
@@ -412,17 +414,59 @@ def test_convergence_error_raised_for_unresolved_drive(monkeypatch):
 
 
 def test_convergence_error_raised_for_perturbed_loss_chain(monkeypatch):
-    # stretch the check's series of the loss chain, the plan asked for a piece count,
-    # by 1e-5 of T: the gate must trip
+    # stretch the window of the loss chain's one series by 1e-5 of T: the chain and its
+    # marginal still agree, and the closed-form depth 0 at T must trip the gate
     cfg = small_kerr(kappa=0.05, n_cut=4, g_q=1.2, gamma=0.003, t=60.0)
     exact = dynamics._chebyshev_plan
-
-    def stretched(gen, box, t, *pieces):
-        return exact(gen, box, t * (1 + 1e-5) if pieces else t, *pieces)
-
-    monkeypatch.setattr(dynamics, "_chebyshev_plan", stretched)
+    monkeypatch.setattr(dynamics, "_chebyshev_plan", lambda gen, box, t, *pieces: exact(gen, box, t * (1 + 1e-5), *pieces))
     with pytest.raises(ConvergenceError):
         evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+
+
+def test_convergence_error_raised_for_chain_hamiltonian_fault(monkeypatch):
+    # a Hermitian 1e-4 n error in the Hamiltonian of every chain block keeps the trace;
+    # the marginal, built apart from the chain, must disagree
+    cfg = small_kerr(kappa=0.05, n_cut=4, g_q=1.2, gamma=0.003, t=60.0)
+    exact = dynamics._chain_generator
+
+    def faulty(sec, blocks, *marginal):
+        gen = exact(sec, blocks, *marginal)
+        n, eye = np.diag(sec.n_photon.astype(float)), np.eye(sec.m)
+        fault = sp.kron(sp.identity(blocks), -1e-4j * (np.kron(n, eye) - np.kron(eye, n)), format="csr")
+        fault.resize(gen.shape)
+        return (gen + fault).tocsr()
+
+    monkeypatch.setattr(dynamics, "_chain_generator", faulty)
+    with pytest.raises(ConvergenceError):
+        evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+
+
+def test_jump_on_the_diagonal_block_trips_the_gate(monkeypatch):
+    # photon loss kept on each depth instead of moving it one depth down: the trace and
+    # the depths' sum are right, and only the closed-form depth 0 can see the fault
+    cfg = small_kerr(kappa=0.05, n_cut=4, g_q=1.2, gamma=0.003, t=60.0)
+
+    def faulty(sec, blocks, *marginal):
+        gen = reference_chain_generator(sec, blocks, jump_down=0)
+        if not marginal:
+            return gen
+        rows, cols, values = marginal[0]
+        return sp.block_diag([gen, sp.csr_matrix((values, (rows, cols)), shape=(sec.m**2,) * 2)], format="csr")
+
+    monkeypatch.setattr(dynamics, "_chain_generator", faulty)
+    with pytest.raises((ConvergenceError, TraceDriftError)):
+        evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+
+
+def test_lossy_point_makes_one_series(monkeypatch):
+    # a point whose chain is not regrown plans and applies one Chebyshev series, check included
+    cfg = small_kerr(kappa=0.05, n_cut=4, g_q=1.2, gamma=0.003, t=60.0)
+    calls = []
+    for name in ("_chebyshev_plan", "_chebyshev_action"):
+        exact = getattr(dynamics, name)
+        monkeypatch.setattr(dynamics, name, lambda *args, exact=exact, name=name: calls.append(name) or exact(*args))
+    assert evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics.halving_delta < 1e-12
+    assert calls == ["_chebyshev_plan", "_chebyshev_action"]
 
 
 def test_series_cut_short_trips_a_bound(monkeypatch):
@@ -463,9 +507,9 @@ def test_loss_chain_grows_until_its_sink_is_empty(monkeypatch):
     built = []
     exact = dynamics._chain_generator
 
-    def recorded(sec, blocks):
+    def recorded(sec, blocks, *marginal):
         built.append(blocks)
-        return exact(sec, blocks)
+        return exact(sec, blocks, *marginal)
 
     monkeypatch.setattr(dynamics, "_chain_blocks", lambda sec: 1)
     monkeypatch.setattr(dynamics, "_chain_generator", recorded)
@@ -534,6 +578,17 @@ KERNEL_POINTS = {
     # gamma T = 20: |exp| at the right edge of the numerical range alone exceeds AMPLIFICATION_LIMIT
     "long_pure_loss": (lambda: small_kerr(kappa=0.0, g_q=0.0, gamma=0.2, t=100.0, n_cut=3), "1"),
 }
+
+
+@pytest.mark.parametrize("name", ["kerr_lossy_map", "jc_gamma_1e-3", "heavy_loss_cyclic"])
+def test_chain_generator_matches_kronecker_build(name):
+    # the one-pass sparse build against Kronecker products, on sink-ended chains and
+    # on the whole cyclic ladder, value for value
+    sec = dynamics._Sectors(KERNEL_POINTS[name][0]())
+    blocks = dynamics._chain_blocks(sec)
+    assert (blocks == sec.d) == (name == "heavy_loss_cyclic")
+    gen, ref = dynamics._chain_generator(sec, blocks), reference_chain_generator(sec, blocks)
+    assert gen.shape == ref.shape and (gen != ref).nnz == 0
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_POINTS))
