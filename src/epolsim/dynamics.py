@@ -612,7 +612,7 @@ def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector, icfg: Integ
     delta = _chain_check(sec, pairs, seeds, end, pops) if icfg.convergence_check else None
     out = {key: sec.phase[:, None] * x * sec.phase.conj()[None, :] for key, x in final.items()}  # V(T)
     if all(k == q for k, q in pairs):
-        min_eig = min(float(np.linalg.eigvalsh(x)[0]) for x in out.values())
+        min_eig = float(np.linalg.eigvalsh(np.stack(list(out.values())))[:, 0].min())
     else:
         min_eig = float(np.linalg.eigvalsh(_scatter(sec.joint_of, out, sec.d * sec.m))[0])
     return out, pops, work, delta, min_eig
@@ -732,18 +732,39 @@ def scattering_blockade(
             raise ValueError(f"{name} pair state is not normalized")
     if abs(np.vdot(lo, up)) > 1e-10:
         raise ValueError("pair states are not orthogonal")
+    stay, rung_down, rung_up = _pair_rotation(omega, lo, up)
+    mat = np.zeros((d, m, d, m), dtype=complex)  # (rung out, cavity out, rung in, cavity in)
+    s_out, s_cav_out, s_in, s_cav_in = mat.strides
+
+    def blocks(offset: int, count: int) -> np.ndarray:  # m x m blocks down the rung diagonal from byte `offset`
+        return np.ndarray((count, m, m), complex, mat, offset, (s_out + s_in, s_cav_out, s_cav_in))
+
+    blocks(0, d)[...] = stay
+    # raising the pair takes the electron one rung down, lowering it one rung up (cyclically);
+    # `+=` because the two neighbours coincide below three rungs
+    blocks(s_in, d - 1)[...] += rung_down
+    mat[d - 1, :, 0, :] += rung_down
+    blocks(s_out, d - 1)[...] += rung_up
+    mat[0, :, d - 1, :] += rung_up
+    return Operator(space, mat.reshape(space.dim, space.dim))
+
+
+def _pair_rotation(omega: complex, lo: np.ndarray, up: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blockade pass's three m x m blocks: same rung, electron one rung down, one rung up.
+
+    With P the pair projector and R = |upper><lower|, they are
+    I + (cos|omega| - 1) P, -i sin|omega| e^{i arg omega} R and
+    -i sin|omega| e^{-i arg omega} R^dag; their sum is exp(-i (omega R + omega* R^dag)).
+    """
     mag = abs(omega)
     arg = math.atan2(complex(omega).imag, complex(omega).real) if mag > 0 else 0.0
-    proj = np.outer(lo, lo.conj()) + np.outer(up, up.conj())
-    raise_pair = np.outer(up, lo.conj())  # |upper><lower|
-    mat = np.eye(space.dim, dtype=complex)
-    blocks = mat.reshape(d, m, d, m)  # (rung out, cavity out, rung in, cavity in)
-    rung = np.arange(d)
-    blocks[rung, :, rung, :] += (math.cos(mag) - 1.0) * proj
-    # raising the pair takes the electron one rung down, lowering it one rung up (cyclically)
-    blocks[(rung - 1) % d, :, rung, :] += -1j * math.sin(mag) * (np.exp(1j * arg) * raise_pair)
-    blocks[(rung + 1) % d, :, rung, :] += -1j * math.sin(mag) * (np.exp(-1j * arg) * raise_pair.conj().T)
-    return Operator(space, mat)
+    proj = lo[:, None] * lo.conj() + up[:, None] * up.conj()
+    raise_pair = up[:, None] * lo.conj()  # |upper><lower|
+    stay = np.eye(lo.size, dtype=complex)
+    stay += (math.cos(mag) - 1.0) * proj
+    return (stay,
+            -1j * math.sin(mag) * (np.exp(1j * arg) * raise_pair),
+            -1j * math.sin(mag) * (np.exp(-1j * arg) * raise_pair.conj().T))
 
 
 def _frame_rotation(model: CavityModel, t: float) -> np.ndarray:
@@ -783,9 +804,7 @@ def blockade_fidelity(result: EvolveResult, initial: StateVector, lower: str, up
     """
     cfg = result.system
     lo, up, _ = pair_states(cfg.model, lower, upper)
-    omega = blockade_angle(cfg.model, lower, upper, cfg.g_q)
-    r = np.outer(up, lo.conj())
-    s = expm(-1j * (omega * r + np.conj(omega) * r.conj().T))
+    s = sum(_pair_rotation(blockade_angle(cfg.model, lower, upper, cfg.g_q), lo, up))
     w = _frame_rotation(cfg.model, cfg.interaction_time)
     psi0 = initial.amplitudes[_joint_index(cfg)]  # row k: sector k
     target = psi0 @ s.T

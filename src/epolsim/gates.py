@@ -260,6 +260,16 @@ def _ancilla_tail(space: TensorSpace, center: int, path_index: int) -> np.ndarra
     return np.kron(anc, path)
 
 
+def _act_on_factors(stage: Operator, space: TensorSpace, cols: np.ndarray) -> np.ndarray:
+    """Apply `stage`, an operator on some of `space`'s factors, to every column of `cols`."""
+    axes = [space.axis(lab) for lab in stage.space.labels]
+    k = len(space.factors)
+    order = axes + [i for i in range(k + 1) if i not in axes]  # the stage's factors first, the columns last
+    moved = np.transpose(cols.reshape(*space.dims, -1), order)
+    out = stage.matrix @ moved.reshape(stage.space.dim, -1)
+    return np.transpose(out.reshape(moved.shape), np.argsort(order)).reshape(cols.shape)
+
+
 def two_polariton_cz(rungs: int = 7, seed: int = 7, calibration: dict | None = None) -> CircuitReport:
     """Compose and verify the two-polariton controlled-Z mediated by the electron.
 
@@ -291,12 +301,13 @@ def two_polariton_cz(rungs: int = 7, seed: int = 7, calibration: dict | None = N
     # column j: the circuit's output for the input kron(anc_in, e_j); a polariton
     # input chi gives cols @ chi
     cols = np.kron(anc_in[:, None], np.eye(4))
-    cpe = cpe_path(space, center, "pol1", phase_first=delta, loss_to_path=loss_to).matrix
-    rz1, rz2 = (cep_rz(0.5 * math.pi, space, qubit).matrix for qubit in ("pol1", "pol2"))
-    h = electron_hadamard(space).matrix
+    # each stage is built on the factors it touches and applied to them alone
+    cpe = cpe_path(_pass_space(rungs, "pol1", True), center, "pol1", phase_first=delta, loss_to_path=loss_to)
+    rz1, rz2 = (cep_rz(0.5 * math.pi, _pass_space(rungs, qubit, True), qubit) for qubit in ("pol1", "pol2"))
+    h = electron_hadamard(TensorSpace(((ELECTRON_LABEL, rungs), (PATH_LABEL, 2))))
     wrap_pop = 0.0
     for stage in (cpe, rz2, h, rz1, h):
-        cols = stage @ cols
+        cols = _act_on_factors(stage, space, cols)
         # by linearity, the state of a uniform polariton input after this stage
         pops = (np.abs((cols @ uniform).reshape(rungs, -1)) ** 2).sum(axis=1)
         wrap_pop = max(wrap_pop, float(pops[wrap].sum()))

@@ -34,32 +34,28 @@ class TensorSpace:
     """Ordered list of (label, dimension) factors; leftmost factor varies slowest."""
 
     factors: tuple[tuple[str, int], ...]
+    # computed once from the factors, which never change
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         factors = tuple((str(lab), int(dim)) for lab, dim in self.factors)
         object.__setattr__(self, "factors", factors)
-        labels = [lab for lab, _ in factors]
+        labels = tuple(lab for lab, _ in factors)
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate factor labels in {labels}")
+            raise ValueError(f"duplicate factor labels in {list(labels)}")
         for lab, dim in factors:
             if dim < 1:
                 raise ValueError(f"factor {lab!r} has non-positive dimension {dim}")
+        dims = tuple(d for _, d in factors)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))
 
     @classmethod
     def single(cls, label: str, dim: int) -> "TensorSpace":
         return cls(((label, dim),))
-
-    @property
-    def dim(self) -> int:
-        return math.prod(d for _, d in self.factors)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.factors)
 
     def axis(self, label: str) -> int:
         for i, (lab, _) in enumerate(self.factors):
@@ -244,7 +240,8 @@ def embed_group(matrix: np.ndarray, labels: Sequence[str], space: TensorSpace) -
     """Lift an operator acting jointly on the named factors (in the given order).
 
     The factors need not be adjacent in the space; the result acts as the
-    identity on every unnamed factor.
+    identity on every unnamed factor.  When the labels are the space's factors
+    in order, the result is a copy of `matrix`.
     """
     matrix = np.asarray(matrix, dtype=complex)
     if not labels:
@@ -256,6 +253,9 @@ def embed_group(matrix: np.ndarray, labels: Sequence[str], space: TensorSpace) -
     if matrix.shape != (sub_dim, sub_dim):
         raise ValueError(f"group operator shape {matrix.shape}, expected {(sub_dim, sub_dim)}")
     k = len(space.factors)
+    if axes == list(range(k)):
+        # the Operator freezes its array, so the caller's stays apart and writable
+        return Operator(space, matrix.copy())
     rest = [i for i in range(k) if i not in axes]
     t, r = len(axes), len(rest)
     rest_dims = [space.dims[i] for i in rest]

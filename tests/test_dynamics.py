@@ -285,6 +285,19 @@ def test_blockade_scattering_matches_exponential_oracle():
     assert np.max(np.abs(s.matrix - direct)) < 1e-12
 
 
+@pytest.mark.parametrize("m", [3, 9, 22, 42])
+def test_pair_rotation_blocks_sum_to_the_pair_exponential(m):
+    # blockade_fidelity's sector pass: the sum of the three blocks scattering_blockade writes
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        lo, up = q[:, 0], q[:, 1]
+        r = np.outer(up, lo.conj())
+        for omega in (0.0, 0.5 * math.pi, complex(rng.uniform(0, 3), rng.uniform(-3, 3))):
+            want = expm(-1j * (omega * r + np.conj(omega) * r.conj().T))
+            assert np.max(np.abs(sum(dynamics._pair_rotation(omega, lo, up)) - want)) <= 1e-13
+
+
 def test_blockade_scattering_validates_pair():
     cfg = small_kerr(n_cut=4)
     lo, up, _ = pair_states(cfg.model, "0", "1")
@@ -389,6 +402,8 @@ def test_trace_and_positivity_bounds_on_lossy_run():
     res = evolve_lindblad(initial_state(cfg), cfg, LOOSE)
     assert res.diagnostics.trace_error <= 1e-8
     assert res.diagnostics.min_eigenvalue >= -1e-8
+    # the batched positivity check reads exactly what one eigvalsh per sector block reads
+    assert res.diagnostics.min_eigenvalue == min(float(np.linalg.eigvalsh(x)[0]) for x in res.blocks.values())
 
 
 def test_cutoff_error_raised_for_small_photon_space():

@@ -272,6 +272,20 @@ def test_scattering_blockade_matches_kron_reference(rungs):
             assert np.max(np.abs(s - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("rungs", [1, 2, 3, 4, 5])
+def test_scattering_blockade_wrap_blocks_match_kron_reference(rungs):
+    # few rungs: the cyclic corner blocks sit next to the interior ones, and below three
+    # rungs the two neighbours of a rung coincide, so their blocks must add
+    rng = np.random.default_rng(100 + rungs)
+    for m in (2, 3):
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        space = TensorSpace((("electron", rungs), ("cav", m)))
+        for omega in (0.0, 1.1 * cmath.exp(-2.3j)):
+            s = scattering_blockade(omega, q[:, 0], q[:, 1], space).matrix
+            ref = reference_scattering_blockade(omega, q[:, 0], q[:, 1], rungs)
+            assert np.max(np.abs(s - ref)) <= 1e-14
+
+
 @pytest.mark.parametrize("rungs", [7, 18])
 def test_gate_pass_matches_dense_reference(rungs):
     space = gate_space(rungs=rungs, n_qubits=2)
@@ -313,8 +327,10 @@ def test_two_polariton_cz_matches_dense_circuit(rungs, calibration):
 def test_two_polariton_cz_makes_no_full_space_operator_product(monkeypatch):
     # at 41 rungs the joint space has 41 * 8 = 328 dimensions; gates compose on the
     # factors they touch and the circuit acts on four input columns.  Both Operator
-    # products and raw-matrix products of the circuit's gates are counted.
+    # products and raw-matrix products of the circuit's gates are counted, and so are
+    # the lifts of any operator onto the full space.
     import epolsim.gates as gates
+    import epolsim.tensor as tensor
 
     full = (328, 328)
     operator_products = []
@@ -340,12 +356,26 @@ def test_two_polariton_cz_makes_no_full_space_operator_product(monkeypatch):
 
         return wrapper
 
+    lifts = []
+
+    def lifted(lift):
+        def wrapper(matrix, labels, space):
+            lifts.append(space.dim)
+            return lift(matrix, labels, space)
+
+        return wrapper
+
     monkeypatch.setattr(Operator, "__matmul__", counting)
     for name in ("electron_hadamard", "cep_rz", "cpe_path"):
         monkeypatch.setattr(gates, name, recorded(getattr(gates, name)))
+    # gates lifts with embed_group directly, and through tensor.embed for the Hadamard
+    for module in (gates, tensor):
+        monkeypatch.setattr(module, "embed_group", lifted(module.embed_group))
     assert two_polariton_cz(rungs=41).passed
     assert matrix_products, "the circuit's gate matrices were not seen"
+    assert lifts, "the stages' lifts were not seen"
     assert operator_products.count(328) == 0, f"{operator_products.count(328)} operator products on the full space"
+    assert lifts.count(328) == 0, f"{lifts.count(328)} lifts onto the full space"
     square = [shapes for shapes in matrix_products if shapes == (full, full)]
     assert not square, f"{len(square)} matrix-matrix products on the full space"
 

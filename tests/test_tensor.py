@@ -127,6 +127,30 @@ def test_embed_group_order_matters():
     assert np.max(np.abs(swapped - swap @ m @ swap)) < 1e-14
 
 
+def test_embed_group_in_order_copies_the_matrix():
+    # labels that are the space's factors in order: the lift is the matrix itself, as a copy
+    rng = np.random.default_rng(9)
+    space = TensorSpace((("a", 3), ("b", 2)))
+    m = random_matrix(rng, 6)
+    kept = m.copy()
+    lifted = embed_group(m, ["a", "b"], space).matrix
+    assert np.array_equal(lifted, kept)
+    assert np.array_equal(lifted, reference_embed_group(m, ["a", "b"], space))
+    assert not np.shares_memory(lifted, m)
+    assert m.flags.writeable
+    m[0, 0] += 1.0
+    assert lifted[0, 0] == kept[0, 0]
+
+
+def test_embed_group_same_labels_out_of_order_still_permutes():
+    rng = np.random.default_rng(10)
+    space = TensorSpace((("a", 3), ("b", 2)))
+    m = random_matrix(rng, 6)
+    swapped = embed_group(m, ["b", "a"], space).matrix
+    assert np.max(np.abs(swapped - reference_embed_group(m, ["b", "a"], space))) <= 1e-14
+    assert np.max(np.abs(swapped - m)) > 0.1
+
+
 @pytest.mark.parametrize("rungs", [7, 18])
 def test_embed_group_matches_kron_reference(rungs):
     # non-adjacent labels out of space order, every factor out of order, and in order
