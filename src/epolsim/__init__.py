@@ -68,7 +68,6 @@ from .gates import (
     gate_space,
     gate_pass,
     cep_rz,
-    cep_rz_target,
     r_transverse,
     electron_hadamard,
     spectrometer,

@@ -27,7 +27,6 @@ __all__ = [
     "gate_space",
     "gate_pass",
     "cep_rz",
-    "cep_rz_target",
     "r_transverse",
     "electron_hadamard",
     "spectrometer",
@@ -107,19 +106,51 @@ def gate_pass(
     """
     d = space.dim_of(ELECTRON_LABEL)
     s = scattering_blockade(omega, QUBIT_ZERO, QUBIT_ONE, _pass_space(d, qubit_label, False)).matrix
-    if conditioned_on_path:
-        # path-diagonal: identity rows on the far path (|0>), the pass on the near path (|1>)
-        mat = np.zeros((d, 2, 2, d, 2, 2), dtype=complex)
-        mat[:, 0, :, :, 0, :] = np.eye(2 * d).reshape(d, 2, d, 2)
-        mat[:, 1, :, :, 1, :] = s.reshape(d, 2, d, 2)
-        s = mat.reshape(4 * d, 4 * d)
-    return embed_group(s, _pass_space(d, qubit_label, conditioned_on_path).labels, space)
+    return _condition_and_lift(s, qubit_label, conditioned_on_path, space)
 
 
 def _pass_space(rungs: int, qubit_label: str, with_path: bool) -> TensorSpace:
     """The factors a pass acts on, in the order of its matrix: (electron, [path], qubit)."""
     path = ((PATH_LABEL, 2),) if with_path else ()
     return TensorSpace(((ELECTRON_LABEL, rungs), *path, (qubit_label, 2)))
+
+
+def _condition_and_lift(s: np.ndarray, qubit_label: str, conditioned: bool, space: TensorSpace) -> Operator:
+    """`s`, a matrix on (electron, qubit), on `space`: on the near path alone when `conditioned`.
+
+    A matrix already on `space`'s own factors in order is wrapped as it is,
+    without embed_group's copy: every caller hands over a matrix nothing else holds.
+    """
+    d = space.dim_of(ELECTRON_LABEL)
+    labels = (ELECTRON_LABEL, qubit_label)
+    if conditioned:
+        # path-diagonal: identity rows on the far path (|0>), s on the near path (|1>)
+        mat = np.zeros((d, 2, 2, d, 2, 2), dtype=complex)
+        mat[:, 0, :, :, 0, :] = np.eye(2 * d).reshape(d, 2, d, 2)
+        mat[:, 1, :, :, 1, :] = s.reshape(d, 2, d, 2)
+        s = mat.reshape(4 * d, 4 * d)
+        labels = (ELECTRON_LABEL, PATH_LABEL, qubit_label)
+    if space.labels == labels:
+        return Operator(space, s)
+    return embed_group(s, labels, space)
+
+
+def _z_rotations(space: TensorSpace, qubit_label: str = "pol", conditioned: bool = True):
+    """The family of cep_rz on one space: a function from the relative phase phi to the rotation.
+
+    The first pass, at omega = pi/2, is the same for every phi, so it is built
+    once, on (electron, qubit).  Each rotation multiplies its second pass into
+    it there and conditions and lifts the product once, since
+    diag(I, B) diag(I, A) = diag(I, BA) on (far, near) path.
+    """
+    bare = _pass_space(space.dim_of(ELECTRON_LABEL), qubit_label, False)
+    first = scattering_blockade(0.5 * math.pi, QUBIT_ZERO, QUBIT_ONE, bare).matrix
+
+    def rotation(phi: float) -> Operator:
+        second = scattering_blockade(0.5 * math.pi * cmath.exp(1j * phi), QUBIT_ZERO, QUBIT_ONE, bare).matrix
+        return _condition_and_lift(second @ first, qubit_label, conditioned, space)
+
+    return rotation
 
 
 def cep_rz(phi: float, space: TensorSpace, qubit_label: str = "pol", conditioned: bool = True) -> Operator:
@@ -130,15 +161,7 @@ def cep_rz(phi: float, space: TensorSpace, qubit_label: str = "pol", conditioned
     restored exactly (the two one-rung shifts cancel).  With `conditioned`
     the space must carry a path register and the far path is left untouched.
     """
-    sub = _pass_space(space.dim_of(ELECTRON_LABEL), qubit_label, conditioned)
-    first = gate_pass(0.5 * math.pi, sub, qubit_label, conditioned_on_path=conditioned)
-    second = gate_pass(0.5 * math.pi * cmath.exp(1j * phi), sub, qubit_label, conditioned_on_path=conditioned)
-    return embed_group((second @ first).matrix, sub.labels, space)
-
-
-def cep_rz_target(phi: float) -> np.ndarray:
-    """Polariton factor produced on the interacting branch of cep_rz."""
-    return -np.diag([cmath.exp(-1j * phi), cmath.exp(1j * phi)]).astype(complex)
+    return _z_rotations(space, qubit_label, conditioned)(phi)
 
 
 @dataclass(frozen=True)
@@ -221,7 +244,8 @@ def cpe_path(
     first = gate_pass(half_pi * cmath.exp(1j * phase_first), sub, qubit_label, conditioned_on_path=True)
     router = spectrometer(sub, center, loss_to_path)
     second = gate_pass(half_pi * cmath.exp(1j * phase_second), sub, qubit_label, conditioned_on_path=False)
-    return embed_group((second @ router @ first).matrix, sub.labels, space)
+    op = second @ router @ first
+    return op if space == sub else embed_group(op.matrix, sub.labels, space)
 
 
 @dataclass(frozen=True)
@@ -386,8 +410,7 @@ def gate_identity_suite(
     # z-rotation family: phase gate, group law, S^2 = Z chain
     free = TensorSpace(((ELECTRON_LABEL, rungs), ("pol", 2)))
 
-    def rz(phi: float) -> Operator:  # the two-pass z-rotation without a path register
-        return cep_rz(phi, free, conditioned=False)
+    rz = _z_rotations(free, conditioned=False)  # the two-pass z-rotation without a path register
 
     def factor(phi: float) -> np.ndarray:  # the composed rotation's polariton factor on the centre rung
         return rz(phi).matrix.reshape(rungs, 2, rungs, 2)[center, :, center, :]

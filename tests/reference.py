@@ -164,6 +164,11 @@ def reference_cep_rz(phi: float, space: TensorSpace, qubit: str, conditioned: bo
         half_pi, space, qubit, conditioned)
 
 
+def cep_rz_target(phi: float) -> np.ndarray:
+    """Polariton factor the two-pass z-rotation leaves on its interacting branch."""
+    return -np.diag([cmath.exp(-1j * phi), cmath.exp(1j * phi)]).astype(complex)
+
+
 def reference_cpe_path(space: TensorSpace, center: int, qubit: str, phase_first: float,
                        loss_to_path: int, phase_second: float = 0.0) -> np.ndarray:
     """Conditioned pass, spectrometer, pass, each on the full space."""

@@ -1,17 +1,20 @@
-"""The benchmark's trace mode (`bench/run.py --trace 1`) still runs on the library.
+"""The benchmark's trace mode (`bench/run.py --trace 1`) and its gate checks still run on the library.
 
 `bench/tracing.py` calls the library's public names one by one to time each
 layer.  These tests load it and `bench/workloads.py` as they are, run one
 lossless, one lossy and one gates config of the workloads through it, and
 compare what it computed with what the CLI computes for the same points.
+`bench/checks.py` recomposes the controlled-Z from the public gate builders;
+the seed-1 `gate_suite` configs run through `run_config` must pass it.
 """
+import importlib.util
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from epolsim.cli import _evaluate_point, _grid, normalize_config
+from epolsim.cli import _evaluate_point, _grid, normalize_config, run_config
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -48,3 +51,30 @@ def test_traced_gate_suite_passes(bench):
     calls = tracing.run_operation(tracing.Tracer(), 0, lambda: tracing.GateSuiteCalls(cfg))
     assert calls.checks and all(check.passed for check in calls.checks)
     assert calls.cz_report.calibration == calls.report.calibration
+
+
+@pytest.fixture
+def bench_checks(bench, monkeypatch):
+    # bench/checks.py imports bench/reference.py by the name `reference`, which names
+    # tests/reference.py here, so the benchmark's is put under that name while checks loads
+    spec = importlib.util.spec_from_file_location("reference", BENCH / "reference.py")
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    monkeypatch.setitem(sys.modules, "reference", reference)
+    import checks
+
+    return checks, bench[1]
+
+
+def test_gate_suite_configs_pass_the_benchmark_checks(bench_checks, tmp_path, capsys):
+    checks, workloads = bench_checks
+    for i, raw in enumerate(workloads.gate_suite(1)):
+        cfg = normalize_config(raw)
+        out_dir = tmp_path / f"config_{i}"
+        assert run_config(cfg, out_dir) == 0
+        assert checks.check_gate_config(cfg, out_dir) == []
+    # the benchmark's negative control: a skewed controlled-Z calibration must exit 1
+    cfg = normalize_config({"schema_version": 1, "scenario": "gates", "gates": {"rungs": 7, "corrupt_cz_phase": 0.3}})
+    capsys.readouterr()
+    code = run_config(cfg, tmp_path / "negative_control")
+    assert checks.check_negative_control(code, capsys.readouterr().err) == []

@@ -16,7 +16,6 @@ from epolsim import (
     build_kerr,
     build_ladder,
     cep_rz,
-    cep_rz_target,
     cpe_path,
     electron_hadamard,
     embed_group,
@@ -34,6 +33,7 @@ from epolsim import (
 from epolsim.cli import normalize_config, run_config
 from epolsim.gates import CZ_TARGET, HADAMARD, PAULI_X, PAULI_Z, _ancilla_tail
 from reference import (
+    cep_rz_target,
     reference_cep_rz,
     reference_cpe_path,
     reference_cz,
@@ -312,6 +312,55 @@ def test_cep_rz_and_cpe_path_match_dense_composition(rungs):
     assert np.max(np.abs(op - reference_cep_rz(1.7, free, "pol", False))) <= 1e-12
 
 
+@pytest.mark.parametrize("rungs", [6, 7, 29])
+@pytest.mark.parametrize("conditioned", [True, False])
+def test_z_rotation_family_matches_dense_reference(rungs, conditioned):
+    # one family, 20 phases, on the pass's own factors and lifted to the two-qubit space
+    from epolsim.gates import _z_rotations
+
+    phases = np.random.default_rng(rungs).uniform(0, 2 * math.pi, size=20)
+    for space, qubit in ((gate_space(rungs, 1, with_path=conditioned), "pol"), (gate_space(rungs, 2), "pol2")):
+        rz = _z_rotations(space, qubit, conditioned)
+        for phi in phases:
+            ref = reference_cep_rz(phi, space, qubit, conditioned)
+            assert np.max(np.abs(rz(phi).matrix - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("rungs", [6, 7, 29])
+def test_cep_rz_on_the_two_qubit_space(rungs):
+    # the call the benchmark's controlled-Z check makes: one phase, the full joint space
+    space = gate_space(rungs, 2, True)
+    op = cep_rz(0.5 * math.pi, space, "pol1")
+    assert isinstance(op, Operator) and op.space == space
+    assert np.max(np.abs(op.matrix - reference_cep_rz(0.5 * math.pi, space, "pol1", True))) <= 1e-12
+
+
+def test_identity_suite_builds_each_first_pass_once(monkeypatch):
+    # the suite's z-rotations share one first pass per family; rebuilding it for each
+    # of the 68 rotations made 149 pass builds at 8 rungs
+    import epolsim.gates as gates
+
+    passes, lifts = [], []
+    blockade, lift = gates.scattering_blockade, gates.embed_group
+
+    def counted_blockade(*args, **kwargs):
+        passes.append(args[-1].dim)
+        return blockade(*args, **kwargs)
+
+    def counted_lift(matrix, labels, space):
+        # an in-order lift only copies, and every builder hands over a matrix it built
+        assert tuple(labels) != space.labels, f"in-order lift onto {space.labels}"
+        lifts.append(space.dim)
+        return lift(matrix, labels, space)
+
+    monkeypatch.setattr(gates, "scattering_blockade", counted_blockade)
+    monkeypatch.setattr(gates, "embed_group", counted_lift)
+    checks, report = gate_identity_suite(rungs=8)
+    assert all(c.passed for c in checks) and report.passed
+    assert len(passes) <= 82, f"{len(passes)} pass builds"
+    assert lifts, "the spectrometer's and the second passes' lifts were not seen"
+
+
 @pytest.mark.parametrize("rungs", [7, 18])
 @pytest.mark.parametrize("calibration", [None, {"pass_phase_difference": math.pi / 4 + 0.25, "loss_to_path": 0}])
 def test_two_polariton_cz_matches_dense_circuit(rungs, calibration):
@@ -468,6 +517,15 @@ def _linear_without_conjugate(build):
     return perturbed
 
 
+def _rotation_phase(build):
+    # every rotation of every z-rotation family, cep_rz's included, at phi + 0.01
+    def perturbed(*args, **kwargs):
+        rotation = build(*args, **kwargs)
+        return lambda phi: rotation(phi + 0.01)
+
+    return perturbed
+
+
 PERTURBATIONS = {
     "pass angle x1.01": ("scattering_blockade", _pass_angle),
     "pass transfer terms x1.01": ("scattering_blockade", _pass_transfer),
@@ -476,7 +534,7 @@ PERTURBATIONS = {
     "spectrometer to the other path": ("spectrometer", lambda build: lambda space, center, loss_to_path=0: build(
         space, center, 1 - loss_to_path)),
     "comb phase +0.01": ("comb_state", lambda build: lambda phi, cfg: build(phi + 0.01, cfg)),
-    "z-rotation phase +0.01": ("cep_rz", lambda build: lambda phi, *args, **kwargs: build(phi + 0.01, *args, **kwargs)),
+    "z-rotation phase +0.01": ("_z_rotations", _rotation_phase),
 }
 
 NEGATIVE_CONTROLS = {
@@ -494,7 +552,8 @@ NEGATIVE_CONTROLS = {
     "controlled-path gate matches its target action": "spectrometer to the other path",
     "electron Hadamard squares to identity": "skewed Hadamard",
     "two-polariton controlled-Z (up to global phase)": "spectrometer to the other path",
-    # T and S are the composed z-rotations' factors, so a fault of cep_rz must reach the composite
+    # T and S are factors of the suite's composed z-rotations, so a fault of the z-rotation
+    # family, which the suite and cep_rz both build from, must reach the composite
     "H T H S composite matches direct construction": "z-rotation phase +0.01",
     "ladder wrap-around rungs stay unpopulated": "pass angle x1.01",
 }
