@@ -5,11 +5,9 @@ from .tensor import (
     Operator,
     StateVector,
     DensityMatrix,
-    kron,
     embed,
     embed_group,
     partial_trace,
-    expectation,
 )
 from .cavity import (
     CavityModel,
@@ -17,19 +15,15 @@ from .cavity import (
     build_kerr,
     build_jc,
     polariton_eigenbasis,
-    transition_frequency,
-    jc_splitting_factors,
     pair_states,
     pair_detuning,
     blockade_angle,
 )
 from .electron import (
     LadderConfig,
-    EnvelopeSamples,
     build_ladder,
     comb_state,
     energy_to_velocity,
-    coupling_from_envelope,
     ELECTRON_REST_KEV,
 )
 from .dynamics import (
@@ -58,8 +52,6 @@ from .observables import (
     sideband_distribution,
     polariton_statistics,
     state_fidelity,
-    entanglement_entropy,
-    poisson_reference,
 )
 from .gates import (
     CircuitReport,

@@ -5,8 +5,7 @@ mode frequency, omega = 1) and a photon-number cutoff.  The Kerr cavity keeps
 the bare Fock states as eigenstates with frequencies n + n(n-1)*kappa; the JC
 cavity hybridizes photon and emitter into dressed doublets at n +/- sqrt(n)*kappa.
 Each model is built with this analytic eigenbasis, and the level facts that
-follow from it (pair states, detunings, Rabi angles, transition frequencies)
-are read from it here.
+follow from it (pair states, detunings, Rabi angles) are read from it here.
 """
 from __future__ import annotations
 
@@ -23,8 +22,6 @@ __all__ = [
     "build_kerr",
     "build_jc",
     "polariton_eigenbasis",
-    "transition_frequency",
-    "jc_splitting_factors",
     "pair_states",
     "pair_detuning",
     "blockade_angle",
@@ -57,8 +54,6 @@ class CavityModel:
     h_nl: np.ndarray
     excitations: np.ndarray  # total excitation number per cavity basis state
     basis: PolaritonBasis
-    sigma_plus: np.ndarray | None = None
-    sigma_minus: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -153,8 +148,6 @@ def build_jc(kappa: float, n_cut: int) -> CavityModel:
         h_nl=h_nl,
         excitations=excitations.astype(int),
         basis=basis,
-        sigma_plus=sigma_plus,
-        sigma_minus=sigma_minus,
     )
 
 
@@ -196,13 +189,6 @@ def polariton_eigenbasis(model: CavityModel) -> PolaritonBasis:
     return model.basis
 
 
-def jc_splitting_factors(n: int) -> tuple[float, float]:
-    """Ladder factors (sqrt(n+1) + sqrt(n), sqrt(n+1) - sqrt(n)) for level n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return math.sqrt(n + 1) + math.sqrt(n), math.sqrt(n + 1) - math.sqrt(n)
-
-
 def pair_states(model: CavityModel, lower: str, upper: str) -> tuple[np.ndarray, np.ndarray, float]:
     """Bare-basis vectors of a two-level pair and their raising matrix element.
 
@@ -231,16 +217,3 @@ def blockade_angle(model: CavityModel, lower: str, upper: str, g_q: complex) -> 
     _, _, mu = pair_states(model, lower, upper)
     return mu * complex(g_q)
 
-
-def transition_frequency(model: CavityModel, upper_level: str) -> float:
-    """Frequency of the transition from the same-branch predecessor to upper_level.
-
-    Kerr level n: omega + 2(n-1) kappa.  JC level n+/-: omega +/- (sqrt(n) -
-    sqrt(n-1)) kappa, with the ground level 0* acting as the n=1 predecessor.
-    """
-    n = int(model.basis.excitations[model.basis.index(upper_level)])
-    branch = upper_level[-1] if model.kind == JC else ""
-    if n < 1 or branch not in ("", "+", "-"):
-        raise KeyError(f"level {upper_level!r} has no same-branch predecessor")
-    lower = "0*" if branch and n == 1 else f"{n - 1}{branch}"
-    return 1.0 + pair_detuning(model, lower, upper_level)

@@ -277,6 +277,15 @@ def normalize_config(raw: dict) -> dict:
     if center >= rungs:
         raise ConfigError("electron.center", f"must be < rungs ({rungs}), got {center}")
     g_q = _complex_field(electron, "electron", "g_q")
+    if "energy_kev" in electron and "beta" in electron:
+        raise ConfigError("electron.beta", "give energy_kev or beta, not both")
+    # energy_kev, beta and wavelength_nm set only eels_energy.csv's energy axis, except that
+    # wavelength_nm next to length_um sets q0_l, which the echo then holds
+    speed = [k for k in ("energy_kev", "beta") if k in electron]
+    if speed and (scenario != "evolve" or "wavelength_nm" not in electron):
+        raise ConfigError(f"electron.{speed[0]}", "is read only by the evolve scenario, next to wavelength_nm")
+    if "wavelength_nm" in electron and "length_um" not in electron and not speed:
+        raise ConfigError("electron.wavelength_nm", "is read only next to length_um, or next to energy_kev or beta")
     if "length_um" in electron:
         if "q0_l" in electron:
             raise ConfigError("electron.q0_l", "give q0_l or (wavelength_nm, length_um), not both")
@@ -304,10 +313,8 @@ def normalize_config(raw: dict) -> dict:
         cfg["electron"]["velocity_ratio"] = _number(electron, "electron", "velocity_ratio", minimum=0.1, maximum=1.9)
     elif tuning_keys == ["delta"]:
         cfg["electron"]["delta"] = _number(electron, "electron", "delta", minimum=-0.9, maximum=0.9)
-    if "wavelength_nm" in electron:
+    if speed:
         cfg["electron"]["wavelength_nm"] = _number(electron, "electron", "wavelength_nm", minimum=1e-6)
-    if "energy_kev" in electron and "beta" in electron:
-        raise ConfigError("electron.beta", "give energy_kev or beta, not both")
     if "energy_kev" in electron:
         cfg["electron"]["energy_kev"] = _number(electron, "electron", "energy_kev", minimum=0.0)
     if "beta" in electron:
@@ -550,7 +557,7 @@ def _scenario_evolve(cfg: dict, out_dir: Path) -> int:
         from .electron import energy_to_velocity
 
         beta = energy_to_velocity(electron["energy_kev"])
-    if beta is not None and "wavelength_nm" in electron:
+    if beta is not None:
         # physical energy axis: final energy = E + l * hbar * q0 * v
         quantum_kev = 2.0 * math.pi * beta * HBAR_C_KEV_NM / electron["wavelength_nm"]
         base = electron.get("energy_kev", 0.0)
@@ -669,8 +676,7 @@ def _preset_fig3ab() -> dict:
         "schema_version": SCHEMA_VERSION,
         "scenario": "sweep_kappa",
         "model": {"kind": "kerr", "kappa_ratio": 0.02, "n_cut": 8},
-        "electron": {"rungs": 33, "center": 16, "g_q": math.pi / 2, "q0_l": Q0_L,
-                     "velocity_ratio": 1.0, "energy_kev": 200.0},
+        "electron": {"rungs": 33, "center": 16, "g_q": math.pi / 2, "q0_l": Q0_L, "velocity_ratio": 1.0},
         "loss": {"gamma_ratio": 1e-5},
         "pair": {"lower": "0", "upper": "1"},
         "sweep": {"kappa_values": kappas, "n_cut_values": n_cuts, "rungs_values": rungs},
@@ -685,8 +691,7 @@ def _preset_fig3cd() -> dict:
         "schema_version": SCHEMA_VERSION,
         "scenario": "sweep_velocity",
         "model": {"kind": "jc", "kappa_ratio": 0.02, "n_cut": 10},
-        "electron": {"rungs": 33, "center": 16, "g_q": math.pi / math.sqrt(2), "q0_l": Q0_L,
-                     "velocity_ratio": 1.0, "energy_kev": 20.0},
+        "electron": {"rungs": 33, "center": 16, "g_q": math.pi / math.sqrt(2), "q0_l": Q0_L, "velocity_ratio": 1.0},
         "loss": {"gamma_ratio": 1e-5},
         "pair": {"lower": "0*", "upper": "1+"},
         "sweep": {"velocity_ratios": ratios, "n_cut_values": n_cuts, "rungs_values": rungs},

@@ -229,21 +229,20 @@ def cpe_path(
     center: int,
     qubit_label: str = "pol",
     phase_first: float = 0.0,
-    phase_second: float = 0.0,
     loss_to_path: int = 0,
 ) -> Operator:
     """Polariton-controlled electron-path gate: pass, spectrometer, pass.
 
     The electron must enter on the near path at rung `center`; it leaves at
     the same rung with its path entangled to the polariton computational
-    basis.  The two pass phases and the spectrometer routing are exposed as
-    calibration parameters.
+    basis.  The first pass's phase and the spectrometer routing are the
+    calibration parameters; the second pass is at omega = pi/2.
     """
     half_pi = 0.5 * math.pi
     sub = _pass_space(space.dim_of(ELECTRON_LABEL), qubit_label, with_path=True)
     first = gate_pass(half_pi * cmath.exp(1j * phase_first), sub, qubit_label, conditioned_on_path=True)
     router = spectrometer(sub, center, loss_to_path)
-    second = gate_pass(half_pi * cmath.exp(1j * phase_second), sub, qubit_label, conditioned_on_path=False)
+    second = gate_pass(half_pi, sub, qubit_label, conditioned_on_path=False)
     op = second @ router @ first
     return op if space == sub else embed_group(op.matrix, sub.labels, space)
 
@@ -294,15 +293,15 @@ def _act_on_factors(stage: Operator, space: TensorSpace, cols: np.ndarray) -> np
     return np.transpose(out.reshape(moved.shape), np.argsort(order)).reshape(cols.shape)
 
 
-def two_polariton_cz(rungs: int = 7, seed: int = 7, calibration: dict | None = None) -> CircuitReport:
+def two_polariton_cz(rungs: int = 7, calibration: dict | None = None) -> CircuitReport:
     """Compose and verify the two-polariton controlled-Z mediated by the electron.
 
     Sequence: controlled-path gate on qubit 1 at `calibration` (default: the
     derived CZ_CALIBRATION), path-conditioned z-gate on qubit 2, electron
     Hadamard, path-conditioned z-gate on qubit 1, electron Hadamard; the
-    electron enters at the centre rung on the near path.  `seed` draws the
-    random probes of the entanglement check.  Below 6 rungs the rungs next to
-    the centre, which the passes populate, are wrap rungs: ValueError.
+    electron enters at the centre rung on the near path.  The entanglement
+    check's 20 random probes are drawn from seed 7.  Below 6 rungs the rungs
+    next to the centre, which the passes populate, are wrap rungs: ValueError.
     """
     center = rungs // 2
     wrap = LadderConfig(rungs=rungs, center=center).wrap_rungs()
@@ -313,7 +312,7 @@ def two_polariton_cz(rungs: int = 7, seed: int = 7, calibration: dict | None = N
     delta = float(calibration["pass_phase_difference"])
     loss_to = int(calibration["loss_to_path"])
     space = gate_space(rungs=rungs, n_qubits=2, with_path=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     uniform = 0.5 * np.ones(4, dtype=complex)
     probes = [*np.eye(4, dtype=complex), uniform]
     for _ in range(20):

@@ -1,8 +1,7 @@
-"""Spectra, statistics, fidelities and entanglement diagnostics of joint states."""
+"""Spectra, statistics and fidelities of joint states."""
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +17,6 @@ __all__ = [
     "sideband_distribution",
     "polariton_statistics",
     "state_fidelity",
-    "entanglement_entropy",
-    "poisson_reference",
 ]
 
 logger = logging.getLogger(__name__)
@@ -78,16 +75,6 @@ class Distribution:
         except ValueError:
             raise KeyError(f"unknown label {label!r}") from None
 
-    def entropy(self) -> float:
-        """Shannon entropy in nats."""
-        p = self.probabilities[self.probabilities > 0]
-        return float(-(p * np.log(p)).sum())
-
-    def total_variation(self, other: "Distribution") -> float:
-        if self.labels != other.labels:
-            raise ValueError("distributions are over different outcome sets")
-        return 0.5 * float(np.abs(self.probabilities - other.probabilities).sum())
-
 
 def eels_spectrum(rho: DensityMatrix, center: int = 0) -> Distribution:
     """Electron energy-change spectrum: sideband index relative to `center`.
@@ -129,31 +116,3 @@ def state_fidelity(rho: DensityMatrix, psi: StateVector) -> float:
         raise ValueError(f"fidelity has imaginary part {val.imag:.3e}")
     return float(min(max(val.real, 0.0), 1.0))
 
-
-def entanglement_entropy(rho: DensityMatrix, keep_labels) -> float:
-    """Von Neumann entropy (nats) of the reduced state across a bipartition.
-
-    Requires the total state to be pure (purity within 1e-8 of 1), otherwise
-    the bipartite entanglement is not what this number measures.
-    """
-    purity = rho.purity()
-    if purity < 1.0 - 1e-8:
-        raise ValueError(f"total state is mixed (purity {purity!r}); entanglement entropy undefined")
-    reduced = partial_trace(rho, keep_labels)
-    evals = np.linalg.eigvalsh(reduced.matrix)
-    evals = evals[evals > 1e-15]
-    return float(max(-(evals * np.log(evals)).sum(), 0.0))
-
-
-def poisson_reference(mean: float, n_max: int) -> Distribution:
-    """Truncated, renormalized Poisson table on photon numbers 0..n_max."""
-    if mean < 0:
-        raise ValueError(f"mean must be >= 0, got {mean}")
-    n = np.arange(n_max + 1)
-    if mean == 0:
-        p = np.zeros(n_max + 1)
-        p[0] = 1.0
-    else:
-        logp = -mean + n * math.log(mean) - np.array([math.lgamma(k + 1) for k in n])
-        p = np.exp(logp)
-    return Distribution.from_values([str(int(k)) for k in n], p)

@@ -18,11 +18,9 @@ __all__ = [
     "Operator",
     "StateVector",
     "DensityMatrix",
-    "kron",
     "embed",
     "embed_group",
     "partial_trace",
-    "expectation",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -94,55 +92,20 @@ class Operator:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_square(self.matrix, self.space.dim, "operator matrix"))
 
-    @classmethod
-    def identity(cls, space: TensorSpace) -> "Operator":
-        return cls(space, np.eye(space.dim, dtype=complex))
-
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
-
-    def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-
     def unitarity_defect(self) -> float:
         d = self.matrix @ self.matrix.conj().T - np.eye(self.space.dim)
         return float(np.max(np.abs(d)))
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return self.hermiticity_defect() <= tol
-
-    def is_unitary(self, tol: float = 1e-12) -> bool:
-        return self.unitarity_defect() <= tol
-
-    def _require_same_space(self, other: "Operator"):
-        if self.space != other.space:
-            raise ValueError(f"operator spaces differ: {self.space.labels} vs {other.space.labels}")
-
     def __matmul__(self, other):
         if isinstance(other, Operator):
-            self._require_same_space(other)
+            if self.space != other.space:
+                raise ValueError(f"operator spaces differ: {self.space.labels} vs {other.space.labels}")
             return Operator(self.space, self.matrix @ other.matrix)
         if isinstance(other, StateVector):
             if self.space != other.space:
                 raise ValueError("operator/state space mismatch")
             return StateVector(other.space, self.matrix @ other.amplitudes, normalized=False)
         return NotImplemented
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._require_same_space(other)
-        return Operator(self.space, self.matrix + other.matrix)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._require_same_space(other)
-        return Operator(self.space, self.matrix - other.matrix)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self.space, self.matrix * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.matrix)
 
 
 @dataclass(frozen=True)
@@ -164,22 +127,8 @@ class StateVector:
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
-    @classmethod
-    def basis(cls, space: TensorSpace, index: int) -> "StateVector":
-        amp = np.zeros(space.dim, dtype=complex)
-        amp[index] = 1.0
-        return cls(space, amp)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def normalize(self) -> "StateVector":
         return StateVector(self.space, self.amplitudes / np.linalg.norm(self.amplitudes))
-
-    def overlap(self, other: "StateVector") -> complex:
-        if self.space != other.space:
-            raise ValueError("state spaces differ")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -187,7 +136,7 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Mixed state: Hermitian, unit trace (within drift bound), positive."""
+    """Mixed state: Hermitian, with unit trace within a drift bound."""
 
     space: TensorSpace
     matrix: np.ndarray
@@ -202,27 +151,6 @@ class DensityMatrix:
         if abs(tr - 1.0) > self.trace_tol:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {self.trace_tol}")
         object.__setattr__(self, "matrix", m)
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-    def check_positive(self, bound: float = -1e-8) -> float:
-        """Return the minimum eigenvalue; raise if it falls below `bound`."""
-        lo = self.min_eigenvalue()
-        if lo < bound:
-            raise ValueError(f"density matrix min eigenvalue {lo:.3e} below bound {bound:.3e}")
-        return lo
-
-
-def kron(a: Operator, b: Operator) -> Operator:
-    """Tensor product with a's factors leftmost (slowest varying)."""
-    return Operator(a.space.tensor(b.space), np.kron(a.matrix, b.matrix))
 
 
 def embed(local: Operator | np.ndarray, target_label: str, space: TensorSpace) -> Operator:
@@ -298,9 +226,3 @@ def partial_trace(rho: DensityMatrix, keep_labels: Iterable[str]) -> DensityMatr
     reduced = 0.5 * (reduced + reduced.conj().T)
     return DensityMatrix(new_space, reduced, trace_tol=rho.trace_tol)
 
-
-def expectation(rho: DensityMatrix, op: Operator) -> complex:
-    """trace(rho @ op); real to round-off when op is Hermitian."""
-    if rho.space != op.space:
-        raise ValueError(f"state/operator spaces differ: {rho.space.labels} vs {op.space.labels}")
-    return complex(np.trace(rho.matrix @ op.matrix))

@@ -10,6 +10,9 @@ The loss chain's Chebyshev series is checked against scipy's Taylor-based
 action of the matrix exponential on the same sparse generator, and the
 generator's one-pass sparse build against one from Kronecker products.
 
+The linear cavity's photon statistics are checked against a truncated
+Poisson table.
+
 The gate references build every operator on the full joint space from
 Kronecker products and compose with full-space matrix products, the direct
 route that the production builders avoid.  They use only the space's labels
@@ -22,7 +25,7 @@ import math
 
 import numpy as np
 
-from epolsim import DensityMatrix, SystemConfig, TensorSpace, build_ladder
+from epolsim import DensityMatrix, Distribution, SystemConfig, TensorSpace, build_ladder
 
 
 def reference_lindblad(cfg: SystemConfig, rho0: np.ndarray, steps: int) -> np.ndarray:
@@ -105,6 +108,20 @@ def reference_steps(cfg: SystemConfig) -> int:
     return max(200, int(np.ceil(cfg.interaction_time * rate / 0.03)))
 
 
+def poisson_reference(mean: float, n_max: int) -> Distribution:
+    """Truncated, renormalized Poisson table on photon numbers 0..n_max."""
+    if mean < 0:
+        raise ValueError(f"mean must be >= 0, got {mean}")
+    n = np.arange(n_max + 1)
+    if mean == 0:
+        p = np.zeros(n_max + 1)
+        p[0] = 1.0
+    else:
+        logp = -mean + n * math.log(mean) - np.array([math.lgamma(k + 1) for k in n])
+        p = np.exp(logp)
+    return Distribution.from_values([str(int(k)) for k in n], p)
+
+
 # ---------------------------------------------------------------------------
 # gates
 
@@ -170,8 +187,8 @@ def cep_rz_target(phi: float) -> np.ndarray:
 
 
 def reference_cpe_path(space: TensorSpace, center: int, qubit: str, phase_first: float,
-                       loss_to_path: int, phase_second: float = 0.0) -> np.ndarray:
-    """Conditioned pass, spectrometer, pass, each on the full space."""
+                       loss_to_path: int) -> np.ndarray:
+    """Conditioned pass, spectrometer, pass at omega = pi/2, each on the full space."""
     d = space.dim_of("electron")
     flip = (center - 1) % d if loss_to_path == 0 else (center + 1) % d
     router = np.zeros((2 * d, 2 * d), dtype=complex)
@@ -179,7 +196,7 @@ def reference_cpe_path(space: TensorSpace, center: int, qubit: str, phase_first:
         router[2 * rung : 2 * rung + 2, 2 * rung : 2 * rung + 2] = PAULI_X if rung == flip else np.eye(2)
     half_pi = 0.5 * math.pi
     first = reference_pass(half_pi * cmath.exp(1j * phase_first), space, qubit, True)
-    second = reference_pass(half_pi * cmath.exp(1j * phase_second), space, qubit, False)
+    second = reference_pass(half_pi, space, qubit, False)
     return second @ reference_embed_group(router, ["electron", "path"], space) @ first
 
 

@@ -32,7 +32,6 @@ from epolsim import (
     initial_state,
     pair_detuning,
     pair_states,
-    poisson_reference,
     polariton_eigenbasis,
     polariton_statistics,
     scattering_blockade,
@@ -40,6 +39,7 @@ from epolsim import (
     two_polariton_cz,
 )
 from epolsim.cli import build_presets, normalize_config, run_config
+from oracles import poisson_reference
 
 Q0_L = 472.43
 
@@ -83,7 +83,9 @@ def test_criterion_01_linear_poisson_law():
         )
         result = run_point(cfg, tag=f"poisson g={g_q:.3f}")
         stats = polariton_statistics(result.state, polariton_eigenbasis(cfg.model))
-        tv = stats.total_variation(poisson_reference(abs(g_q) ** 2, 20))
+        poisson = poisson_reference(abs(g_q) ** 2, 20)
+        assert stats.labels == poisson.labels
+        tv = 0.5 * float(np.abs(stats.probabilities - poisson.probabilities).sum())
         worst = max(worst, tv)
     announce("1 linear Poisson law", worst <= 1e-3, f"max total variation {worst:.2e} <= 1e-3")
     assert worst <= 1e-3
@@ -403,7 +405,7 @@ def test_criterion_07_integrator_hygiene():
 def test_criterion_08_gate_identity_suite():
     checks, report = gate_identity_suite(rungs=7)
     failing = [c.name for c in checks if not c.passed]
-    cz = two_polariton_cz(rungs=7, seed=3)
+    cz = two_polariton_cz(rungs=7)
     ok = not failing and cz.passed and cz.deviation <= 1e-9 and cz.ancilla_entropy <= 1e-10
     announce(
         "8 gate identity suite",

@@ -7,8 +7,6 @@ compare what it computed with what the CLI computes for the same points.
 `bench/checks.py` recomposes the controlled-Z from the public gate builders;
 the seed-1 `gate_suite` configs run through `run_config` must pass it.
 """
-import importlib.util
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +19,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 @pytest.fixture
 def bench(monkeypatch):
-    # appended, not prepended: bench/reference.py would shadow tests/reference.py
-    monkeypatch.setattr(sys, "path", [*sys.path, str(BENCH)])
+    monkeypatch.syspath_prepend(str(BENCH))
     import tracing
     import workloads
 
@@ -53,21 +50,10 @@ def test_traced_gate_suite_passes(bench):
     assert calls.cz_report.calibration == calls.report.calibration
 
 
-@pytest.fixture
-def bench_checks(bench, monkeypatch):
-    # bench/checks.py imports bench/reference.py by the name `reference`, which names
-    # tests/reference.py here, so the benchmark's is put under that name while checks loads
-    spec = importlib.util.spec_from_file_location("reference", BENCH / "reference.py")
-    reference = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(reference)
-    monkeypatch.setitem(sys.modules, "reference", reference)
+def test_gate_suite_configs_pass_the_benchmark_checks(bench, tmp_path, capsys):
     import checks
 
-    return checks, bench[1]
-
-
-def test_gate_suite_configs_pass_the_benchmark_checks(bench_checks, tmp_path, capsys):
-    checks, workloads = bench_checks
+    workloads = bench[1]
     for i, raw in enumerate(workloads.gate_suite(1)):
         cfg = normalize_config(raw)
         out_dir = tmp_path / f"config_{i}"

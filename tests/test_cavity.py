@@ -6,13 +6,23 @@ import pytest
 from epolsim import (
     build_jc,
     build_kerr,
-    jc_splitting_factors,
+    pair_detuning,
     pair_states,
     polariton_eigenbasis,
-    transition_frequency,
 )
 
 KAPPA = 0.05
+
+
+def transition_frequency(model, lower, upper):
+    """Frequency of the lower -> upper transition: the detuning that tunes the electron to it, plus omega."""
+    return 1.0 + pair_detuning(model, lower, upper)
+
+
+def predecessor(level):
+    """Same-branch level one excitation below a Kerr level n or a JC level n+/-."""
+    n, branch = int(level.rstrip("+-")), level[-1] if level[-1] in "+-" else ""
+    return "0*" if branch and n == 1 else f"{n - 1}{branch}"
 
 
 def jc_bare_energies(model):
@@ -101,20 +111,21 @@ def test_jc_polariton_overlap():
 
 def test_transition_frequencies():
     kerr = build_kerr(KAPPA, 4)
-    assert abs(transition_frequency(kerr, "1") - 1.0) < 1e-15
-    assert abs(transition_frequency(kerr, "2") - (1.0 + 2 * KAPPA)) < 1e-15
+    assert abs(transition_frequency(kerr, "0", "1") - 1.0) < 1e-15
+    assert abs(transition_frequency(kerr, "1", "2") - (1.0 + 2 * KAPPA)) < 1e-15
     jc = build_jc(KAPPA, 4)
-    assert abs(transition_frequency(jc, "1+") - (1.0 + KAPPA)) < 1e-15
-    assert abs(transition_frequency(jc, "2-") - (1.0 - (math.sqrt(2) - 1) * KAPPA)) < 1e-12
+    assert abs(transition_frequency(jc, "0*", "1+") - (1.0 + KAPPA)) < 1e-15
+    assert abs(transition_frequency(jc, "1-", "2-") - (1.0 - (math.sqrt(2) - 1) * KAPPA)) < 1e-12
 
 
 def test_transition_frequency_errors():
-    # no predecessor on the branch, not a level of the model, or above the cutoff
-    for model, levels in ((build_kerr(KAPPA, 4), ("0", "0*", "e4", "nope", "5", "9")),
-                          (build_jc(KAPPA, 4), ("0", "0*", "e4", "nope", "5+", "5-", "9+"))):
+    # a level the model does not have: another model's label, or above the cutoff
+    for model, lower, levels in ((build_kerr(KAPPA, 4), "0", ("0*", "e4", "nope", "5", "9")),
+                                 (build_jc(KAPPA, 4), "0*", ("0", "e5", "nope", "5+", "5-", "9+"))):
         for level in levels:
-            with pytest.raises(KeyError):
-                transition_frequency(model, level)
+            for pair in ((lower, level), (level, lower)):
+                with pytest.raises(KeyError):
+                    pair_detuning(model, *pair)
 
 
 def test_models_carry_their_eigenbasis():
@@ -131,18 +142,20 @@ def test_kerr_number_commutes_exactly():
 
 def test_jc_total_excitation_commutes():
     model = build_jc(KAPPA, 5)
-    total = model.a_dag @ model.a + model.sigma_plus @ model.sigma_minus
+    sigma_minus = np.kron(np.eye(model.n_cut + 1), [[0, 1], [0, 0]])  # |g><e| on the emitter
+    total = model.a_dag @ model.a + sigma_minus.T @ sigma_minus
     comm = model.h_nl @ total - total @ model.h_nl
     assert np.max(np.abs(comm)) < 1e-12
 
 
 def test_level_spacing_monotonicity():
     kerr = build_kerr(KAPPA, 6)
-    spacings = [transition_frequency(kerr, str(n)) for n in range(1, 7)]
+    spacings = [transition_frequency(kerr, predecessor(str(n)), str(n)) for n in range(1, 7)]
     assert all(b > a for a, b in zip(spacings, spacings[1:]))
     jc = build_jc(KAPPA, 6)
     for branch in "+-":
-        anharm = [abs(transition_frequency(jc, f"{n}{branch}") - 1.0) for n in range(1, 7)]
+        levels = [f"{n}{branch}" for n in range(1, 7)]
+        anharm = [abs(transition_frequency(jc, predecessor(level), level) - 1.0) for level in levels]
         assert all(b < a for a, b in zip(anharm, anharm[1:]))
 
 
@@ -155,15 +168,18 @@ def test_linear_limit():
     for model in (build_kerr(0.0, 5), jc):
         labels = ["1", "2", "3"] if model.kind == "kerr" else ["1+", "2-", "3+"]
         for label in labels:
-            assert abs(transition_frequency(model, label) - 1.0) < 1e-15
+            assert abs(transition_frequency(model, predecessor(label), label) - 1.0) < 1e-15
 
 
 def test_splitting_factors():
-    fp, fm = jc_splitting_factors(1)
-    assert abs(fp - (math.sqrt(2) + 1)) < 1e-15
-    assert abs(fm - (math.sqrt(2) - 1)) < 1e-15
-    with pytest.raises(ValueError):
-        jc_splitting_factors(-1)
+    # JC ladder elements n -> n+1: (sqrt(n+1) + sqrt(n))/2 within a branch, (sqrt(n+1) - sqrt(n))/2 across
+    jc = build_jc(KAPPA, 5)
+    for n in range(1, 5):
+        large, small = math.sqrt(n + 1) + math.sqrt(n), math.sqrt(n + 1) - math.sqrt(n)
+        for lower, upper, factor in ((f"{n}-", f"{n + 1}-", large), (f"{n}+", f"{n + 1}+", large),
+                                     (f"{n}+", f"{n + 1}-", small), (f"{n}-", f"{n + 1}+", small)):
+            _, _, mu = pair_states(jc, lower, upper)
+            assert abs(mu - factor / 2) < 1e-12
 
 
 def test_pair_raising_elements():

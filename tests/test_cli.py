@@ -161,6 +161,7 @@ def test_electron_block_alternatives():
                        "velocity_ratio": 1.0}
     norm = normalize_config(cfg)
     assert norm["electron"]["q0_l"] == pytest.approx(2 * math.pi * 40e3 / 532.0, rel=1e-12)
+    assert "wavelength_nm" not in norm["electron"]  # q0_l holds all it set
     assert normalize_config(norm) == norm
     # conflicting specifications are rejected
     cfg["electron"] = {"rungs": 17, "center": 8, "g_q": 0.8, "q0_l": 50.0, "length_um": 40.0,
@@ -292,6 +293,49 @@ def test_loss_energy_spread_is_rejected_by_field(tmp_path, capsys):
     cfg = minimal_evolve(loss={"gamma_ratio": 1e-4, "energy_spread": 0.3})
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
     assert "loss.energy_spread" in capsys.readouterr().err
+
+
+def rejected_field(tmp_path, capsys, cfg: dict) -> str:
+    """Run `cfg`; it must exit 2 and write nothing.  Returns stderr."""
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def electron(**extra) -> dict:
+    return {"rungs": 17, "center": 8, "g_q": 0.8, "q0_l": 50.0, "velocity_ratio": 1.0, **extra}
+
+
+def test_electron_energy_is_rejected_where_nothing_reads_it(tmp_path, capsys):
+    # only the evolve scenario's eels_energy.csv reads the energy, and only next to wavelength_nm
+    sweep = minimal_evolve(scenario="sweep_kappa", sweep={"kappa_values": [0.02, 0.05]})
+    for cfg in (dict(sweep, electron=electron(energy_kev=200.0)),
+                dict(sweep, electron=electron(energy_kev=200.0, wavelength_nm=532.0)),
+                minimal_evolve(electron=electron(energy_kev=200.0))):
+        assert "electron.energy_kev" in rejected_field(tmp_path, capsys, cfg)
+
+
+def test_electron_beta_is_rejected_where_nothing_reads_it(tmp_path, capsys):
+    sweep = minimal_evolve(scenario="sweep_kappa", sweep={"kappa_values": [0.02, 0.05]})
+    for cfg in (dict(sweep, electron=electron(beta=0.7)),
+                dict(sweep, electron=electron(beta=0.7, wavelength_nm=532.0)),
+                minimal_evolve(electron=electron(beta=0.7))):
+        assert "electron.beta" in rejected_field(tmp_path, capsys, cfg)
+
+
+def test_electron_wavelength_is_rejected_where_nothing_reads_it(tmp_path, capsys):
+    # without length_um it sets only the energy axis, which needs energy_kev or beta
+    sweep = minimal_evolve(scenario="sweep_kappa", sweep={"kappa_values": [0.02, 0.05]})
+    for cfg in (minimal_evolve(electron=electron(wavelength_nm=532.0)),
+                dict(sweep, electron=electron(wavelength_nm=532.0))):
+        assert "electron.wavelength_nm" in rejected_field(tmp_path, capsys, cfg)
+    for speed in ({"energy_kev": 200.0}, {"beta": 0.6953}):
+        cfg = normalize_config(minimal_evolve(electron=electron(wavelength_nm=532.0, **speed)))
+        assert normalize_config(cfg) == cfg
+        out = tmp_path / f"{next(iter(speed))}"
+        assert run_config(cfg, out) == 0
+        assert (out / "eels_energy.csv").exists()
 
 
 def test_cli_check_feasibility(tmp_path, capsys):

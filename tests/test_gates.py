@@ -32,7 +32,7 @@ from epolsim import (
 )
 from epolsim.cli import normalize_config, run_config
 from epolsim.gates import CZ_TARGET, HADAMARD, PAULI_X, PAULI_Z, _ancilla_tail
-from reference import (
+from oracles import (
     cep_rz_target,
     reference_cep_rz,
     reference_cpe_path,
@@ -197,7 +197,7 @@ def test_electron_hadamard_basics():
 
 
 def test_two_polariton_cz_verifies():
-    report = two_polariton_cz(rungs=RUNGS, seed=5)
+    report = two_polariton_cz(rungs=RUNGS)
     assert report.passed
     assert report.deviation <= 1e-9
     assert report.ancilla_entropy <= 1e-10
@@ -304,8 +304,8 @@ def test_cep_rz_and_cpe_path_match_dense_composition(rungs):
         op = cep_rz(0.93, space, qubit).matrix
         assert np.max(np.abs(op - reference_cep_rz(0.93, space, qubit, True))) <= 1e-12
         for loss_to in (0, 1):
-            op = cpe_path(space, center, qubit, phase_first=0.6, phase_second=-0.2, loss_to_path=loss_to).matrix
-            ref = reference_cpe_path(space, center, qubit, 0.6, loss_to, phase_second=-0.2)
+            op = cpe_path(space, center, qubit, phase_first=0.6, loss_to_path=loss_to).matrix
+            ref = reference_cpe_path(space, center, qubit, 0.6, loss_to)
             assert np.max(np.abs(op - ref)) <= 1e-12
     free = TensorSpace((("electron", rungs), ("pol", 2)))
     op = cep_rz(1.7, free, conditioned=False).matrix
