@@ -31,7 +31,7 @@ from .dynamics import (
     evolve_lindblad,
     initial_state,
 )
-from .electron import LadderConfig
+from .electron import LadderConfig, energy_to_velocity
 from .gates import gate_identity_suite
 from .observables import Distribution, ProbabilityError, sideband_distribution
 
@@ -55,11 +55,11 @@ class _Sweep(NamedTuple):
 # per-point list: (point setting, smallest entry), the bounds of model.n_cut and electron.rungs
 _PER_POINT = {"n_cut_values": ("n_cut", 2), "rungs_values": ("rungs", 3)}
 _KAPPA = _Axis("kappa_values", "kappa", "kappa_ratio", minimum=0.0)
-# a velocity sweep sets the velocity itself, so it neither tunes to the pair nor keeps a delta
+# a velocity sweep sets the velocity itself, so it does not tune to the pair
 _SWEEPS = {
     "sweep_kappa": _Sweep((_KAPPA,), {}),
     "sweep_velocity": _Sweep((_Axis("velocity_ratios", "velocity_ratio", "velocity_ratio", 0.1, 1.9),),
-                             {"tune_to_pair": False, "delta": None}),
+                             {"tune_to_pair": False}),
     "sweep_gq": _Sweep((_Axis("g_q_values", "g_q", "g_q"),), {}, per_point=False),
     "fidelity_map": _Sweep((_KAPPA, _Axis("gamma_values", "gamma", "gamma_ratio", minimum=0.0)),
                            {"want_fidelity": True}),
@@ -160,8 +160,6 @@ def _integer_list(obj: dict, path: str, key: str, length: int, minimum: int, mat
 
 
 def _complex_field(obj: dict, path: str, key: str) -> complex:
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}", "missing required number")
     val = obj[key]
     if _is_number(val):
         return complex(float(val), 0.0)
@@ -226,17 +224,9 @@ def normalize_config(raw: dict) -> dict:
 
     if scenario == "feasibility":
         feas = _require_mapping(raw.get("feasibility", {}), "feasibility")
-        _check_keys(feas, "feasibility", (), ("pm_bandwidth", "omega_t", "kappa_ratio", "gamma_ratio", "energy_spread", "margin"))
-        if "pm_bandwidth" in feas and "omega_t" in feas:
-            raise ConfigError("feasibility.omega_t", "give pm_bandwidth or omega_t, not both")
-        if "pm_bandwidth" in feas:
-            pm = _number(feas, "feasibility", "pm_bandwidth", minimum=0.0)
-        elif "omega_t" in feas:
-            pm = 1.0 / _number(feas, "feasibility", "omega_t", minimum=1e-12)
-        else:
-            raise ConfigError("feasibility.pm_bandwidth", "provide pm_bandwidth or omega_t")
+        _check_keys(feas, "feasibility", (), ("pm_bandwidth", "kappa_ratio", "gamma_ratio", "energy_spread", "margin"))
         cfg["feasibility"] = {
-            "pm_bandwidth": pm,
+            "pm_bandwidth": _number(feas, "feasibility", "pm_bandwidth", minimum=0.0),
             "kappa_ratio": _number(feas, "feasibility", "kappa_ratio", minimum=0.0),
             "gamma_ratio": _number(feas, "feasibility", "gamma_ratio", default=0.0, minimum=0.0),
             "energy_spread": _number(feas, "feasibility", "energy_spread", default=0.0, minimum=0.0),
@@ -269,56 +259,37 @@ def normalize_config(raw: dict) -> dict:
     _check_keys(
         electron,
         "electron",
-        ("rungs", "center", "g_q"),
-        ("q0_l", "wavelength_nm", "length_um", "velocity_ratio", "delta", "tune_to_pair", "energy_kev", "beta"),
+        ("rungs", "center", "g_q", "q0_l"),
+        ("velocity_ratio", "tune_to_pair", "energy_kev", "wavelength_nm"),
     )
     rungs = _integer(electron, "electron", "rungs", minimum=3)
     center = _integer(electron, "electron", "center", minimum=0)
     if center >= rungs:
         raise ConfigError("electron.center", f"must be < rungs ({rungs}), got {center}")
     g_q = _complex_field(electron, "electron", "g_q")
-    if "energy_kev" in electron and "beta" in electron:
-        raise ConfigError("electron.beta", "give energy_kev or beta, not both")
-    # energy_kev, beta and wavelength_nm set only eels_energy.csv's energy axis, except that
-    # wavelength_nm next to length_um sets q0_l, which the echo then holds
-    speed = [k for k in ("energy_kev", "beta") if k in electron]
-    if speed and (scenario != "evolve" or "wavelength_nm" not in electron):
-        raise ConfigError(f"electron.{speed[0]}", "is read only by the evolve scenario, next to wavelength_nm")
-    if "wavelength_nm" in electron and "length_um" not in electron and not speed:
-        raise ConfigError("electron.wavelength_nm", "is read only next to length_um, or next to energy_kev or beta")
-    if "length_um" in electron:
-        if "q0_l" in electron:
-            raise ConfigError("electron.q0_l", "give q0_l or (wavelength_nm, length_um), not both")
-        wavelength = _number(electron, "electron", "wavelength_nm", minimum=1e-6)
-        length = _number(electron, "electron", "length_um", minimum=1e-9)
-        q0_l = 2.0 * math.pi * length * 1e3 / wavelength
-    else:
-        q0_l = _number(electron, "electron", "q0_l", minimum=1e-9)
+    # energy_kev and wavelength_nm set only the evolve scenario's eels_energy.csv, and only together
+    energy_axis = [k for k in ("energy_kev", "wavelength_nm") if k in electron]
+    if energy_axis and (scenario != "evolve" or len(energy_axis) == 1):
+        raise ConfigError(f"electron.{energy_axis[0]}",
+                          "energy_kev and wavelength_nm are read only together, by the evolve scenario")
     tune = _boolean(electron, "electron", "tune_to_pair")
-    tuning_keys = [k for k in ("velocity_ratio", "delta") if k in electron]
-    if tune:
-        tuning_keys.append("tune_to_pair")
-    if len(tuning_keys) > 1:
-        raise ConfigError(f"electron.{tuning_keys[1]}", "give only one of velocity_ratio, delta, tune_to_pair")
-    if tune is False and not tuning_keys:
-        raise ConfigError("electron.tune_to_pair", "false leaves the velocity unset; give velocity_ratio or delta")
+    velocity = "velocity_ratio" in electron
+    if tune and velocity:
+        raise ConfigError("electron.tune_to_pair", "give velocity_ratio or tune_to_pair, not both")
+    if tune is False and not velocity:
+        raise ConfigError("electron.tune_to_pair", "false leaves the velocity unset; give velocity_ratio")
     cfg["electron"] = {
         "rungs": rungs,
         "center": center,
         "g_q": [g_q.real, g_q.imag],
-        "q0_l": q0_l,
-        "tune_to_pair": not tuning_keys or tuning_keys == ["tune_to_pair"],
+        "q0_l": _number(electron, "electron", "q0_l", minimum=1e-9),
+        "tune_to_pair": not velocity,
     }
-    if tuning_keys == ["velocity_ratio"]:
+    if velocity:
         cfg["electron"]["velocity_ratio"] = _number(electron, "electron", "velocity_ratio", minimum=0.1, maximum=1.9)
-    elif tuning_keys == ["delta"]:
-        cfg["electron"]["delta"] = _number(electron, "electron", "delta", minimum=-0.9, maximum=0.9)
-    if speed:
-        cfg["electron"]["wavelength_nm"] = _number(electron, "electron", "wavelength_nm", minimum=1e-6)
-    if "energy_kev" in electron:
+    if energy_axis:
         cfg["electron"]["energy_kev"] = _number(electron, "electron", "energy_kev", minimum=0.0)
-    if "beta" in electron:
-        cfg["electron"]["beta"] = _number(electron, "electron", "beta", minimum=0.0, maximum=0.999999)
+        cfg["electron"]["wavelength_nm"] = _number(electron, "electron", "wavelength_nm", minimum=1e-6)
 
     loss = _require_mapping(raw.get("loss", {}), "loss")
     _check_keys(loss, "loss", (), ("gamma_ratio",))
@@ -437,9 +408,7 @@ def _grid(cfg: dict) -> list[_Point]:
             models[key] = _checked_model(cfg, *key, tuned, scored)
         model, delta = models[key]
         if not tuned:
-            delta = at.get("delta", electron.get("delta"))
-            if delta is None:
-                delta = at.get("velocity_ratio", electron.get("velocity_ratio")) - 1.0
+            delta = at.get("velocity_ratio", electron.get("velocity_ratio")) - 1.0
         system = SystemConfig(
             model=model,
             ladder=LadderConfig(rungs=at.get("rungs", electron["rungs"]), center=electron["center"]),
@@ -552,16 +521,11 @@ def _scenario_evolve(cfg: dict, out_dir: Path) -> int:
     _write_point_files(out_dir, result)
     _write_csv(out_dir / "diagnostics.csv", DIAG_HEADER, [_diag_columns(result)])
     electron = cfg["electron"]
-    beta = electron.get("beta")
-    if beta is None and "energy_kev" in electron:
-        from .electron import energy_to_velocity
-
-        beta = energy_to_velocity(electron["energy_kev"])
-    if beta is not None:
+    if "energy_kev" in electron:
         # physical energy axis: final energy = E + l * hbar * q0 * v
+        beta = energy_to_velocity(electron["energy_kev"])
         quantum_kev = 2.0 * math.pi * beta * HBAR_C_KEV_NM / electron["wavelength_nm"]
-        base = electron.get("energy_kev", 0.0)
-        energies = [base + int(lab) * quantum_kev for lab in result.eels.labels]
+        energies = [electron["energy_kev"] + int(lab) * quantum_kev for lab in result.eels.labels]
         _write_csv(out_dir / "eels_energy.csv", ["energy_kev", "probability"],
                    zip(energies, result.eels.probabilities))
     return 0

@@ -181,9 +181,6 @@ def embed_group(matrix: np.ndarray, labels: Sequence[str], space: TensorSpace) -
     if matrix.shape != (sub_dim, sub_dim):
         raise ValueError(f"group operator shape {matrix.shape}, expected {(sub_dim, sub_dim)}")
     k = len(space.factors)
-    if axes == list(range(k)):
-        # the Operator freezes its array, so the caller's stays apart and writable
-        return Operator(space, matrix.copy())
     rest = [i for i in range(k) if i not in axes]
     t, r = len(axes), len(rest)
     rest_dims = [space.dims[i] for i in rest]

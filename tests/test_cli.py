@@ -104,6 +104,8 @@ def test_all_presets_normalize():
     for name, preset in presets.items():
         normalized = normalize_config(preset)
         assert normalized["schema_version"] == 1, name
+        # the effective config is the echo a rerun reads: normalizing it again changes nothing
+        assert normalize_config(normalized) == normalized, name
 
 
 def test_evolve_scenario_outputs(tmp_path):
@@ -150,37 +152,30 @@ def test_sweep_rows_sum_to_one_per_point(tmp_path):
 
 
 def test_electron_block_alternatives():
-    # explicit detuning instead of a velocity ratio
+    # the velocity is given as a ratio or tuned to the pair, never both
     cfg = minimal_evolve()
-    cfg["electron"] = {"rungs": 17, "center": 8, "g_q": 0.8, "q0_l": 50.0, "delta": 0.02}
     norm = normalize_config(cfg)
-    assert norm["electron"]["delta"] == 0.02
-    assert normalize_config(norm) == norm
-    # geometric specification (wavelength + interaction length)
-    cfg["electron"] = {"rungs": 17, "center": 8, "g_q": 0.8, "wavelength_nm": 532.0, "length_um": 40.0,
-                       "velocity_ratio": 1.0}
+    assert norm["electron"]["velocity_ratio"] == 1.0 and norm["electron"]["tune_to_pair"] is False
+    cfg["electron"] = {"rungs": 17, "center": 8, "g_q": 0.8, "q0_l": 50.0, "tune_to_pair": True}
     norm = normalize_config(cfg)
-    assert norm["electron"]["q0_l"] == pytest.approx(2 * math.pi * 40e3 / 532.0, rel=1e-12)
-    assert "wavelength_nm" not in norm["electron"]  # q0_l holds all it set
+    assert "velocity_ratio" not in norm["electron"] and norm["electron"]["tune_to_pair"] is True
     assert normalize_config(norm) == norm
     # conflicting specifications are rejected
-    cfg["electron"] = {"rungs": 17, "center": 8, "g_q": 0.8, "q0_l": 50.0, "length_um": 40.0,
-                       "wavelength_nm": 532.0, "velocity_ratio": 1.0}
-    with pytest.raises(ConfigError):
+    cfg["electron"] = {"rungs": 17, "center": 8, "g_q": 0.8, "q0_l": 50.0, "velocity_ratio": 1.0,
+                       "tune_to_pair": True}
+    with pytest.raises(ConfigError, match="electron.tune_to_pair"):
         normalize_config(cfg)
-    cfg["electron"] = {"rungs": 17, "center": 8, "g_q": 0.8, "q0_l": 50.0, "velocity_ratio": 1.0, "delta": 0.0}
-    with pytest.raises(ConfigError):
-        normalize_config(cfg)
-    cfg["electron"] = {"rungs": 17, "center": 8, "g_q": 0.8, "q0_l": 50.0, "energy_kev": 200.0, "beta": 0.5}
-    with pytest.raises(ConfigError):
+    # q0_l is the one spelling of the interaction length
+    cfg["electron"] = {"rungs": 17, "center": 8, "g_q": 0.8, "velocity_ratio": 1.0}
+    with pytest.raises(ConfigError, match="electron.q0_l"):
         normalize_config(cfg)
 
 
 def test_eels_energy_axis_on_request(tmp_path):
     cfg = minimal_evolve()
     cfg["electron"] = {
-        "rungs": 17, "center": 8, "g_q": 0.8, "velocity_ratio": 1.0,
-        "wavelength_nm": 532.0, "length_um": 40.0 * 50.0 / 472.43, "energy_kev": 200.0,
+        "rungs": 17, "center": 8, "g_q": 0.8, "q0_l": 50.0, "velocity_ratio": 1.0,
+        "wavelength_nm": 532.0, "energy_kev": 200.0,
     }
     norm = normalize_config(cfg)
     assert run_config(norm, tmp_path) == 0
@@ -325,17 +320,32 @@ def test_electron_beta_is_rejected_where_nothing_reads_it(tmp_path, capsys):
 
 
 def test_electron_wavelength_is_rejected_where_nothing_reads_it(tmp_path, capsys):
-    # without length_um it sets only the energy axis, which needs energy_kev or beta
+    # it sets only the energy axis, which needs energy_kev too
     sweep = minimal_evolve(scenario="sweep_kappa", sweep={"kappa_values": [0.02, 0.05]})
     for cfg in (minimal_evolve(electron=electron(wavelength_nm=532.0)),
                 dict(sweep, electron=electron(wavelength_nm=532.0))):
         assert "electron.wavelength_nm" in rejected_field(tmp_path, capsys, cfg)
-    for speed in ({"energy_kev": 200.0}, {"beta": 0.6953}):
-        cfg = normalize_config(minimal_evolve(electron=electron(wavelength_nm=532.0, **speed)))
-        assert normalize_config(cfg) == cfg
-        out = tmp_path / f"{next(iter(speed))}"
-        assert run_config(cfg, out) == 0
-        assert (out / "eels_energy.csv").exists()
+    cfg = normalize_config(minimal_evolve(electron=electron(wavelength_nm=532.0, energy_kev=200.0)))
+    assert normalize_config(cfg) == cfg
+    assert run_config(cfg, tmp_path / "energy_kev") == 0
+    assert (tmp_path / "energy_kev" / "eels_energy.csv").exists()
+
+
+@pytest.mark.parametrize("field, spelled, replaces", [
+    ("electron.delta", {"delta": 0.02}, "velocity_ratio"),  # velocity_ratio = 1 + delta
+    # q0_l = 2 pi length_um 1e3 / wavelength_nm
+    ("electron.length_um", {"length_um": 40.0, "wavelength_nm": 532.0}, "q0_l"),
+    # energy_kev = 511 (1 / sqrt(1 - beta^2) - 1)
+    ("electron.beta", {"beta": 0.6953, "wavelength_nm": 532.0}, None),
+    ("feasibility.omega_t", {"omega_t": 10.0}, "pm_bandwidth"),  # pm_bandwidth = 1 / omega_t
+], ids=["electron.delta", "electron.length_um", "electron.beta", "feasibility.omega_t"])
+def test_removed_spelling_is_rejected_by_field(tmp_path, capsys, field, spelled, replaces):
+    # each quantity has one spelling; the other exits 2 as an unknown key, even where it is the only one
+    block = field.split(".")[0]
+    cfg = minimal_evolve() if block == "electron" else {
+        "schema_version": 1, "scenario": "feasibility", "feasibility": {"pm_bandwidth": 7e-4, "kappa_ratio": 0.02}}
+    cfg[block] = {**{k: v for k, v in cfg[block].items() if k != replaces}, **spelled}
+    assert field in rejected_field(tmp_path, capsys, cfg)
 
 
 def test_cli_check_feasibility(tmp_path, capsys):
@@ -357,7 +367,7 @@ def test_cli_check_feasibility(tmp_path, capsys):
 
 
 def test_feasibility_bandwidth_given_twice_is_rejected_by_field(tmp_path, capsys):
-    # omega_t 10 alone is a bandwidth of 0.1, which fails the blockade inequality
+    # only pm_bandwidth sets the bandwidth; omega_t is an unknown key
     cfg = {"schema_version": 1, "scenario": "feasibility",
            "feasibility": {"pm_bandwidth": 7e-4, "omega_t": 10, "kappa_ratio": 0.02}}
     assert main(["check", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
