@@ -138,17 +138,25 @@ def _condition_and_lift(s: np.ndarray, qubit_label: str, conditioned: bool, spac
 def _z_rotations(space: TensorSpace, qubit_label: str = "pol", conditioned: bool = True):
     """The family of cep_rz on one space: a function from the relative phase phi to the rotation.
 
-    The first pass, at omega = pi/2, is the same for every phi, so it is built
-    once, on (electron, qubit).  Each rotation multiplies its second pass into
-    it there and conditions and lifts the product once, since
-    diag(I, B) diag(I, A) = diag(I, BA) on (far, near) path.
+    The first pass, at omega = pi/2, is the same for every phi.  At fixed
+    |omega| the second pass is C_0 + e^{i phi} C_1 + e^{-i phi} C_-1 (its
+    same-rung, rung-down and rung-up blocks), so a three-point DFT of the
+    passes at phi = 0, 2 pi/3 and 4 pi/3 recovers the C_j, and every
+    rotation is T_0 + e^{i phi} T_1 + e^{-i phi} T_-1 with T_j = C_j first:
+    three products per family, on (electron, qubit).  Each rotation is then
+    conditioned and lifted once, since diag(I, B) diag(I, A) = diag(I, BA) on
+    (far, near) path.
     """
     bare = _pass_space(space.dim_of(ELECTRON_LABEL), qubit_label, False)
-    first = scattering_blockade(0.5 * math.pi, QUBIT_ZERO, QUBIT_ONE, bare).matrix
+    roots = np.exp(2j * math.pi / 3 * np.arange(3))
+    passes = [scattering_blockade(0.5 * math.pi * w, QUBIT_ZERO, QUBIT_ONE, bare).matrix for w in roots]
+    first = passes[0]
+    # T_j = (1/3) sum_k e^{-2 pi i j k/3} pass_k first, for j = 0, 1, -1
+    t0, t1, t_1 = (sum(w**-j * p for w, p in zip(roots, passes)) @ first / 3 for j in (0, 1, -1))
 
     def rotation(phi: float) -> Operator:
-        second = scattering_blockade(0.5 * math.pi * cmath.exp(1j * phi), QUBIT_ZERO, QUBIT_ONE, bare).matrix
-        return _condition_and_lift(second @ first, qubit_label, conditioned, space)
+        e = cmath.exp(1j * phi)
+        return _condition_and_lift(t0 + e * t1 + e.conjugate() * t_1, qubit_label, conditioned, space)
 
     return rotation
 
@@ -326,7 +334,9 @@ def two_polariton_cz(rungs: int = 7, calibration: dict | None = None) -> Circuit
     cols = np.kron(anc_in[:, None], np.eye(4))
     # each stage is built on the factors it touches and applied to them alone
     cpe = cpe_path(_pass_space(rungs, "pol1", True), center, "pol1", phase_first=delta, loss_to_path=loss_to)
-    rz1, rz2 = (cep_rz(0.5 * math.pi, _pass_space(rungs, qubit, True), qubit) for qubit in ("pol1", "pol2"))
+    # both z-gates are one matrix, on (electron, path, pol1) and on (electron, path, pol2)
+    rz1 = cep_rz(0.5 * math.pi, _pass_space(rungs, "pol1", True), "pol1")
+    rz2 = Operator(_pass_space(rungs, "pol2", True), rz1.matrix)
     h = electron_hadamard(TensorSpace(((ELECTRON_LABEL, rungs), (PATH_LABEL, 2))))
     wrap_pop = 0.0
     for stage in (cpe, rz2, h, rz1, h):

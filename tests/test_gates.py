@@ -312,13 +312,19 @@ def test_cep_rz_and_cpe_path_match_dense_composition(rungs):
     assert np.max(np.abs(op - reference_cep_rz(1.7, free, "pol", False))) <= 1e-12
 
 
-@pytest.mark.parametrize("rungs", [6, 7, 29])
+@pytest.mark.parametrize("rungs", [2, 3, 6, 7, 29])
 @pytest.mark.parametrize("conditioned", [True, False])
 def test_z_rotation_family_matches_dense_reference(rungs, conditioned):
-    # one family, 20 phases, on the pass's own factors and lifted to the two-qubit space
+    # one family, on the pass's own factors and lifted to the two-qubit space: 20 random
+    # phases, the three phases the family samples its passes at and their midpoints, pi
+    # among them.  At 2 rungs a pass's rung-down and rung-up blocks add on the same rung
+    # blocks, and at 3 they fill every off-diagonal rung block, so only their phases tell
+    # the two apart.
     from epolsim.gates import _z_rotations
 
-    phases = np.random.default_rng(rungs).uniform(0, 2 * math.pi, size=20)
+    sampled = 2 * math.pi * np.arange(3) / 3
+    phases = [*np.random.default_rng(rungs).uniform(0, 2 * math.pi, size=20), *sampled, *(sampled + math.pi / 3)]
+    assert math.pi in phases
     for space, qubit in ((gate_space(rungs, 1, with_path=conditioned), "pol"), (gate_space(rungs, 2), "pol2")):
         rz = _z_rotations(space, qubit, conditioned)
         for phi in phases:
@@ -336,8 +342,9 @@ def test_cep_rz_on_the_two_qubit_space(rungs):
 
 
 def test_identity_suite_builds_each_first_pass_once(monkeypatch):
-    # the suite's z-rotations share one first pass per family; rebuilding it for each
-    # of the 68 rotations made 149 pass builds at 8 rungs
+    # each z-rotation family builds three passes, whatever the number of rotations drawn
+    # from it: 15 pass builds at 8 rungs, where building two passes for each of the 68
+    # rotations made 82 (149 with the first pass rebuilt every time)
     import epolsim.gates as gates
 
     passes, lifts = [], []
@@ -357,8 +364,51 @@ def test_identity_suite_builds_each_first_pass_once(monkeypatch):
     monkeypatch.setattr(gates, "embed_group", counted_lift)
     checks, report = gate_identity_suite(rungs=8)
     assert all(c.passed for c in checks) and report.passed
-    assert len(passes) <= 82, f"{len(passes)} pass builds"
+    assert len(passes) <= 15, f"{len(passes)} pass builds"
     assert lifts, "the spectrometer's and the second passes' lifts were not seen"
+
+
+def test_identity_suite_makes_three_pass_products_per_z_rotation_family(monkeypatch):
+    # a rotation is T_0 + e^{i phi} T_1 + e^{-i phi} T_-1, so a family multiplies three
+    # (2 rungs)-sized matrices once and none per rotation.  At 8 rungs the suite draws on
+    # two families (its own and the controlled-Z's) and its group-law and quarter-phase
+    # checks multiply 21 rotation pairs; a second pass multiplied into the first for each
+    # rotation made 91 products.  Matrices built from a pass stay recorded through every
+    # ufunc, and Operator products on the (electron, qubit) space are counted apart, since
+    # an Operator holds a plain array.
+    import epolsim.gates as gates
+
+    rungs = 8
+    square = (2 * rungs, 2 * rungs)
+    products = []
+    matmul = Operator.__matmul__
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [np.asarray(x) for x in inputs]
+            if ufunc is np.matmul and all(x.shape == square for x in plain):
+                products.append("pass-derived")
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            return out.view(Recorded) if isinstance(out, np.ndarray) else out
+
+    def recorded(build):
+        def wrapper(*args, **kwargs):
+            op = build(*args, **kwargs)
+            return SimpleNamespace(space=op.space, matrix=op.matrix.view(Recorded))
+
+        return wrapper
+
+    def counting(self, other):
+        if isinstance(other, Operator) and self.matrix.shape == square:
+            products.append("operator")
+        return matmul(self, other)
+
+    monkeypatch.setattr(gates, "scattering_blockade", recorded(gates.scattering_blockade))
+    monkeypatch.setattr(Operator, "__matmul__", counting)
+    checks, report = gate_identity_suite(rungs=rungs)
+    assert all(c.passed for c in checks) and report.passed
+    assert products.count("operator") == 21, f"{products.count('operator')} rotation products"
+    assert len(products) <= 3 * 2 + 21, f"{len(products)} (2 rungs)-sized products"
 
 
 @pytest.mark.parametrize("rungs", [7, 18])
@@ -494,18 +544,22 @@ def _pass_angle(build):
     return lambda omega, *args, **kwargs: build(1.01 * omega, *args, **kwargs)
 
 
-def _pass_transfer(build):
-    # only the rung-changing (sin) terms of the pass scaled, so it is no longer unitary
-    def perturbed(*args, **kwargs):
-        op = build(*args, **kwargs)
-        d = op.space.dims[0]
-        blocks = op.matrix.reshape(d, op.space.dim // d, d, -1)
-        rung = np.arange(d)
-        out = 1.01 * blocks
-        out[rung, :, rung, :] = blocks[rung, :, rung, :]
-        return Operator(op.space, out.reshape(op.space.dim, op.space.dim))
+def _pass_transfer(scale):
+    # only the rung-changing (sin) terms of a pass at omega scaled, by scale(arg omega),
+    # so it is no longer unitary
+    def perturb(build):
+        def perturbed(omega, *args, **kwargs):
+            op = build(omega, *args, **kwargs)
+            d = op.space.dims[0]
+            blocks = op.matrix.reshape(d, op.space.dim // d, d, -1)
+            rung = np.arange(d)
+            out = scale(cmath.phase(omega)) * blocks
+            out[rung, :, rung, :] = blocks[rung, :, rung, :]
+            return Operator(op.space, out.reshape(op.space.dim, op.space.dim))
 
-    return perturbed
+        return perturbed
+
+    return perturb
 
 
 def _linear_without_conjugate(build):
@@ -528,7 +582,7 @@ def _rotation_phase(build):
 
 PERTURBATIONS = {
     "pass angle x1.01": ("scattering_blockade", _pass_angle),
-    "pass transfer terms x1.01": ("scattering_blockade", _pass_transfer),
+    "pass transfer terms x1.01": ("scattering_blockade", _pass_transfer(lambda arg: 1.01)),
     "linear generator without its conjugate": ("scattering_linear", _linear_without_conjugate),
     "skewed Hadamard": ("HADAMARD", lambda h: h @ np.diag([1.0, cmath.exp(0.01j)])),
     "spectrometer to the other path": ("spectrometer", lambda build: lambda space, center, loss_to_path=0: build(
@@ -576,3 +630,40 @@ def test_identity_fails_under_its_negative_control(identity, monkeypatch, tmp_pa
     cfg = normalize_config({"schema_version": 1, "scenario": "gates", "gates": {"rungs": RUNGS}})
     assert run_config(cfg, tmp_path) == 1
     assert identity in capsys.readouterr().err
+
+
+def test_z_rotation_family_sees_a_pass_fault_beyond_degree_one(monkeypatch):
+    # the family reads the pass at three phases and takes it to be degree one in
+    # e^{i arg omega}; a fault with a second harmonic in arg omega is not, and every line
+    # drawing on a z-rotation family must still fail
+    import epolsim.gates as gates
+
+    fault = _pass_transfer(lambda arg: 1 + 0.01 * math.cos(2 * arg))
+    monkeypatch.setattr(gates, "scattering_blockade", fault(gates.scattering_blockade))
+    checks, _ = gate_identity_suite(rungs=RUNGS)
+    family_lines = {
+        "two passes at relative phase pi/2 give Z (up to phase)",
+        "zero relative phase gives identity (up to phase)",
+        "z-rotation group law (20 random phase pairs)",
+        "quarter-phase gate squared equals half-phase gate",
+        "electron energy marginal restored by z-rotation",
+        "two-polariton controlled-Z (up to global phase)",
+        "H T H S composite matches direct construction",
+    }
+    assert family_lines <= {c.name for c in checks if not c.passed}
+
+
+def test_pass_fault_the_family_cannot_sample_still_fails_the_suite(monkeypatch):
+    # a fault that vanishes at arg omega = 0, 2 pi/3 and 4 pi/3 leaves the three passes a
+    # family reads exact, so the family's own lines pass; the passes built at other
+    # phases (the path-conditioned unitarity check, the comb rotations and the
+    # controlled-Z's controlled-path gate) must still fail the suite
+    import epolsim.gates as gates
+
+    fault = _pass_transfer(lambda arg: 1 + 0.01 * (math.cos(3 * arg) - 1))
+    monkeypatch.setattr(gates, "scattering_blockade", fault(gates.scattering_blockade))
+    checks, report = gate_identity_suite(rungs=RUNGS)
+    failed = {c.name for c in checks if not c.passed}
+    assert {"blockade pass unitary (path-conditioned)", "composite comb rotations give -iH",
+            "two-polariton controlled-Z (up to global phase)"} <= failed, failed
+    assert not report.passed
