@@ -76,6 +76,9 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # config schema
+#
+# A reader validates one given value: reader(value, field) returns the value to echo or raises
+# ConfigError naming the field.
 
 
 def _require_mapping(obj, path: str) -> dict:
@@ -84,91 +87,138 @@ def _require_mapping(obj, path: str) -> dict:
     return obj
 
 
-def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
-    for key in obj:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{path}.{key}", "unknown key")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{path}.{key}", "missing required key")
-
-
-def _number(obj: dict, path: str, key: str, default=None, minimum=None, maximum=None):
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"{path}.{key}", "missing required number")
-        return float(default)
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {val!r}")
-    try:
-        val = float(val)
-    except OverflowError:  # a JSON integer beyond the largest float
-        val = math.inf
-    if not math.isfinite(val):
-        raise ConfigError(f"{path}.{key}", "must be finite")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {val}")
-    if maximum is not None and val > maximum:
-        raise ConfigError(f"{path}.{key}", f"must be <= {maximum}, got {val}")
-    return val
-
-
-def _integer(obj: dict, path: str, key: str, default=None, minimum=None) -> int:
-    """A JSON integer, read exactly, or an integral float such as 7.0."""
-    val = obj.get(key)
-    if not isinstance(val, int) or isinstance(val, bool):
-        num = _number(obj, path, key, default=default)
-        if num != int(num):
-            raise ConfigError(f"{path}.{key}", f"takes integers only, got {num}")
-        val = int(num)
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {val}")
-    return val
-
-
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _boolean(obj: dict, path: str, key: str, default=None):
-    val = obj.get(key, default)
-    if val is not None and not isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}", f"expected true or false, got {val!r}")
+def _number(minimum=None, maximum=None, integer=False):
+    """A finite number in [minimum, maximum]; with `integer`, a JSON integer, read exactly, or an
+    integral float such as 7.0."""
+    def read(val, field):
+        if not _is_number(val):
+            raise ConfigError(field, f"expected a number, got {val!r}")
+        if not (integer and isinstance(val, int)):
+            try:
+                val = float(val)
+            except OverflowError:  # a JSON integer beyond the largest float
+                val = math.inf
+            if not math.isfinite(val):
+                raise ConfigError(field, "must be finite")
+            if integer:
+                if val != int(val):
+                    raise ConfigError(field, f"takes integers only, got {val}")
+                val = int(val)
+        if minimum is not None and val < minimum:
+            raise ConfigError(field, f"must be >= {minimum}, got {val}")
+        if maximum is not None and val > maximum:
+            raise ConfigError(field, f"must be <= {maximum}, got {val}")
+        return val
+
+    return read
+
+
+def _numbers(element):
+    """A non-empty list, each entry read by `element`."""
+    def read(val, field):
+        if not isinstance(val, list) or not val or not all(_is_number(x) for x in val):
+            raise ConfigError(field, "expected a list of >= 1 numbers")
+        return [element(x, field) for x in val]
+
+    return read
+
+
+def _boolean(val, field):
+    if not isinstance(val, bool):
+        raise ConfigError(field, f"expected true or false, got {val!r}")
     return val
 
 
-def _level_label(val, field: str) -> str:
+def _level_label(val, field):
     if not isinstance(val, str):
         raise ConfigError(field, f"expected a level label string such as \"1\", got {val!r}")
     return val
 
 
-def _number_list(obj: dict, path: str, key: str, min_len=1, minimum=None, maximum=None):
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}", "missing required list")
-    val = obj[key]
-    if not isinstance(val, list) or len(val) < min_len or not all(_is_number(x) for x in val):
-        raise ConfigError(f"{path}.{key}", f"expected a list of >= {min_len} numbers")
-    return [_number({key: x}, path, key, minimum=minimum, maximum=maximum) for x in val]
+def _complex(val, field):
+    """A number or [re, im], echoed as [re, im]."""
+    parts = val if isinstance(val, list) and len(val) == 2 else [val, 0.0]
+    if not all(_is_number(x) for x in parts):
+        raise ConfigError(field, f"expected a number or [re, im], got {val!r}")
+    return [_number()(x, field) for x in parts]
 
 
-def _integer_list(obj: dict, path: str, key: str, length: int, minimum: int, match: str) -> list[int]:
-    if len(_number_list(obj, path, key)) != length:
-        raise ConfigError(f"{path}.{key}", f"length must match {match}")
-    return [_integer({key: v}, path, key, minimum=minimum) for v in obj[key]]
+def _model_kind(val, field):
+    if val not in ("kerr", "jc"):
+        raise ConfigError(field, f"must be 'kerr' or 'jc', got {val!r}")
+    return val
 
 
-def _complex_field(obj: dict, path: str, key: str) -> complex:
-    val = obj[key]
-    if _is_number(val):
-        return complex(float(val), 0.0)
-    if isinstance(val, list) and len(val) == 2 and all(_is_number(x) for x in val):
-        return complex(float(val[0]), float(val[1]))
-    raise ConfigError(f"{path}.{key}", f"expected a number or [re, im], got {val!r}")
+def _retired(default):
+    """A step size of the retired fixed-step integrator: echoed, and accepted only at its default."""
+    def read(val, field):
+        if val != default:
+            raise ConfigError(field,
+                              f"only {json.dumps(default)} is accepted: the propagator is exact and takes no steps")
+        return default
+
+    return read
 
 
-DEFAULT_PAIRS = {"kerr": ("0", "1"), "jc": ("0*", "1+")}
+REQUIRED, OPTIONAL = object(), object()  # a key without a default: it must be given, or is echoed only when given
+
+# block -> key -> (reader, default); the integrator block holds IntegratorConfig's fields
+_BLOCKS = {
+    "feasibility": {"pm_bandwidth": (_number(0.0), REQUIRED), "kappa_ratio": (_number(0.0), REQUIRED),
+                    "gamma_ratio": (_number(0.0), 0.0), "energy_spread": (_number(0.0), 0.0),
+                    "margin": (_number(1.0), 10.0)},
+    "gates": {"rungs": (_number(6, integer=True), 7), "seed": (_number(0, integer=True), 11),
+              "corrupt_cz_phase": (_number(), 0.0)},
+    "model": {"kind": (_model_kind, REQUIRED), "n_cut": (_number(2, integer=True), REQUIRED),
+              "kappa_ratio": (_number(0.0), REQUIRED)},
+    "electron": {"rungs": (_number(3, integer=True), REQUIRED), "center": (_number(0, integer=True), REQUIRED),
+                 "g_q": (_complex, REQUIRED), "q0_l": (_number(1e-9), REQUIRED),
+                 "velocity_ratio": (_number(0.1, 1.9), OPTIONAL), "tune_to_pair": (_boolean, OPTIONAL),
+                 "energy_kev": (_number(0.0), OPTIONAL), "wavelength_nm": (_number(1e-6), OPTIONAL)},
+    "loss": {"gamma_ratio": (_number(0.0), 0.0)},
+    "pair": {"lower": (_level_label, REQUIRED), "upper": (_level_label, REQUIRED)},
+    "integrator": {f.name: (_retired(f.default) if f.name in RETIRED_STEP_KEYS
+                            else _boolean if isinstance(f.default, bool) else _number(0.0), f.default)
+                   for f in fields(IntegratorConfig)},
+}
+
+
+def _block(raw: dict, name: str, table: dict | None = None) -> dict:
+    """The `name` block of a raw config, read by `table` (by default its _BLOCKS entry): every
+    given key read, every absent one at its default."""
+    given, table = _require_mapping(raw.get(name, {}), name), table or _BLOCKS[name]
+    for key in given:
+        if key not in table:
+            raise ConfigError(f"{name}.{key}", "unknown key")
+    out = {}
+    for key, (read, default) in table.items():
+        if key in given:
+            out[key] = read(given[key], f"{name}.{key}")
+        elif default is REQUIRED:
+            raise ConfigError(f"{name}.{key}", "missing required key")
+        elif default is not OPTIONAL:
+            out[key] = default
+    return out
+
+
+def _root_keys(raw: dict, keys: tuple[str, ...], required: tuple[str, ...]) -> None:
+    """The root's keys, and its schema_version."""
+    for key in raw:
+        if key not in keys:
+            raise ConfigError(f"<root>.{key}", "unknown key")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(key, "missing required key")
+    version = _number(integer=True)(raw["schema_version"], "schema_version")
+    if version != SCHEMA_VERSION:
+        raise ConfigError("schema_version", f"unsupported version {version}")
+
+
+DEFAULT_PAIRS = {"kerr": {"lower": "0", "upper": "1"}, "jc": {"lower": "0*", "upper": "1+"}}
 
 
 def normalize_config(raw: dict) -> dict:
@@ -179,10 +229,7 @@ def normalize_config(raw: dict) -> dict:
     """
     raw = _require_mapping(raw, "<root>")
     if "runs" in raw:
-        _check_keys(raw, "<root>", ("schema_version", "runs"))
-        version = _integer(raw, "<root>", "schema_version")
-        if version != SCHEMA_VERSION:
-            raise ConfigError("schema_version", f"unsupported version {version}")
+        _root_keys(raw, ("schema_version", "runs"), ("schema_version", "runs"))
         runs = raw["runs"]
         if not isinstance(runs, list) or not runs:
             raise ConfigError("runs", "expected a non-empty list of run configs")
@@ -208,141 +255,56 @@ def normalize_config(raw: dict) -> dict:
             out_runs.append({"tag": tag, **norm})
         return {"schema_version": SCHEMA_VERSION, "runs": out_runs}
 
-    _check_keys(
-        raw,
-        "<root>",
-        ("schema_version", "scenario"),
-        ("model", "electron", "loss", "pair", "initial_level", "integrator", "sweep", "gates", "feasibility"),
-    )
-    version = _integer(raw, "<root>", "schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError("schema_version", f"unsupported version {version}")
+    _root_keys(raw, ("schema_version", "scenario", "initial_level", "sweep", *_BLOCKS), ("schema_version", "scenario"))
     scenario = raw["scenario"]
     if scenario not in SCENARIOS:
         raise ConfigError("scenario", f"must be one of {SCENARIOS}, got {scenario!r}")
     cfg: dict = {"schema_version": SCHEMA_VERSION, "scenario": scenario}
-
-    if scenario == "feasibility":
-        feas = _require_mapping(raw.get("feasibility", {}), "feasibility")
-        _check_keys(feas, "feasibility", (), ("pm_bandwidth", "kappa_ratio", "gamma_ratio", "energy_spread", "margin"))
-        cfg["feasibility"] = {
-            "pm_bandwidth": _number(feas, "feasibility", "pm_bandwidth", minimum=0.0),
-            "kappa_ratio": _number(feas, "feasibility", "kappa_ratio", minimum=0.0),
-            "gamma_ratio": _number(feas, "feasibility", "gamma_ratio", default=0.0, minimum=0.0),
-            "energy_spread": _number(feas, "feasibility", "energy_spread", default=0.0, minimum=0.0),
-            "margin": _number(feas, "feasibility", "margin", default=10.0, minimum=1.0),
-        }
+    if scenario in ("feasibility", "gates"):
+        cfg[scenario] = _block(raw, scenario)
         return cfg
 
-    if scenario == "gates":
-        gates = _require_mapping(raw.get("gates", {}), "gates")
-        _check_keys(gates, "gates", (), ("rungs", "seed", "corrupt_cz_phase"))
-        cfg["gates"] = {
-            "rungs": _integer(gates, "gates", "rungs", default=7, minimum=6),
-            "seed": _integer(gates, "gates", "seed", default=11, minimum=0),
-            "corrupt_cz_phase": _number(gates, "gates", "corrupt_cz_phase", default=0.0),
-        }
-        return cfg
-
-    model = _require_mapping(raw.get("model", {}), "model")
-    _check_keys(model, "model", ("kind", "kappa_ratio", "n_cut"))
-    kind = model["kind"]
-    if kind not in ("kerr", "jc"):
-        raise ConfigError("model.kind", f"must be 'kerr' or 'jc', got {kind!r}")
-    cfg["model"] = {
-        "kind": kind,
-        "n_cut": _integer(model, "model", "n_cut", minimum=2),
-        "kappa_ratio": _number(model, "model", "kappa_ratio", minimum=0.0),
-    }
-
-    electron = _require_mapping(raw.get("electron", {}), "electron")
-    _check_keys(
-        electron,
-        "electron",
-        ("rungs", "center", "g_q", "q0_l"),
-        ("velocity_ratio", "tune_to_pair", "energy_kev", "wavelength_nm"),
-    )
-    rungs = _integer(electron, "electron", "rungs", minimum=3)
-    center = _integer(electron, "electron", "center", minimum=0)
-    if center >= rungs:
-        raise ConfigError("electron.center", f"must be < rungs ({rungs}), got {center}")
-    g_q = _complex_field(electron, "electron", "g_q")
+    cfg["model"] = _block(raw, "model")
+    electron = cfg["electron"] = _block(raw, "electron")
+    if electron["center"] >= electron["rungs"]:
+        raise ConfigError("electron.center", f"must be < rungs ({electron['rungs']}), got {electron['center']}")
     # energy_kev and wavelength_nm set only the evolve scenario's eels_energy.csv, and only together
     energy_axis = [k for k in ("energy_kev", "wavelength_nm") if k in electron]
     if energy_axis and (scenario != "evolve" or len(energy_axis) == 1):
         raise ConfigError(f"electron.{energy_axis[0]}",
                           "energy_kev and wavelength_nm are read only together, by the evolve scenario")
-    tune = _boolean(electron, "electron", "tune_to_pair")
-    velocity = "velocity_ratio" in electron
+    tune, velocity = electron.get("tune_to_pair"), "velocity_ratio" in electron
     if tune and velocity:
         raise ConfigError("electron.tune_to_pair", "give velocity_ratio or tune_to_pair, not both")
     if tune is False and not velocity:
         raise ConfigError("electron.tune_to_pair", "false leaves the velocity unset; give velocity_ratio")
-    cfg["electron"] = {
-        "rungs": rungs,
-        "center": center,
-        "g_q": [g_q.real, g_q.imag],
-        "q0_l": _number(electron, "electron", "q0_l", minimum=1e-9),
-        "tune_to_pair": not velocity,
-    }
-    if velocity:
-        cfg["electron"]["velocity_ratio"] = _number(electron, "electron", "velocity_ratio", minimum=0.1, maximum=1.9)
-    if energy_axis:
-        cfg["electron"]["energy_kev"] = _number(electron, "electron", "energy_kev", minimum=0.0)
-        cfg["electron"]["wavelength_nm"] = _number(electron, "electron", "wavelength_nm", minimum=1e-6)
+    electron["tune_to_pair"] = not velocity
+    cfg["loss"] = _block(raw, "loss")
+    cfg["pair"] = _block(raw, "pair") if "pair" in raw else dict(DEFAULT_PAIRS[cfg["model"]["kind"]])
+    cfg["initial_level"] = _level_label(raw.get("initial_level", cfg["pair"]["lower"]), "initial_level")
+    cfg["integrator"] = _block(raw, "integrator")
 
-    loss = _require_mapping(raw.get("loss", {}), "loss")
-    _check_keys(loss, "loss", (), ("gamma_ratio",))
-    cfg["loss"] = {"gamma_ratio": _number(loss, "loss", "gamma_ratio", default=0.0, minimum=0.0)}
-
-    pair = raw.get("pair")
-    if pair is None:
-        lower, upper = DEFAULT_PAIRS[kind]
-    else:
-        pair = _require_mapping(pair, "pair")
-        _check_keys(pair, "pair", ("lower", "upper"))
-        lower, upper = _level_label(pair["lower"], "pair.lower"), _level_label(pair["upper"], "pair.upper")
-    cfg["pair"] = {"lower": lower, "upper": upper}
-    cfg["initial_level"] = _level_label(raw.get("initial_level", lower), "initial_level")
-
-    # the integrator section holds IntegratorConfig's fields, at its defaults unless given
-    integ = _require_mapping(raw.get("integrator", {}), "integrator")
-    defaults = {f.name: f.default for f in fields(IntegratorConfig)}
-    _check_keys(integ, "integrator", (), tuple(defaults))
-    cfg["integrator"] = {}
-    for key, default in defaults.items():
-        if key in RETIRED_STEP_KEYS:  # step sizes of the retired fixed-step integrator: echoed only
-            if key in integ and integ[key] != default:
-                raise ConfigError(f"integrator.{key}",
-                                  f"only {json.dumps(default)} is accepted: the propagator is exact and takes no steps")
-            cfg["integrator"][key] = default
-        elif isinstance(default, bool):
-            cfg["integrator"][key] = _boolean(integ, "integrator", key, default=default)
-        else:
-            cfg["integrator"][key] = _number(integ, "integrator", key, default=default, minimum=0.0)
-
-    sweep = raw.get("sweep")
     if scenario not in _SWEEPS:
-        if sweep is not None:
+        if "sweep" in raw:
             raise ConfigError("sweep", "not allowed for the evolve scenario")
     else:
-        cfg["sweep"] = _sweep_lists(_require_mapping(sweep if sweep is not None else {}, "sweep"),
-                                    _SWEEPS[scenario], center)
+        cfg["sweep"] = _sweep_lists(raw, _SWEEPS[scenario], electron["center"])
     _grid(cfg)  # builds every model and checks its levels
     return cfg
 
 
-def _sweep_lists(sweep: dict, spec: _Sweep, center: int) -> dict:
+def _sweep_lists(raw: dict, spec: _Sweep, center: int) -> dict:
     """The sweep lists of a scenario, and per-axis-entry cutoffs with the bounds of
     model.n_cut and electron.rungs."""
-    optional = tuple(_PER_POINT) if spec.per_point else ()
-    _check_keys(sweep, "sweep", tuple(axis.key for axis in spec.axes), optional)
-    out = {axis.key: _number_list(sweep, "sweep", axis.key, minimum=axis.minimum, maximum=axis.maximum)
-           for axis in spec.axes}
+    table = {axis.key: (_numbers(_number(axis.minimum, axis.maximum)), REQUIRED) for axis in spec.axes}
+    if spec.per_point:
+        table.update({key: (_numbers(_number(minimum, integer=True)), OPTIONAL)
+                      for key, (_, minimum) in _PER_POINT.items()})
+    out = _block(raw, "sweep", table)
     first = spec.axes[0].key
-    for key, (_, minimum) in _PER_POINT.items():
-        if key in sweep:
-            out[key] = _integer_list(sweep, "sweep", key, len(out[first]), minimum, first)
+    for key in _PER_POINT:
+        if key in out and len(out[key]) != len(out[first]):
+            raise ConfigError(f"sweep.{key}", f"length must match {first}")
     for rungs in out.get("rungs_values", []):
         if rungs <= center:
             raise ConfigError("sweep.rungs_values", f"entries must exceed electron.center ({center}), got {rungs}")

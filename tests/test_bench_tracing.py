@@ -5,7 +5,9 @@ layer.  These tests load it and `bench/workloads.py` as they are, run one
 lossless, one lossy and one gates config of the workloads through it, and
 compare what it computed with what the CLI computes for the same points.
 `bench/checks.py` recomposes the controlled-Z from the public gate builders;
-the seed-1 `gate_suite` configs run through `run_config` must pass it.
+the seed-1 `gate_suite` configs run through `run_config` must pass it.  The
+benchmark reads its configs back from `normalize_config`'s echo, so every key it
+reads must stay in that echo.
 """
 from pathlib import Path
 
@@ -64,3 +66,29 @@ def test_gate_suite_configs_pass_the_benchmark_checks(bench, tmp_path, capsys):
     capsys.readouterr()
     code = run_config(cfg, tmp_path / "negative_control")
     assert checks.check_negative_control(code, capsys.readouterr().err) == []
+
+
+# the keys of a normalized config that `workloads.points`, `tracing.GridPointCalls`
+# and `tracing.GateSuiteCalls` read
+GRID_KEYS = ("scenario", "model.kind", "model.kappa_ratio", "model.n_cut", "electron.rungs", "electron.center",
+             "electron.g_q", "electron.q0_l", "loss.gamma_ratio", "pair.lower", "pair.upper", "initial_level",
+             "sweep", "integrator.steps", "integrator.phase_per_step", "integrator.drive_per_step",
+             "integrator.convergence_check", "integrator.trace_bound", "integrator.cutoff_bound",
+             "integrator.wrap_bound")
+GATE_KEYS = ("scenario", "gates.rungs", "gates.seed", "gates.corrupt_cz_phase")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_workload_configs_echo_what_the_benchmark_reads(bench, seed):
+    workloads = bench[1]
+    for name, workload in workloads.WORKLOADS.items():
+        for raw in workload(seed):
+            cfg = normalize_config(raw)
+            assert normalize_config(cfg) == cfg, name
+            for path in GATE_KEYS if cfg["scenario"] == "gates" else GRID_KEYS:
+                block = cfg
+                for key in path.split("."):
+                    assert key in block, f"{name}: {path} not echoed"
+                    block = block[key]
+            if cfg["scenario"] != "gates":
+                assert workloads.points(cfg), name

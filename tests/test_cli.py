@@ -58,9 +58,11 @@ def test_validation_messages_name_the_field():
     with pytest.raises(ConfigError) as err:
         normalize_config(minimal_evolve(scenario="wiggle"))
     assert "scenario" in str(err.value)
-    with pytest.raises(ConfigError) as err:
-        normalize_config(minimal_evolve(schema_version=99))
-    assert "schema_version" in str(err.value)
+    # a wrong version and a version that is not an integer name the same field
+    for version in (99, 1.5, "1"):
+        with pytest.raises(ConfigError) as err:
+            normalize_config(minimal_evolve(schema_version=version))
+        assert "field 'schema_version'" in str(err.value)
 
 
 def test_velocity_specification_is_exclusive():
@@ -466,6 +468,74 @@ def test_convergence_check_must_be_a_boolean(tmp_path, capsys):
     assert "integrator.convergence_check" in capsys.readouterr().err
     cfg = minimal_evolve(integrator={"convergence_check": False})
     assert normalize_config(cfg)["integrator"]["convergence_check"] is False
+
+
+@pytest.mark.parametrize("field", ["integrator.convergence_check", "electron.tune_to_pair"])
+def test_null_boolean_is_rejected_by_field(tmp_path, capsys, field):
+    # null is not false: it would turn the accuracy gate off, or read as an absent key
+    smoke = build_presets()["smoke"]
+    block, key = field.split(".")
+    # the electron loses its velocity, so that tune_to_pair is its one velocity key
+    cfg = dict(smoke, **{block: {k: v for k, v in smoke.get(block, {}).items() if k != "velocity_ratio"}})
+    cfg[block][key] = None
+    err = rejected_field(tmp_path, capsys, cfg)
+    assert f"'{field}'" in err and "true or false" in err
+
+
+@pytest.mark.parametrize("scenario", ["evolve", "sweep_kappa"])
+@pytest.mark.parametrize("block", ["pair", "sweep"])
+def test_null_block_is_rejected_by_field(tmp_path, capsys, scenario, block):
+    # a block is an object or absent; null neither takes the defaults nor counts as absent
+    cfg = minimal_evolve(scenario=scenario)
+    if scenario != "evolve":
+        cfg["sweep"] = {"kappa_values": [0.02]}
+    cfg[block] = None
+    assert f"'{block}'" in rejected_field(tmp_path, capsys, cfg)
+
+
+def block_configs() -> dict:
+    """A valid config holding each _BLOCKS block."""
+    feasibility = {"schema_version": 1, "scenario": "feasibility",
+                   "feasibility": {"pm_bandwidth": 7e-4, "kappa_ratio": 0.02}}
+    return {"feasibility": feasibility, "gates": {"schema_version": 1, "scenario": "gates", "gates": {}},
+            "pair": minimal_evolve(pair={"lower": "0", "upper": "1"}), "integrator": minimal_evolve(integrator={})}
+
+
+# a valid value of each accepted key that is neither its default nor the block_configs() one,
+# with what else its block must change to stay valid (None drops a key)
+CHANGED = {
+    "feasibility": {"pm_bandwidth": 1e-3, "kappa_ratio": 0.03, "gamma_ratio": 1e-4, "energy_spread": 1e-5,
+                    "margin": 5.0},
+    "gates": {"rungs": 8, "seed": 3, "corrupt_cz_phase": 0.1},
+    "model": {"kind": "jc", "n_cut": 7, "kappa_ratio": 0.04},
+    "electron": {"rungs": 19, "center": 7, "g_q": [0.8, 0.1], "q0_l": 40.0, "velocity_ratio": 1.01,
+                 "tune_to_pair": (True, {"velocity_ratio": None}), "energy_kev": (200.0, {"wavelength_nm": 532.0}),
+                 "wavelength_nm": (532.0, {"energy_kev": 200.0})},
+    "loss": {"gamma_ratio": 1e-3},
+    "pair": {"lower": "2", "upper": "2"},
+    "integrator": {"trace_bound": 1e-7, "cutoff_bound": 1e-5, "wrap_bound": 1e-7, "convergence_check": False},
+}
+
+
+def test_every_accepted_key_is_read(tmp_path, capsys):
+    # each key of the config schema changes the effective config, and a key it lacks is rejected
+    from epolsim.cli import _BLOCKS
+    from epolsim.dynamics import RETIRED_STEP_KEYS
+
+    bases = block_configs()
+    assert set(CHANGED) == set(_BLOCKS)
+    for block, table in _BLOCKS.items():
+        # the retired step sizes take their defaults only (test_retired_step_keys_accepted_only_at_defaults)
+        assert set(CHANGED[block]) == set(table) - (set(RETIRED_STEP_KEYS) if block == "integrator" else set())
+        base = bases.get(block, minimal_evolve())
+        echo = normalize_config(base)[block]
+        for key, change in CHANGED[block].items():
+            value, others = change if isinstance(change, tuple) else (change, {})
+            given = {**base[block], key: value, **others}
+            changed = normalize_config(dict(base, **{block: {k: v for k, v in given.items() if v is not None}}))
+            assert changed[block].get(key) != echo.get(key), f"{block}.{key}"
+        unknown = dict(base, **{block: {**base[block], "bogus": 1}})
+        assert f"'{block}.bogus'" in rejected_field(tmp_path, capsys, unknown)
 
 
 @pytest.mark.parametrize("tag", ["", ".", "..", "../escaped", "a/b", "effective_config.json", 7])
