@@ -36,6 +36,7 @@ from .dynamics import (
     CutoffError,
     WrapAroundError,
     ConvergenceError,
+    SeriesTailError,
     FeasibilityReport,
     evolve_lindblad,
     scattering_linear,

@@ -70,7 +70,7 @@ SCENARIOS = ("evolve", *SWEEP_SCENARIOS, "gates", "feasibility")
 
 class ConfigError(ValueError):
     def __init__(self, field: str, message: str):
-        self.field = field
+        self.field, self.message = field, message
         super().__init__(f"config field {field!r}: {message}")
 
 
@@ -250,7 +250,10 @@ def normalize_config(raw: dict) -> dict:
                 raise ConfigError(f"runs[{i}].runs", "a run of a composite config cannot hold runs of its own")
             body = {k: v for k, v in sub.items() if k != "tag"}
             body.setdefault("schema_version", SCHEMA_VERSION)
-            norm = normalize_config(body)
+            try:
+                norm = normalize_config(body)
+            except ConfigError as exc:  # name the field inside its run
+                raise ConfigError(f"runs[{i}].{exc.field.removeprefix('<root>.')}", exc.message) from None
             norm.pop("schema_version")
             out_runs.append({"tag": tag, **norm})
         return {"schema_version": SCHEMA_VERSION, "runs": out_runs}

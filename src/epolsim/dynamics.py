@@ -24,10 +24,13 @@ X -> -i (H_eff X - X H_eff^dag), H_eff = H' - delta nu - (i gamma / 2) adag a
 it to block (k - 1, k' - 1).  That lower-bidiagonal chain is solved with a
 Chebyshev series of exp(tG) on a sparse chain generator G (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)), one three-term recurrence of products with G;
-chain depth j lands on the sector pair (k - j, k' - j) mod D.  The series runs
-on an ellipse around a rectangle that holds the numerical range W(G), and its
-degree comes from Crouzeix's bound ||p(G)|| <= (1 + sqrt 2) max over W(G) of
-|p| (Crouzeix & Palencia, SIAM J. Matrix Anal. Appl. 38, 649 (2017)).  A sink
+chain depth j lands on the sector pair (k - j, k' - j) mod D.  G maps
+Hermitian blocks to Hermitian blocks, so the series runs in real coordinates,
+Y = Re X + Im X per block, where G is a real matrix R with W(R) = W(G).  It
+runs on an ellipse around a rectangle that holds the numerical range W(R), and
+its degree comes from Crouzeix's bound ||p(R)|| <= (1 + sqrt 2) max over W(R)
+of |p| (Crouzeix & Palencia, SIAM J. Matrix Anal. Appl. 38, 649 (2017)).  Its
+last two terms are an a-posteriori bound on the tail it drops.  A sink
 entry at the end of the chain measures the population a chain cut short of
 the ladder drops, and a chain that drops more than CHAIN_TAIL is grown.
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -64,6 +68,7 @@ __all__ = [
     "CutoffError",
     "WrapAroundError",
     "ConvergenceError",
+    "SeriesTailError",
     "FeasibilityReport",
     "evolve_lindblad",
     "scattering_linear",
@@ -94,6 +99,10 @@ class WrapAroundError(NumericsError):
 class ConvergenceError(NumericsError):
     """The final state and an independent computation of it disagree on a
     reported probability beyond the bound."""
+
+
+class SeriesTailError(NumericsError):
+    """The last terms of the loss chain's Chebyshev series exceed the bound on its dropped tail."""
 
 
 @dataclass(frozen=True)
@@ -179,6 +188,9 @@ class Diagnostics:
     between the final state and its check: expm against eigh without loss;
     with loss the level and photon populations against the marginal's, and
     the electron populations of depth 0 against the closed form's.
+    `series_tail` is the larger of the last two terms |a_k| ||u_k|| of the
+    loss chain's series per unit of the propagated norm, a bound on the tail it
+    drops; None without loss.
     """
 
     steps: int
@@ -187,6 +199,7 @@ class Diagnostics:
     cutoff_occupancy: float
     wrap_occupancy: float
     halving_delta: float | None
+    series_tail: float | None
     electron_populations: np.ndarray
     level_populations: np.ndarray  # polariton-eigenbasis populations
     photon_populations: np.ndarray
@@ -404,34 +417,87 @@ def _cavity_lindbladian(sec: _Sectors) -> tuple:
                     _kron_entries(half_n, eye), _kron_entries(eye, half_n)])
 
 
-def _numerical_box(gen: sp.csr_matrix) -> tuple[float, float, float, float]:
-    """(re_lo, re_hi, im_lo, im_hi): a rectangle that holds the numerical range of `gen`.
+def _transposed(m: int, size: int, starts: list[int]) -> np.ndarray:
+    """Index of each entry's transposed position within the m x m block it lies in, the
+    blocks starting at `starts` (row-major vec); an entry outside them, the sink, maps to itself."""
+    flip = np.arange(size)
+    offsets = np.asarray(starts)[:, None]
+    flip[(offsets + np.arange(m * m)).ravel()] = (offsets + np.arange(m * m).reshape(m, m).T.ravel()).ravel()
+    return flip
 
-    Re <x, G x> lies in the spectrum of (G + G^H) / 2 and Im <x, G x> in that
-    of (G - G^H) / 2i; Gershgorin's discs bound both.
+
+def _real_generator(gen: sp.csr_matrix, flip: np.ndarray) -> sp.csr_matrix:
+    """G in the Hermitian coordinates Y = Re X + Im X of each block: the real matrix R.
+
+    For Hermitian X, Re X is symmetric and Im X antisymmetric, so X -> Y is an
+    isometry from the Hermitian matrices onto the reals, with inverse
+    X = ((1 + i) Y + (1 - i) Y^T) / 2.  G maps Hermitian blocks to Hermitian
+    blocks, and Re + Im of v X_c is Re v Y_c + Im v Y_{c^T}: an entry v of G at
+    (r, c) gives Re v at (r, c) and Im v at (r, flip[c]).  The
+    complexification of R is unitarily similar to G, so W(R) = W(G).
     """
-    bounds = []
-    for part in ((gen + gen.conj().T) * 0.5, (gen - gen.conj().T) * -0.5j):
-        centre = part.diagonal().real
-        radius = np.asarray(abs(part).sum(axis=1)).ravel() - np.abs(part.diagonal())
-        bounds += [float(np.min(centre - radius)), float(np.max(centre + radius))]
-    return tuple(bounds)
+    import scipy.sparse as sp
+
+    coo = gen.tocoo()
+    re, im = coo.data.real != 0, coo.data.imag != 0
+    values = np.concatenate([coo.data.real[re], coo.data.imag[im]])
+    rows, cols = np.concatenate([coo.row[re], coo.row[im]]), np.concatenate([coo.col[re], flip[coo.col[im]]])
+    return sp.csr_matrix((values, (rows, cols)), shape=gen.shape)
+
+
+def _real_columns(cols: np.ndarray, flip: np.ndarray, between: list[int]) -> np.ndarray:
+    """The (N, P) complex columns `cols` as rows of Hermitian coordinates: the
+    Hermitian part of each, then the anti-Hermitian part A of the columns
+    `between`, those whose seed couples two sectors (X = H + i A)."""
+    adjoint = cols[flip].conj()
+    parts = np.concatenate([cols + adjoint, (cols[:, between] - adjoint[:, between]) / 1j], axis=1) / 2
+    return np.ascontiguousarray((parts.real + parts.imag).T)
+
+
+def _complex_columns(rows: np.ndarray, flip: np.ndarray, between: list[int]) -> np.ndarray:
+    """The inverse of _real_columns: X = ((1 + i) Y + (1 - i) Y^T) / 2 per row, then H + i A."""
+    parts = ((1 + 1j) * rows + (1 - 1j) * rows[:, flip]).T / 2
+    cols = parts[:, : parts.shape[1] - len(between)].copy()
+    cols[:, between] += 1j * parts[:, cols.shape[1] :]
+    return cols
+
+
+def _numerical_box(gen: sp.csr_matrix) -> tuple[float, float, float, float]:
+    """(re_lo, re_hi, im_lo, im_hi): a rectangle that holds the numerical range of the real `gen`.
+
+    Re <x, R x> lies in the spectrum of (R + R^T) / 2 and Im <x, R x> in that
+    of (R - R^T) / 2i; Gershgorin's discs bound both.  The second has a zero
+    diagonal, so the box is symmetric about the real axis.
+    """
+    sym = (gen + gen.T) * 0.5
+    centre = sym.diagonal()
+    radius = np.asarray(abs(sym).sum(axis=1)).ravel() - np.abs(centre)
+    height = float(np.max(abs(gen - gen.T).sum(axis=1))) * 0.5
+    return float(np.min(centre - radius)), float(np.max(centre + radius)), -height, height
 
 
 CROUZEIX = 1.0 + math.sqrt(2.0)  # ||p(G)|| <= CROUZEIX max |p| over the numerical range of G
 SERIES_TAIL = 2.0**-53  # bound on the dropped tail of the series, per unit of the propagated norm
 AMPLIFICATION_LIMIT = 1e3  # largest sum |c_k| r^k of one piece: it scales the rounding of the sum
+# largest |a_k| ||u_k|| per unit of the propagated norm accepted in the series' last two terms: what a
+# term reads when its coefficient is at the rounding floor of the FFT (notes/decisions.md)
+SERIES_MONITOR_BOUND = CROUZEIX * AMPLIFICATION_LIMIT * SERIES_TAIL
 _ELLIPSE_ANGLES = (np.arange(32) + 0.5) * (math.pi / 64)  # semi-axes (alpha / cos, beta / sin)
 _MARGINS = np.geomspace(1e-4, 4.0, 400)  # ln(R / r) of the ellipses the coefficient bound is taken on
 
 
 class _Plan(NamedTuple):
-    """A Chebyshev series of exp(t G) on the ellipse c + d E_r, E_r the Bernstein
-    ellipse of parameter r around [-1, 1], applied `pieces` times over t / pieces."""
+    """A Chebyshev series of exp(t R) on the ellipse c + d E_r, E_r the Bernstein
+    ellipse of parameter r around [-1, 1], applied `pieces` times over t / pieces.
+
+    c is real and d real or imaginary.  With e = d / |d| and s = e^2 = +-1, the
+    terms u_k = e^k T_k((R - c) / d) v are real and obey u_{k+1} = B u_k - s u_{k-1}.
+    """
 
     pieces: int
-    op: sp.csr_matrix  # 2 (G - c) / d
-    coeffs: np.ndarray  # of exp((t / pieces) (c + d w)) in the Chebyshev polynomials T_k(w)
+    op: sp.csr_matrix  # B = 2 (R - c) / |d|, real
+    coeffs: np.ndarray  # a_k = Re(c_k / e^k), c_k those of exp((t / pieces)(c + d w)) in T_k(w)
+    sign: int  # s
 
     @property
     def work(self) -> int:
@@ -439,22 +505,23 @@ class _Plan(NamedTuple):
 
 
 def _chebyshev_plan(gen: sp.csr_matrix, box: tuple, t: float, pieces: int = 1) -> _Plan:
-    """The series for exp(t G) with the fewest pieces, from `pieces` up, whose rounding
-    amplification is at most AMPLIFICATION_LIMIT.
+    """The series for exp(t R), R real, with the fewest pieces, from `pieces` up, whose
+    rounding amplification is at most AMPLIFICATION_LIMIT.
 
-    Each candidate ellipse c + d E_r holds the box, with d along its longer
-    axis.  Its coefficients obey |c_k| <= 2 max |f| over c + d E_R / R^k for
-    every R > 1, so with Crouzeix's bound the dropped tail of degree K is at
-    most 2 CROUZEIX e^{tau (Re c + X_R)} (r/R)^{K+1} / (1 - r/R), X_R the
-    largest Re(d w) on E_R; the degree is the first K at which that falls
-    below SERIES_TAIL, minimized over R.  The candidates are tried in order of
-    degree, skipping those whose amplification cannot stay within the limit: it
-    is at least e^{tau (Re c + A)}, |exp| at the ellipse's rightmost point.
+    The box of a real matrix is symmetric about the real axis, so its centre c
+    is real.  Each candidate ellipse c + d E_r holds the box, with d along its
+    longer axis.  Its coefficients obey |c_k| <= 2 max |f| over c + d E_R / R^k
+    for every R > 1, so with Crouzeix's bound the dropped tail of degree K is at
+    most 2 CROUZEIX e^{tau (c + X_R)} (r/R)^{K+1} / (1 - r/R), X_R the largest
+    Re(d w) on E_R; the degree is the first K at which that falls below
+    SERIES_TAIL, minimized over R.  The candidates are tried in order of degree,
+    skipping those whose amplification cannot stay within the limit: it is at
+    least e^{tau (c + A)}, |exp| at the ellipse's rightmost point.
     """
     import scipy.sparse as sp
 
     x0, x1, y0, y1 = box
-    centre = complex(x0 + x1, y0 + y1) / 2
+    centre = (x0 + x1) / 2
     while True:
         tau = t / pieces
         floor = 1e-3 / tau  # a box of zero width still gets an ellipse with distinct foci
@@ -466,16 +533,17 @@ def _chebyshev_plan(gen: sp.csr_matrix, box: tuple, t: float, pieces: int = 1) -
             r = (semi_re + semi_im) / focal
             big_r = r[:, None] * np.exp(_MARGINS)[None, :]
             reach = focal[:, None] * np.where(real_foci[:, None], big_r + 1 / big_r, big_r - 1 / big_r) / 2
-            log_bound = (math.log(2 * CROUZEIX / SERIES_TAIL) + tau * (centre.real + reach)
+            log_bound = (math.log(2 * CROUZEIX / SERIES_TAIL) + tau * (centre + reach)
                          - np.log1p(-np.exp(-_MARGINS))[None, :])
             degree = np.ceil(np.min(log_bound / _MARGINS[None, :], axis=1)) - 1
-        usable = np.isfinite(r) & (tau * (centre.real + semi_re) <= math.log(AMPLIFICATION_LIMIT))
+        usable = np.isfinite(r) & (tau * (centre + semi_re) <= math.log(AMPLIFICATION_LIMIT))
         for j in np.argsort(np.where(usable, degree, np.inf), kind="stable")[: np.count_nonzero(usable)]:
-            d = focal[j] if real_foci[j] else 1j * focal[j]
-            coeffs = _chebyshev_coefficients(tau * centre, tau * d, r[j], max(1, int(degree[j])))
+            e = 1.0 if real_foci[j] else 1j
+            coeffs = _chebyshev_coefficients(tau * centre, tau * focal[j] * e, r[j], max(1, int(degree[j])))
             if np.sum(np.abs(coeffs) * r[j] ** np.arange(len(coeffs))) <= AMPLIFICATION_LIMIT:
-                shifted = gen - centre * sp.identity(gen.shape[0], dtype=complex, format="csr")
-                return _Plan(pieces, (shifted * (2 / d)).tocsr(), coeffs)
+                shifted = gen - centre * sp.identity(gen.shape[0], format="csr")
+                return _Plan(pieces, (shifted * (2 / focal[j])).tocsr(),
+                             (coeffs / e ** np.arange(len(coeffs))).real, 1 if real_foci[j] else -1)
         pieces += 1
 
 
@@ -501,18 +569,47 @@ def _chebyshev_coefficients(z0: complex, z1: complex, r: float, degree: int) -> 
     return np.where(noise_interval <= noise_ellipse, on_interval, on_ellipse)
 
 
-def _chebyshev_action(plan: _Plan, cols: np.ndarray) -> np.ndarray:
-    """exp(t G) cols: per piece, the three-term recurrence T_{k+1} = 2 W T_k - T_{k-1},
-    W = (G - c) / d, summed with the plan's coefficients."""
+def _chebyshev_action(plan: _Plan, rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(t R) applied to each row of `rows`, and the largest |a_k| ||u_k|| per unit
+    of the propagated norm over the last two terms of a piece: past the coefficients'
+    turning point the terms fall monotonically, so it bounds the tail the series drops.
+
+    Per piece u_0 = v, u_1 = B v / 2 and u_{k+1} = B u_k - s u_{k-1}, summed with
+    the plan's a_k.  A term is one compiled CSR product per row, y += B x into
+    the buffer that holds u_{k-1} (negated first when s = +1), and one axpy
+    into the sum, all on preallocated arrays.
+    """
+    # csr_matvec is the kernel behind scipy's sparse product, without its dispatch
+    # and allocations; it is private scipy API, held to y += B x by a tier-1 test
+    from scipy.linalg.blas import daxpy
+    from scipy.sparse._sparsetools import csr_matvec
+
     op, coeffs = plan.op, plan.coeffs
+    n, last = op.shape[0], len(coeffs) - 1
+    if op.dtype != np.float64 or rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"the kernel takes a float64 operator and (columns, {n}) float64 rows, "
+                         f"got {op.dtype} and {rows.shape} {rows.dtype}")
+    product = partial(csr_matvec, n, n, op.indptr, op.indices, op.data)
+    tail = 0.0
     for _ in range(plan.pieces):
-        prev, cur = cols, 0.5 * (op @ cols)
+        scale = float(np.linalg.norm(rows))
+        prev, cur = rows.copy(), np.zeros_like(rows)
+        for x, y in zip(prev, cur):
+            product(x, y)
+        cur *= 0.5
         out = coeffs[0] * prev + coeffs[1] * cur
-        for c in coeffs[2:]:
-            prev, cur = cur, op @ cur - prev
-            out += c * cur
-        cols = out
-    return cols
+        prev_rows, cur_rows, out_rows = list(prev), list(cur), list(out)  # views, made once per piece
+        for k in range(2, last + 1):
+            if plan.sign > 0:
+                np.negative(prev, out=prev)
+            for x, y, total in zip(cur_rows, prev_rows, out_rows):
+                product(x, y)
+                daxpy(y, total, a=coeffs[k])
+            prev, cur, prev_rows, cur_rows = cur, prev, cur_rows, prev_rows
+            if k >= last - 1:
+                tail = max(tail, abs(coeffs[k]) * float(np.linalg.norm(cur)) / scale)
+        rows = out
+    return rows, tail
 
 
 def _seed_blocks(sec: _Sectors, state: DensityMatrix | StateVector) -> tuple[list, np.ndarray]:
@@ -548,10 +645,8 @@ def _fold(sec: _Sectors, pairs: list, cols: np.ndarray, blocks: int) -> dict:
         for j in range(blocks):
             x = chain[j, :, :, i]
             key = ((k - j) % sec.d, (q - j) % sec.d)
-            if k == q:
-                add(key, 0.5 * (x + x.conj().T))
-            else:
-                add(key, x)
+            add(key, x)
+            if k != q:
                 add(key[::-1], x.conj().T)
     return out
 
@@ -592,16 +687,22 @@ def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector, icfg: Integ
     t, mm = sec.cfg.interaction_time, sec.m * sec.m
     pairs, seeds = _seed_blocks(sec, state)
     diagonal = [i for i, (k, q) in enumerate(pairs) if k == q]  # their sinks add up to the population lost
+    between = [i for i, (k, q) in enumerate(pairs) if k != q]  # seeds with an anti-Hermitian part
     marginal = _cavity_lindbladian(sec) if icfg.convergence_check else None
     blocks, work = _chain_blocks(sec), 0
     while True:  # grow the chain until its sink holds at most CHAIN_TAIL
         gen = _chain_generator(sec, blocks, marginal)
-        cols = np.zeros((gen.shape[0], len(pairs)), dtype=complex)
+        length = gen.shape[0]
+        starts = list(range(0, blocks * mm, mm)) + ([length - mm] if marginal is not None else [])
+        flip = _transposed(sec.m, length, starts)  # the chain's blocks, then the marginal's
+        cols = np.zeros((length, len(pairs)), dtype=complex)
         cols[:mm] = seeds.reshape(len(pairs), -1).T
         if marginal is not None:
             cols[-mm:] = cols[:mm]
-        plan = _chebyshev_plan(gen, _numerical_box(gen), t)
-        end = _chebyshev_action(plan, cols)
+        real = _real_generator(gen, flip)
+        plan = _chebyshev_plan(real, _numerical_box(real), t)
+        rows, tail = _chebyshev_action(plan, _real_columns(cols, flip, between))
+        end = _complex_columns(rows, flip, between)
         work += plan.work
         size = blocks * mm  # the sink, if any, follows the blocks
         if blocks == sec.d or sec.cfg.model.n_cut * float(np.sum(end[size, diagonal].real)) <= CHAIN_TAIL:
@@ -615,7 +716,7 @@ def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector, icfg: Integ
         min_eig = float(np.linalg.eigvalsh(np.stack(list(out.values())))[:, 0].min())
     else:
         min_eig = float(np.linalg.eigvalsh(_scatter(sec.joint_of, out, sec.d * sec.m))[0])
-    return out, pops, work, delta, min_eig
+    return out, pops, work, delta, min_eig, tail
 
 
 # ---------------------------------------------------------------------------
@@ -636,8 +737,8 @@ def evolve_lindblad(
     `pure_state`; everything else takes the loss chain.  Raises a
     NumericsError subclass when trace drift, ladder-cutoff population,
     wrap-around population, positivity, the hermiticity of the diagonal
-    blocks, or the agreement of the final state with its independent check
-    violate their bounds.
+    blocks, the agreement of the final state with its independent check, or
+    the last terms of the loss chain's series violate their bounds.
     """
     if state.space != cfg.space:
         raise ValueError(f"state space {state.space.labels} does not match config {cfg.space.labels}")
@@ -650,9 +751,9 @@ def evolve_lindblad(
         nrm = float(np.linalg.norm(amp))
         trace_error = abs(nrm**2 - 1.0)
         pure_out = StateVector(cfg.space, amp / nrm)
-        min_eig = 0.0
+        min_eig, tail = 0.0, None
     else:
-        blocks, pops, work, delta, min_eig = _evolve_chain(sec, state, icfg)
+        blocks, pops, work, delta, min_eig, tail = _evolve_chain(sec, state, icfg)
         trace_error = abs(float(pops.electron.sum()) - 1.0)
 
     diag = Diagnostics(
@@ -662,6 +763,7 @@ def evolve_lindblad(
         cutoff_occupancy=float(pops.photon[-2:].sum()),
         wrap_occupancy=float(pops.electron[cfg.ladder.wrap_rungs()].sum()),
         halving_delta=delta,
+        series_tail=tail,
         electron_populations=pops.electron,
         level_populations=pops.level,
         photon_populations=pops.photon,
@@ -691,6 +793,10 @@ def _enforce_bounds(diag: Diagnostics, icfg: IntegratorConfig):
         raise ConvergenceError(
             f"the final state and its independent check differ on a reported probability by "
             f"{diag.halving_delta:.3e} > {CONVERGENCE_BOUND:.1e}"
+        )
+    if diag.series_tail is not None and diag.series_tail > SERIES_MONITOR_BOUND:
+        raise SeriesTailError(
+            f"the last terms of the loss chain's series reach {diag.series_tail:.3e} > {SERIES_MONITOR_BOUND:.1e}"
         )
 
 

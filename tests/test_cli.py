@@ -493,6 +493,16 @@ def test_null_block_is_rejected_by_field(tmp_path, capsys, scenario, block):
     assert f"'{block}'" in rejected_field(tmp_path, capsys, cfg)
 
 
+@pytest.mark.parametrize("field, value", [("model.kind", "x"), ("electron.rungs", -1), ("scenario", "nope"),
+                                          ("colour", 1)])
+def test_composite_run_error_names_the_run(tmp_path, capsys, field, value):
+    # fig5c holds two fidelity_map runs: a fault inside the second names runs[1], not the bare field
+    cfg = build_presets()["fig5c"]
+    block, _, key = field.rpartition(".")
+    (cfg["runs"][1][block] if block else cfg["runs"][1])[key] = value
+    assert f"'runs[1].{field}'" in rejected_field(tmp_path, capsys, cfg)
+
+
 def block_configs() -> dict:
     """A valid config holding each _BLOCKS block."""
     feasibility = {"schema_version": 1, "scenario": "feasibility",

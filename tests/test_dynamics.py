@@ -15,6 +15,7 @@ from epolsim import (
     IntegratorConfig,
     LadderConfig,
     NumericsError,
+    SeriesTailError,
     StateVector,
     SystemConfig,
     TraceDriftError,
@@ -150,6 +151,21 @@ def test_sector_mixture_uses_block_path_and_matches_reference():
     rho0 = np.zeros((cfg.space.dim, cfg.space.dim), dtype=complex)
     rho0[l0 * m, l0 * m] = 0.5
     rho0[(l0 + 1) * m, (l0 + 1) * m] = 0.5
+    rho_ref = reference_lindblad(cfg, rho0, reference_steps(cfg))
+    res = evolve_lindblad(DensityMatrix(cfg.space, rho0), cfg, LOOSE)
+    assert np.max(np.abs(res.state.matrix - rho_ref)) < 1e-8
+
+
+def test_coherence_between_sectors_under_loss_matches_reference():
+    # (|l0, 0> + i |l0+1, 1>)/sqrt 2 occupies sectors l0 and l0 + 2: the seed block between
+    # them is not Hermitian, and the series carries its anti-Hermitian part as a column of its own
+    cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.006, t=30.0)
+    l0, m = cfg.ladder.center, cfg.model.dim
+    psi = np.zeros(cfg.space.dim, dtype=complex)
+    psi[l0 * m], psi[(l0 + 1) * m + 1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
+    rho0 = np.outer(psi, psi.conj())
+    pairs, _ = dynamics._seed_blocks(dynamics._Sectors(cfg), DensityMatrix(cfg.space, rho0))
+    assert pairs == [(l0, l0), (l0, l0 + 2), (l0 + 2, l0 + 2)]
     rho_ref = reference_lindblad(cfg, rho0, reference_steps(cfg))
     res = evolve_lindblad(DensityMatrix(cfg.space, rho0), cfg, LOOSE)
     assert np.max(np.abs(res.state.matrix - rho_ref)) < 1e-8
@@ -508,6 +524,22 @@ def test_series_cut_short_trips_a_bound(monkeypatch):
         evolve_lindblad(initial_state(cfg), cfg, LOOSE)
 
 
+def test_series_cut_to_ninety_percent_trips_the_tail_monitor(monkeypatch):
+    # at the lossy-map Kerr point's rho T ~ 330 a cut to 90% of the degree leaves errors near
+    # 4e-9, under the trace bound and the gate; the series' last two terms read 5e-9 per unit norm
+    cfg = lossy_map_kerr()
+    assert evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics.series_tail < dynamics.SERIES_MONITOR_BOUND
+    exact = dynamics._chebyshev_plan
+
+    def cut(*args):
+        plan = exact(*args)
+        return plan._replace(coeffs=plan.coeffs[: int(0.9 * len(plan.coeffs))])
+
+    monkeypatch.setattr(dynamics, "_chebyshev_plan", cut)
+    with pytest.raises(SeriesTailError):
+        evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+
+
 def test_trace_drift_error_raised_for_cut_loss_chain(monkeypatch):
     # a chain cut after its first block, and kept there whatever its sink reads,
     # drops the population every photon loss moves down
@@ -613,24 +645,60 @@ def test_chain_generator_matches_kronecker_build(name):
 
 @pytest.mark.parametrize("name", sorted(KERNEL_POINTS))
 def test_chebyshev_series_matches_taylor_reference(name):
-    # the series against scipy's Taylor-based expm_multiply on the same generator and seeds
+    # the series, run in Hermitian coordinates, against scipy's Taylor-based expm_multiply
+    # on the complex generator and seeds
     make, level = KERNEL_POINTS[name]
     cfg = make()
-    t = cfg.interaction_time
+    t, mm = cfg.interaction_time, cfg.model.dim**2
     sec = dynamics._Sectors(cfg)
     pairs, seeds = dynamics._seed_blocks(sec, initial_state(cfg, cavity_level=level))
-    gen = dynamics._chain_generator(sec, dynamics._chain_blocks(sec))
+    blocks = dynamics._chain_blocks(sec)
+    gen = dynamics._chain_generator(sec, blocks)
     cols = np.zeros((gen.shape[0], len(pairs)), dtype=complex)
-    cols[: sec.m * sec.m] = seeds.reshape(len(pairs), -1).T
-    box = dynamics._numerical_box(gen)
-    plan = dynamics._chebyshev_plan(gen, box, t)
-    got = dynamics._chebyshev_action(plan, cols)
+    cols[:mm] = seeds.reshape(len(pairs), -1).T
+    flip = dynamics._transposed(sec.m, gen.shape[0], list(range(0, blocks * mm, mm)))
+    real = dynamics._real_generator(gen, flip)
+    box = dynamics._numerical_box(real)
+    plan = dynamics._chebyshev_plan(real, box, t)
+    assert plan.op.dtype == np.float64
+    rows, _ = dynamics._chebyshev_action(plan, dynamics._real_columns(cols, flip, []))
+    got = dynamics._complex_columns(rows, flip, [])
     assert np.max(np.abs(got - reference_expm_action(gen, cols, t))) < 1e-12
     if name == "kerr_lossy_map":
         assert (box[3] - box[2]) / 2 * t >= 300  # rho T: the imaginary half-width of the numerical range
     if name == "pure_loss":
-        assert np.allclose(gen.diagonal().imag, 0.0)  # a real spectrum: foci on the real axis
+        assert np.allclose(gen.diagonal().imag, 0.0)  # loss alone: a real diagonal
     assert (plan.pieces > 1) == (name == "long_pure_loss")
+
+
+def test_real_foci_series_matches_taylor_reference():
+    # a real symmetric generator has a box of no height, so the plan takes real foci
+    # (s = +1), whose recurrence negates u_{k-1} before the kernel adds B u_k to it
+    n, t = 40, 5.0
+    lap = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
+    rows = np.random.default_rng(3).standard_normal((2, n))
+    plan = dynamics._chebyshev_plan(lap, dynamics._numerical_box(lap), t)
+    assert plan.sign == 1 and plan.op.dtype == np.float64
+    got, tail = dynamics._chebyshev_action(plan, rows)
+    assert np.max(np.abs(got - reference_expm_action(lap, rows.T, t).T)) < 1e-12
+    assert tail < dynamics.SERIES_MONITOR_BOUND
+
+
+def test_compiled_kernel_adds_the_sparse_product():
+    # the series calls scipy's private csr_matvec on preallocated arrays: y += B x.  A scipy
+    # whose kernel no longer does exactly that fails here
+    from scipy.sparse._sparsetools import csr_matvec
+
+    sec = dynamics._Sectors(lossy_map_kerr())
+    blocks, mm = dynamics._chain_blocks(sec), sec.m**2
+    gen = dynamics._chain_generator(sec, blocks)
+    real = dynamics._real_generator(gen, dynamics._transposed(sec.m, gen.shape[0], list(range(0, blocks * mm, mm))))
+    op = dynamics._chebyshev_plan(real, dynamics._numerical_box(real), sec.cfg.interaction_time).op
+    n = op.shape[0]
+    x, y = np.random.default_rng(5).standard_normal((2, n))
+    want = y + op @ x
+    csr_matvec(n, n, op.indptr, op.indices, op.data, x, y)
+    assert np.linalg.norm(y - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_loss_chain_loads_neither_scipy_special_nor_sparse_linalg():
