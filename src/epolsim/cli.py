@@ -42,8 +42,7 @@ class _Axis(NamedTuple):  # a sweep list, the point setting each entry overrides
     key: str
     field: str
     column: str
-    minimum: float | None = None
-    maximum: float | None = None
+    scalar: str | None  # the "block.key" whose _BLOCKS reader reads each entry; any number without one
 
 
 class _Sweep(NamedTuple):
@@ -52,20 +51,27 @@ class _Sweep(NamedTuple):
     per_point: bool = True  # the _PER_POINT lists may give each entry of axes[0] its own cutoffs
 
 
-# per-point list: (point setting, smallest entry), the bounds of model.n_cut and electron.rungs
-_PER_POINT = {"n_cut_values": ("n_cut", 2), "rungs_values": ("rungs", 3)}
-_KAPPA = _Axis("kappa_values", "kappa", "kappa_ratio", minimum=0.0)
-# a velocity sweep sets the velocity itself, so it does not tune to the pair
+# per-point list: (point setting, the scalar whose reader reads each entry)
+_PER_POINT = {"n_cut_values": ("n_cut", "model.n_cut"), "rungs_values": ("rungs", "electron.rungs")}
+_KAPPA = _Axis("kappa_values", "kappa", "kappa_ratio", "model.kappa_ratio")
+# a velocity sweep sets the velocity itself, so it does not tune to the pair; a g_q entry is a
+# real number, where electron.g_q is complex
 _SWEEPS = {
     "sweep_kappa": _Sweep((_KAPPA,), {}),
-    "sweep_velocity": _Sweep((_Axis("velocity_ratios", "velocity_ratio", "velocity_ratio", 0.1, 1.9),),
+    "sweep_velocity": _Sweep((_Axis("velocity_ratios", "velocity_ratio", "velocity_ratio", "electron.velocity_ratio"),),
                              {"tune_to_pair": False}),
-    "sweep_gq": _Sweep((_Axis("g_q_values", "g_q", "g_q"),), {}, per_point=False),
-    "fidelity_map": _Sweep((_KAPPA, _Axis("gamma_values", "gamma", "gamma_ratio", minimum=0.0)),
+    "sweep_gq": _Sweep((_Axis("g_q_values", "g_q", "g_q", None),), {}, per_point=False),
+    "fidelity_map": _Sweep((_KAPPA, _Axis("gamma_values", "gamma", "gamma_ratio", "loss.gamma_ratio")),
                            {"want_fidelity": True}),
 }
 SWEEP_SCENARIOS = tuple(_SWEEPS)
 SCENARIOS = ("evolve", *SWEEP_SCENARIOS, "gates", "feasibility")
+# the root keys each scenario reads
+_POINT_KEYS = ("schema_version", "scenario", "initial_level", "model", "electron", "loss", "pair", "integrator")
+_SCENARIO_KEYS = {"evolve": _POINT_KEYS, **{name: (*_POINT_KEYS, "sweep") for name in SWEEP_SCENARIOS},
+                  "gates": ("schema_version", "scenario", "gates"),
+                  "feasibility": ("schema_version", "scenario", "feasibility")}
+_ROOT_KEYS = tuple(dict.fromkeys(key for keys in _SCENARIO_KEYS.values() for key in keys))
 
 
 class ConfigError(ValueError):
@@ -205,11 +211,15 @@ def _block(raw: dict, name: str, table: dict | None = None) -> dict:
     return out
 
 
-def _root_keys(raw: dict, keys: tuple[str, ...], required: tuple[str, ...]) -> None:
-    """The root's keys, and its schema_version."""
+def _root_keys(raw: dict, keys: tuple[str, ...], required: tuple[str, ...], scenario: str | None = None) -> None:
+    """The root's keys, and its schema_version.  Given the `scenario` whose keys `keys`
+    are, a key that another scenario reads is named as not allowed for this one."""
     for key in raw:
-        if key not in keys:
-            raise ConfigError(f"<root>.{key}", "unknown key")
+        if key in keys:
+            continue
+        if scenario is not None and key in _ROOT_KEYS:
+            raise ConfigError(key, f"not allowed for the {scenario} scenario")
+        raise ConfigError(f"<root>.{key}", "unknown key")
     for key in required:
         if key not in raw:
             raise ConfigError(key, "missing required key")
@@ -258,8 +268,9 @@ def normalize_config(raw: dict) -> dict:
             out_runs.append({"tag": tag, **norm})
         return {"schema_version": SCHEMA_VERSION, "runs": out_runs}
 
-    _root_keys(raw, ("schema_version", "scenario", "initial_level", "sweep", *_BLOCKS), ("schema_version", "scenario"))
-    scenario = raw["scenario"]
+    scenario = raw.get("scenario")
+    own = _SCENARIO_KEYS.get(scenario) if isinstance(scenario, str) else None
+    _root_keys(raw, own or _ROOT_KEYS, ("schema_version", "scenario"), scenario if own else None)
     if scenario not in SCENARIOS:
         raise ConfigError("scenario", f"must be one of {SCENARIOS}, got {scenario!r}")
     cfg: dict = {"schema_version": SCHEMA_VERSION, "scenario": scenario}
@@ -287,22 +298,26 @@ def normalize_config(raw: dict) -> dict:
     cfg["initial_level"] = _level_label(raw.get("initial_level", cfg["pair"]["lower"]), "initial_level")
     cfg["integrator"] = _block(raw, "integrator")
 
-    if scenario not in _SWEEPS:
-        if "sweep" in raw:
-            raise ConfigError("sweep", "not allowed for the evolve scenario")
-    else:
+    if scenario in _SWEEPS:
         cfg["sweep"] = _sweep_lists(raw, _SWEEPS[scenario], electron["center"])
     _grid(cfg)  # builds every model and checks its levels
     return cfg
 
 
+def _entry_reader(scalar: str | None):
+    """The _BLOCKS reader of the scalar `block.key` that a sweep list's entries override; any number without one."""
+    if scalar is None:
+        return _number()
+    block, key = scalar.split(".")
+    return _BLOCKS[block][key][0]
+
+
 def _sweep_lists(raw: dict, spec: _Sweep, center: int) -> dict:
-    """The sweep lists of a scenario, and per-axis-entry cutoffs with the bounds of
-    model.n_cut and electron.rungs."""
-    table = {axis.key: (_numbers(_number(axis.minimum, axis.maximum)), REQUIRED) for axis in spec.axes}
+    """The sweep lists of a scenario, and per-axis-entry cutoffs, each entry read as the
+    scalar it overrides."""
+    table = {axis.key: (_numbers(_entry_reader(axis.scalar)), REQUIRED) for axis in spec.axes}
     if spec.per_point:
-        table.update({key: (_numbers(_number(minimum, integer=True)), OPTIONAL)
-                      for key, (_, minimum) in _PER_POINT.items()})
+        table.update({key: (_numbers(_entry_reader(scalar)), OPTIONAL) for key, (_, scalar) in _PER_POINT.items()})
     out = _block(raw, "sweep", table)
     first = spec.axes[0].key
     for key in _PER_POINT:

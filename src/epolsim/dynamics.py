@@ -26,8 +26,10 @@ Chebyshev series of exp(tG) on a sparse chain generator G (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)), one three-term recurrence of products with G;
 chain depth j lands on the sector pair (k - j, k' - j) mod D.  G maps
 Hermitian blocks to Hermitian blocks, so the series runs in real coordinates,
-Y = Re X + Im X per block, where G is a real matrix R with W(R) = W(G).  It
-runs on an ellipse around a rectangle that holds the numerical range W(R), and
+Y = Re X + Im X per block, where G is a real matrix R with W(R) = W(G).  R
+repeats two m^2 x m^2 blocks, one per depth and one jump below it, so its
+sparse arrays are tiled from them and the Gershgorin rectangle that holds W(R)
+is summed from them.  The series runs on an ellipse around that rectangle, and
 its degree comes from Crouzeix's bound ||p(R)|| <= (1 + sqrt 2) max over W(R)
 of |p| (Crouzeix & Palencia, SIAM J. Matrix Anal. Appl. 38, 649 (2017)).  Its
 last two terms are an a-posteriori bound on the tail it drops.  A sink
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -54,9 +56,6 @@ from scipy.linalg import expm
 from .cavity import CavityModel, blockade_angle, pair_states
 from .electron import ELECTRON_LABEL, LadderConfig, build_ladder
 from .tensor import HERMITICITY_TOL, DensityMatrix, Operator, StateVector, TensorSpace
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "SystemConfig",
@@ -359,47 +358,182 @@ def _joined(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.concatenate(z) for z in zip(*parts))
 
 
-def _placed(entries: tuple, row_offsets: np.ndarray, col_offsets: np.ndarray) -> tuple:
-    """An m^2-sized block's (rows, cols, values) placed once at each pair of offsets."""
-    rows, cols, values = entries
-    return (rows + row_offsets[:, None]).ravel(), (cols + col_offsets[:, None]).ravel(), np.tile(values, len(row_offsets))
+def _depth_blocks(sec: _Sectors) -> tuple[tuple, tuple]:
+    """(rows, cols, values) of the chain generator's two m^2 x m^2 blocks, row-major vec per
+    block: vec(A X B) = (A x B^T) vec(X).  The depth block L_0, X -> -i (H_eff X - X H_eff^dag),
+    sits on every depth; the jump J, X -> gamma a X adag, moves depth j to j + 1."""
+    model, eye = sec.cfg.model, np.eye(sec.m)
+    depth = _joined([_kron_entries(-1j * sec.h_eff, eye), _kron_entries(eye, 1j * sec.h_eff.conj())])
+    rows, cols, values = _kron_entries(model.a, model.a.conj())
+    return depth, (rows, cols, sec.cfg.gamma * values)
 
 
-def _chain_generator(sec: _Sectors, blocks: int, marginal: tuple | None = None) -> sp.csr_matrix:
-    """Lindblad generator on the chain, row-major vec per block: vec(A X B) = (A x B^T) vec(X).
+def _summed(rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int) -> tuple:
+    """(rows, cols, values) of an n x n block sorted by row, then column, the values at one
+    position summed and zeros dropped."""
+    keys = rows * n + cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    keys, values = keys[first], np.add.reduceat(values[order], first) if len(first) else values
+    keep = values != 0
+    return keys[keep] // n, keys[keep] % n, values[keep]
 
-    Every depth carries X -> -i (H_eff X - X H_eff^dag), and the jump
-    X -> gamma a X adag moves depth j to j + 1; on the whole cyclic ladder the
-    last depth's jump re-enters the first.  A chain shorter than the ladder
-    ends in one more entry, the sink, which gathers gamma tr(a X_last adag) /
-    n_cut, the population leaving the last block over n_cut.  That scale keeps
-    the sink's Gershgorin disc inside the blocks' own, so it does not widen the
-    numerical range the series covers.  `marginal`, the (rows, cols, values) of
-    an m^2 x m^2 generator, follows as one more block that no other entry
-    couples to.  The matrix is built in one pass.
+
+def _hermitian_coordinates(entries: tuple, m: int) -> tuple:
+    """An m^2 x m^2 block, given as complex (rows, cols, values), as the real block acting on
+    the Hermitian coordinates Y = Re X + Im X of its m x m argument.
+
+    For Hermitian X, Re X is symmetric and Im X antisymmetric, so X -> Y is an
+    isometry from the Hermitian matrices onto the reals, with inverse
+    X = ((1 + i) Y + (1 - i) Y^T) / 2.  The chain's blocks map Hermitian X to
+    Hermitian X, and Re + Im of v X_c is Re v Y_c + Im v Y_{c^T}: an entry v at
+    (r, c) gives Re v at (r, c) and Im v at (r, c^T), c^T the transposed position.
     """
-    # only the loss chain uses scipy.sparse; imported here, it costs lossless and
-    # gate runs neither its import time nor its ~4 MB of resident memory
-    import scipy.sparse as sp
+    rows, cols, values = entries
+    flip = np.arange(m * m).reshape(m, m).T.ravel()
+    re, im = values.real != 0, values.imag != 0
+    return _summed(np.concatenate([rows[re], rows[im]]), np.concatenate([cols[re], flip[cols[im]]]),
+                   np.concatenate([values.real[re], values.imag[im]]), m * m)
 
-    model, gamma, m = sec.cfg.model, sec.cfg.gamma, sec.m
-    eye = np.eye(m)
-    diagonal = _joined([_kron_entries(-1j * sec.h_eff, eye), _kron_entries(eye, 1j * sec.h_eff.conj())])
-    jump_rows, jump_cols, jump_values = _kron_entries(model.a, model.a.conj())
-    depth = np.arange(blocks) * m * m
-    source = depth if blocks == sec.d else depth[:-1]
-    parts = [_placed(diagonal, depth, depth),
-             _placed((jump_rows, jump_cols, gamma * jump_values), np.roll(depth, -1)[: len(source)], source)]
-    size = blocks * m * m
-    if blocks < sec.d:
-        last = (blocks - 1) * m * m + np.arange(m) * (m + 1)  # the diagonal of the last block
-        parts.append((np.full(m, size), last, gamma * sec.n_photon / model.n_cut))
-        size += 1
-    if marginal is not None:
-        parts.append(_placed(marginal, np.array([size]), np.array([size])))
-        size += m * m
-    rows, cols, values = _joined(parts)
-    return sp.csr_matrix((values, (rows, cols)), shape=(size, size))
+
+class _Chain(NamedTuple):
+    """The loss chain's generator R in Hermitian coordinates, as the blocks it repeats.
+
+    Every depth carries the depth block L_0, and every depth but the first the
+    jump J from the one before; on the whole cyclic ladder the last depth's
+    jump re-enters the first.  A chain shorter than the ladder ends in one more
+    entry, the sink, which gathers gamma tr(a X_last adag) / n_cut, the
+    population leaving the last depth over n_cut: `sink` holds those weights on
+    the last depth's diagonal.  That scale keeps the sink's Gershgorin disc
+    inside the depths' own, so it does not widen the numerical range the series
+    covers.  `marginal`, an m^2 x m^2 block, follows as one more block that no
+    other entry couples to.  Each block is a sorted real (rows, cols, values).
+    The complexification of R is unitarily similar to the complex generator, so
+    the two share their numerical range.
+    """
+
+    m: int
+    blocks: int
+    depth: tuple  # L_0
+    jump: tuple  # J
+    sink: np.ndarray | None  # (m,) weights on the last depth's diagonal; None on the whole cyclic ladder
+    marginal: tuple | None
+
+    @property
+    def starts(self) -> list[int]:
+        """Where each m^2 block starts: the depths, then the marginal."""
+        mm = self.m * self.m
+        end = self.blocks * mm + (self.sink is not None)
+        return list(range(0, self.blocks * mm, mm)) + ([end] if self.marginal is not None else [])
+
+    @property
+    def size(self) -> int:
+        return self.blocks * self.m**2 + (self.sink is not None) + (self.m**2 if self.marginal is not None else 0)
+
+
+def _own_sums(block: tuple, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row r of an n x n block A, given as _summed returns it: A_rr, the Gershgorin
+    radius sum over c != r of |A_rc + A_cr| / 2, and the sum over c of |A_rc - A_cr| / 2.
+
+    Each entry (r, c) adds |A_rc +- A_cr| / 2 to row r, and an entry whose mirror
+    (c, r) is absent also adds |A_rc| / 2 to row c.
+    """
+    rows, cols, values = block
+    keys, flipped = rows * n + cols, cols * n + rows
+    order = np.argsort(flipped)  # searchsorted runs fastest through sorted queries
+    at = np.empty(len(keys), dtype=int)
+    at[order] = np.minimum(np.searchsorted(keys, flipped[order]), len(keys) - 1)
+    mirrored = keys[at] == flipped
+    mirror = np.where(mirrored, values[at], 0.0)
+    lone = np.bincount(cols[~mirrored], np.abs(values[~mirrored]), n)
+    sym, anti = (np.bincount(rows, np.abs(values + sign * mirror), n) + lone for sign in (1, -1))
+    centre, on = np.zeros(n), rows == cols
+    centre[rows[on]] = values[on]
+    return centre, sym * 0.5 - np.abs(centre), anti * 0.5
+
+
+def _numerical_box(chain: _Chain) -> tuple[float, float, float, float]:
+    """(re_lo, re_hi, im_lo, im_hi): a rectangle that holds the numerical range of R.
+
+    Re <x, R x> lies in the spectrum of (R + R^T) / 2 and Im <x, R x> in that
+    of (R - R^T) / 2i; Gershgorin's discs bound both, and the second has a zero
+    diagonal, so the box is symmetric about the real axis.  A depth's row sums
+    are L_0's own, plus half the |J| row sums where a jump comes in and half the
+    |J| column sums where one goes out (the ladder has at least three rungs, so
+    no two depths trade jumps both ways), plus half the sink weights on the last
+    depth, whose row then holds half their sum; the marginal has its own sums.
+    """
+    m, mm = chain.m, chain.m**2
+    centre, radius, height = _own_sums(chain.depth, mm)
+    rows, cols, values = chain.jump
+    incoming, outgoing = np.bincount(rows, np.abs(values), mm) / 2, np.bincount(cols, np.abs(values), mm) / 2
+    sink = np.zeros(mm)
+    groups = []  # (diagonal, radius, height) of each kind of row
+    if chain.sink is not None:
+        sink[np.arange(m) * (m + 1)] = np.abs(chain.sink) / 2
+        groups.append((0.0, sink.sum(), sink.sum()))
+    cyclic = chain.sink is None
+    for into, out in {(j > 0 or cyclic, j < chain.blocks - 1 or cyclic) for j in range(chain.blocks)}:
+        extra = into * incoming + out * outgoing + (not out) * sink  # only a sink-ended chain's last depth sends none
+        groups.append((centre, radius + extra, height + extra))
+    if chain.marginal is not None:
+        groups.append(_own_sums(chain.marginal, mm))
+    top = max(float(np.max(h)) for _, _, h in groups)
+    return (min(float(np.min(c - r)) for c, r, _ in groups), max(float(np.max(c + r)) for c, r, _ in groups),
+            -top, top)
+
+
+class _Csr(NamedTuple):
+    """A square matrix as CSR arrays: row i holds data[indptr[i]:indptr[i + 1]] at those indices."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _series_operator(chain: _Chain, centre: float, scale: float) -> _Csr:
+    """B = scale (R - centre) as CSR arrays, written block by block.
+
+    A depth's row band [J | L_0 - centre], J in the columns of the depth before,
+    is built once and tiled over the depths at column offsets; a sink-ended
+    chain's first depth takes L_0 - centre alone.  The sink row and the marginal
+    block follow.
+    """
+    m, mm, blocks = chain.m, chain.m**2, chain.blocks
+
+    def shifted(block):  # scale (block - centre)
+        diag = np.arange(mm)
+        rows, cols, values = _summed(np.concatenate([block[0], diag]), np.concatenate([block[1], diag]),
+                                     np.concatenate([block[2], np.full(mm, -centre)]), mm)
+        return rows, cols, values * scale
+
+    own = shifted(chain.depth)
+    band_rows, band_cols = np.concatenate([chain.jump[0], own[0]]), np.concatenate([chain.jump[1] - mm, own[1]])
+    order = np.argsort(band_rows * 2 * mm + band_cols)  # by row, then column: the jump's columns come first
+    band_cols = band_cols[order].astype(np.int32)  # tiled in the index type the kernel takes
+    band_values = np.concatenate([chain.jump[2] * scale, own[2]])[order]
+    band_counts = np.bincount(band_rows, minlength=mm)
+    offsets = np.arange(blocks, dtype=np.int32) * mm
+    if chain.sink is None:  # the first depth's jump comes from the last
+        indices = [((band_cols[None, :] + offsets[:, None]) % (blocks * mm)).ravel()]
+        data, counts = [np.tile(band_values, blocks)], [np.tile(band_counts, blocks)]
+    else:
+        indices = [own[1], (band_cols[None, :] + offsets[1:, None]).ravel()]
+        data = [own[2], np.tile(band_values, blocks - 1)]
+        counts = [np.bincount(own[0], minlength=mm), np.tile(band_counts, blocks - 1)]
+        weighted = np.nonzero(chain.sink)[0]
+        indices.append(np.append((blocks - 1) * mm + weighted * (m + 1), blocks * mm))
+        data.append(np.append(chain.sink[weighted] * scale, -centre * scale))
+        counts.append([len(weighted) + 1])
+    if chain.marginal is not None:
+        rows, cols, values = shifted(chain.marginal)
+        indices.append(cols + chain.starts[-1])
+        data.append(values)
+        counts.append(np.bincount(rows, minlength=mm))
+    indptr = np.zeros(chain.size + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return _Csr(indptr, np.concatenate(indices, dtype=np.int32), np.concatenate(data))
 
 
 def _cavity_lindbladian(sec: _Sectors) -> tuple:
@@ -426,25 +560,6 @@ def _transposed(m: int, size: int, starts: list[int]) -> np.ndarray:
     return flip
 
 
-def _real_generator(gen: sp.csr_matrix, flip: np.ndarray) -> sp.csr_matrix:
-    """G in the Hermitian coordinates Y = Re X + Im X of each block: the real matrix R.
-
-    For Hermitian X, Re X is symmetric and Im X antisymmetric, so X -> Y is an
-    isometry from the Hermitian matrices onto the reals, with inverse
-    X = ((1 + i) Y + (1 - i) Y^T) / 2.  G maps Hermitian blocks to Hermitian
-    blocks, and Re + Im of v X_c is Re v Y_c + Im v Y_{c^T}: an entry v of G at
-    (r, c) gives Re v at (r, c) and Im v at (r, flip[c]).  The
-    complexification of R is unitarily similar to G, so W(R) = W(G).
-    """
-    import scipy.sparse as sp
-
-    coo = gen.tocoo()
-    re, im = coo.data.real != 0, coo.data.imag != 0
-    values = np.concatenate([coo.data.real[re], coo.data.imag[im]])
-    rows, cols = np.concatenate([coo.row[re], coo.row[im]]), np.concatenate([coo.col[re], flip[coo.col[im]]])
-    return sp.csr_matrix((values, (rows, cols)), shape=gen.shape)
-
-
 def _real_columns(cols: np.ndarray, flip: np.ndarray, between: list[int]) -> np.ndarray:
     """The (N, P) complex columns `cols` as rows of Hermitian coordinates: the
     Hermitian part of each, then the anti-Hermitian part A of the columns
@@ -460,20 +575,6 @@ def _complex_columns(rows: np.ndarray, flip: np.ndarray, between: list[int]) -> 
     cols = parts[:, : parts.shape[1] - len(between)].copy()
     cols[:, between] += 1j * parts[:, cols.shape[1] :]
     return cols
-
-
-def _numerical_box(gen: sp.csr_matrix) -> tuple[float, float, float, float]:
-    """(re_lo, re_hi, im_lo, im_hi): a rectangle that holds the numerical range of the real `gen`.
-
-    Re <x, R x> lies in the spectrum of (R + R^T) / 2 and Im <x, R x> in that
-    of (R - R^T) / 2i; Gershgorin's discs bound both.  The second has a zero
-    diagonal, so the box is symmetric about the real axis.
-    """
-    sym = (gen + gen.T) * 0.5
-    centre = sym.diagonal()
-    radius = np.asarray(abs(sym).sum(axis=1)).ravel() - np.abs(centre)
-    height = float(np.max(abs(gen - gen.T).sum(axis=1))) * 0.5
-    return float(np.min(centre - radius)), float(np.max(centre + radius)), -height, height
 
 
 CROUZEIX = 1.0 + math.sqrt(2.0)  # ||p(G)|| <= CROUZEIX max |p| over the numerical range of G
@@ -495,7 +596,7 @@ class _Plan(NamedTuple):
     """
 
     pieces: int
-    op: sp.csr_matrix  # B = 2 (R - c) / |d|, real
+    op: _Csr  # B = 2 (R - c) / |d|, real
     coeffs: np.ndarray  # a_k = Re(c_k / e^k), c_k those of exp((t / pieces)(c + d w)) in T_k(w)
     sign: int  # s
 
@@ -504,9 +605,10 @@ class _Plan(NamedTuple):
         return self.pieces * (len(self.coeffs) - 1)
 
 
-def _chebyshev_plan(gen: sp.csr_matrix, box: tuple, t: float, pieces: int = 1) -> _Plan:
-    """The series for exp(t R), R real, with the fewest pieces, from `pieces` up, whose
-    rounding amplification is at most AMPLIFICATION_LIMIT.
+def _chebyshev_plan(operator, box: tuple, t: float, pieces: int = 1) -> _Plan:
+    """The series for exp(t R), R real with its numerical range in `box`, with the fewest
+    pieces, from `pieces` up, whose rounding amplification is at most AMPLIFICATION_LIMIT;
+    operator(c, s) returns s (R - c) as CSR arrays.
 
     The box of a real matrix is symmetric about the real axis, so its centre c
     is real.  Each candidate ellipse c + d E_r holds the box, with d along its
@@ -518,8 +620,6 @@ def _chebyshev_plan(gen: sp.csr_matrix, box: tuple, t: float, pieces: int = 1) -
     skipping those whose amplification cannot stay within the limit: it is at
     least e^{tau (c + A)}, |exp| at the ellipse's rightmost point.
     """
-    import scipy.sparse as sp
-
     x0, x1, y0, y1 = box
     centre = (x0 + x1) / 2
     while True:
@@ -541,8 +641,7 @@ def _chebyshev_plan(gen: sp.csr_matrix, box: tuple, t: float, pieces: int = 1) -
             e = 1.0 if real_foci[j] else 1j
             coeffs = _chebyshev_coefficients(tau * centre, tau * focal[j] * e, r[j], max(1, int(degree[j])))
             if np.sum(np.abs(coeffs) * r[j] ** np.arange(len(coeffs))) <= AMPLIFICATION_LIMIT:
-                shifted = gen - centre * sp.identity(gen.shape[0], format="csr")
-                return _Plan(pieces, (shifted * (2 / focal[j])).tocsr(),
+                return _Plan(pieces, operator(centre, 2 / focal[j]),
                              (coeffs / e ** np.arange(len(coeffs))).real, 1 if real_foci[j] else -1)
         pieces += 1
 
@@ -569,6 +668,21 @@ def _chebyshev_coefficients(z0: complex, z1: complex, r: float, degree: int) -> 
     return np.where(noise_interval <= noise_ellipse, on_interval, on_ellipse)
 
 
+def _checked_order(op: _Csr) -> int:
+    """The order n of a square CSR operator, once its arrays hold what the compiled kernel
+    reads without checking: int32 indices, indptr rising from 0 to the number of entries,
+    and every column index below n."""
+    indptr, indices = op.indptr, op.indices
+    if indptr.dtype != np.int32 or indices.dtype != np.int32:
+        raise ValueError(f"the kernel takes int32 indices, got {indptr.dtype} and {indices.dtype}")
+    n = len(indptr) - 1
+    if n < 0 or indptr[0] != 0 or np.any(np.diff(indptr) < 0) or not indptr[-1] == len(indices) == len(op.data):
+        raise ValueError("the operator's indptr must rise from 0 to its number of entries")
+    if len(indices) and not 0 <= indices.min() <= indices.max() < n:
+        raise ValueError(f"the operator's column indices must lie in [0, {n})")
+    return n
+
+
 def _chebyshev_action(plan: _Plan, rows: np.ndarray) -> tuple[np.ndarray, float]:
     """exp(t R) applied to each row of `rows`, and the largest |a_k| ||u_k|| per unit
     of the propagated norm over the last two terms of a piece: past the coefficients'
@@ -585,10 +699,10 @@ def _chebyshev_action(plan: _Plan, rows: np.ndarray) -> tuple[np.ndarray, float]
     from scipy.sparse._sparsetools import csr_matvec
 
     op, coeffs = plan.op, plan.coeffs
-    n, last = op.shape[0], len(coeffs) - 1
-    if op.dtype != np.float64 or rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != n:
+    n, last = _checked_order(op), len(coeffs) - 1
+    if op.data.dtype != np.float64 or rows.dtype != np.float64 or rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"the kernel takes a float64 operator and (columns, {n}) float64 rows, "
-                         f"got {op.dtype} and {rows.shape} {rows.dtype}")
+                         f"got {op.data.dtype} and {rows.shape} {rows.dtype}")
     product = partial(csr_matvec, n, n, op.indptr, op.indices, op.data)
     tail = 0.0
     for _ in range(plan.pieces):
@@ -688,19 +802,18 @@ def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector, icfg: Integ
     pairs, seeds = _seed_blocks(sec, state)
     diagonal = [i for i, (k, q) in enumerate(pairs) if k == q]  # their sinks add up to the population lost
     between = [i for i, (k, q) in enumerate(pairs) if k != q]  # seeds with an anti-Hermitian part
-    marginal = _cavity_lindbladian(sec) if icfg.convergence_check else None
+    depth, jump = (_hermitian_coordinates(x, sec.m) for x in _depth_blocks(sec))
+    marginal = _hermitian_coordinates(_cavity_lindbladian(sec), sec.m) if icfg.convergence_check else None
+    sink = sec.cfg.gamma * sec.n_photon / sec.cfg.model.n_cut
     blocks, work = _chain_blocks(sec), 0
     while True:  # grow the chain until its sink holds at most CHAIN_TAIL
-        gen = _chain_generator(sec, blocks, marginal)
-        length = gen.shape[0]
-        starts = list(range(0, blocks * mm, mm)) + ([length - mm] if marginal is not None else [])
-        flip = _transposed(sec.m, length, starts)  # the chain's blocks, then the marginal's
-        cols = np.zeros((length, len(pairs)), dtype=complex)
+        chain = _Chain(sec.m, blocks, depth, jump, sink if blocks < sec.d else None, marginal)
+        flip = _transposed(sec.m, chain.size, chain.starts)
+        cols = np.zeros((chain.size, len(pairs)), dtype=complex)
         cols[:mm] = seeds.reshape(len(pairs), -1).T
         if marginal is not None:
             cols[-mm:] = cols[:mm]
-        real = _real_generator(gen, flip)
-        plan = _chebyshev_plan(real, _numerical_box(real), t)
+        plan = _chebyshev_plan(partial(_series_operator, chain), _numerical_box(chain), t)
         rows, tail = _chebyshev_action(plan, _real_columns(cols, flip, between))
         end = _complex_columns(rows, flip, between)
         work += plan.work

@@ -7,8 +7,10 @@ interaction Hamiltonian itself, and shares no code with the production engine
 beyond the cavity model's operators and the ladder's shift operator.
 
 The loss chain's Chebyshev series is checked against scipy's Taylor-based
-action of the matrix exponential on the same sparse generator, and the
-generator's one-pass sparse build against one from Kronecker products.
+action of the matrix exponential on the same generator.  The series operator,
+tiled from the chain's two m^2-blocks, and the numerical-range box summed from
+them are checked against the whole generator built from Kronecker products,
+taken to Hermitian coordinates entry by entry, and its Gershgorin discs.
 
 The linear cavity's photon statistics are checked against a truncated
 Poisson table.
@@ -69,11 +71,10 @@ def reference_expm_action(gen, cols: np.ndarray, t: float) -> np.ndarray:
     return expm_multiply(gen * t, cols)
 
 
-def reference_chain_generator(sec, blocks: int, jump_down: int = 1):
-    """The loss chain's generator (`dynamics._chain_generator` without a marginal
-    block) as Kronecker products: identity(blocks) x diagonal plus a shift x jump,
-    the sink row stacked below.  `jump_down` 0 puts the jump on the diagonal
-    blocks instead of one depth down, a fault that keeps the trace."""
+def reference_chain_generator(sec, blocks: int, marginal: tuple | None = None):
+    """The loss chain's complex generator as Kronecker products: identity(blocks) x
+    diagonal plus a shift x jump, the sink row stacked below, and the (rows, cols,
+    values) of a `marginal` block, if given, placed after it on the diagonal."""
     import scipy.sparse as sp
 
     model, gamma, m = sec.cfg.model, sec.cfg.gamma, sec.m
@@ -82,18 +83,48 @@ def reference_chain_generator(sec, blocks: int, jump_down: int = 1):
     diagonal = -1j * (sp.kron(h_eff, eye) - sp.kron(eye, h_eff.conj()))
     a = sp.csr_matrix(model.a)
     jump = gamma * sp.kron(a, a.conj())
-    shift = sp.eye(blocks, k=-jump_down, format="csr")
-    if blocks == sec.d and jump_down:  # the whole cyclic ladder: the loss out of the last block re-enters the first
+    shift = sp.eye(blocks, k=-1, format="csr")
+    if blocks == sec.d:  # the whole cyclic ladder: the loss out of the last block re-enters the first
         shift = shift + sp.csr_matrix(([1.0], ([0], [blocks - 1])), shape=(blocks, blocks))
     gen = (sp.kron(sp.identity(blocks, format="csr"), diagonal) + sp.kron(shift, jump)).tocsr()
-    if blocks == sec.d:
-        return gen
-    size = blocks * m * m
-    last = (blocks - 1) * m * m + np.arange(m) * (m + 1)
-    sink = sp.csr_matrix((gamma * sec.n_photon / model.n_cut, (np.zeros(m, dtype=int), last)), shape=(1, size))
-    gen = sp.vstack([gen, sink], format="csr")
-    gen.resize((size + 1, size + 1))
+    if blocks < sec.d:
+        size = blocks * m * m
+        last = (blocks - 1) * m * m + np.arange(m) * (m + 1)
+        sink = sp.csr_matrix((gamma * sec.n_photon / model.n_cut, (np.zeros(m, dtype=int), last)), shape=(1, size))
+        gen = sp.vstack([gen, sink], format="csr")
+        gen.resize((size + 1, size + 1))
+    if marginal is not None:
+        rows, cols, values = marginal
+        gen = sp.block_diag([gen, sp.csr_matrix((values, (rows, cols)), shape=(m * m,) * 2)], format="csr")
     return gen
+
+
+def reference_real_generator(gen, m: int, starts: list[int]):
+    """A generator in the Hermitian coordinates Y = Re X + Im X of each m x m block,
+    the blocks starting at `starts` in row-major vec: an entry v at (r, c) gives Re v
+    at (r, c) and Im v at (r, c^T), c^T the transposed position in c's block; an
+    entry outside every block (the sink) maps to itself."""
+    import scipy.sparse as sp
+
+    flip = np.arange(gen.shape[0])
+    i, j = np.divmod(np.arange(m * m), m)
+    for start in starts:
+        flip[start + i * m + j] = start + j * m + i
+    coo = gen.tocoo()
+    re, im = coo.data.real != 0, coo.data.imag != 0
+    values = np.concatenate([coo.data.real[re], coo.data.imag[im]])
+    rows, cols = np.concatenate([coo.row[re], coo.row[im]]), np.concatenate([coo.col[re], flip[coo.col[im]]])
+    return sp.csr_matrix((values, (rows, cols)), shape=gen.shape)
+
+
+def reference_numerical_box(gen) -> tuple[float, float, float, float]:
+    """The Gershgorin rectangle of a real sparse matrix's numerical range, from the
+    whole matrix: the discs of (R + R^T) / 2 and (R - R^T) / 2i."""
+    sym = (gen + gen.T) * 0.5
+    centre = sym.diagonal()
+    radius = np.asarray(abs(sym).sum(axis=1)).ravel() - np.abs(centre)
+    height = float(np.max(abs(gen - gen.T).sum(axis=1))) * 0.5
+    return float(np.min(centre - radius)), float(np.max(centre + radius)), -height, height
 
 
 def reference_steps(cfg: SystemConfig) -> int:

@@ -462,6 +462,40 @@ def test_sweep_entries_take_their_scalars_bounds(tmp_path, capsys, scenario, swe
     assert f"sweep.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario, sweep, key, scalar, bad", [
+    ("sweep_kappa", {"kappa_values": [0.02]}, "kappa_values", "model.kappa_ratio", -0.02),
+    ("fidelity_map", {"kappa_values": [0.05], "gamma_values": [1e-4]}, "gamma_values", "loss.gamma_ratio", -1e-4),
+    ("sweep_velocity", {"velocity_ratios": [1.0]}, "velocity_ratios", "electron.velocity_ratio", 2.5),
+    ("sweep_kappa", {"kappa_values": [0.02]}, "n_cut_values", "model.n_cut", 1),
+    ("sweep_kappa", {"kappa_values": [0.02]}, "rungs_values", "electron.rungs", 2.5),
+])
+def test_sweep_entry_is_read_as_the_scalar_it_overrides(scenario, sweep, key, scalar, bad):
+    # a sweep list's entry and the scalar it overrides take one reader: the same value gets
+    # the same message, each naming its own field
+    block, name = scalar.split(".")
+    messages = []
+    for cfg in (minimal_evolve(scenario=scenario, sweep={**sweep, key: [bad]}),
+                minimal_evolve(**{block: {**minimal_evolve()[block], name: bad}})):
+        with pytest.raises(ConfigError) as err:
+            normalize_config(cfg)
+        messages.append((err.value.field, err.value.message))
+    assert messages[0][0] == f"sweep.{key}" and messages[1][0] == scalar
+    assert messages[0][1] == messages[1][1]
+
+
+@pytest.mark.parametrize("cfg, block", [
+    ({"schema_version": 1, "scenario": "gates", "model": {"kind": "nonsense"}, "initial_level": 5, "electron": 3},
+     "model"),
+    (minimal_evolve(scenario="sweep_kappa", sweep={"kappa_values": [0.02]},
+                    feasibility={"pm_bandwidth": 7e-4, "kappa_ratio": 0.02}), "feasibility"),
+    (minimal_evolve(gates={"rungs": 7}), "gates"),
+])
+def test_block_the_scenario_does_not_read_is_rejected(tmp_path, capsys, cfg, block):
+    # a block that only another scenario reads exits 2 naming it, instead of being dropped
+    err = rejected_field(tmp_path, capsys, cfg)
+    assert f"'{block}'" in err and f"not allowed for the {cfg['scenario']} scenario" in err
+
+
 def test_convergence_check_must_be_a_boolean(tmp_path, capsys):
     cfg = minimal_evolve(integrator={"convergence_check": "false"})
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,8 @@ from oracles import (
     reference_chain_generator,
     reference_expm_action,
     reference_lindblad,
+    reference_numerical_box,
+    reference_real_generator,
     reference_steps,
 )
 
@@ -463,16 +466,15 @@ def test_convergence_error_raised_for_chain_hamiltonian_fault(monkeypatch):
     # a Hermitian 1e-4 n error in the Hamiltonian of every chain block keeps the trace;
     # the marginal, built apart from the chain, must disagree
     cfg = small_kerr(kappa=0.05, n_cut=4, g_q=1.2, gamma=0.003, t=60.0)
-    exact = dynamics._chain_generator
+    exact = dynamics._depth_blocks
 
-    def faulty(sec, blocks, *marginal):
-        gen = exact(sec, blocks, *marginal)
-        n, eye = np.diag(sec.n_photon.astype(float)), np.eye(sec.m)
-        fault = sp.kron(sp.identity(blocks), -1e-4j * (np.kron(n, eye) - np.kron(eye, n)), format="csr")
-        fault.resize(gen.shape)
-        return (gen + fault).tocsr()
+    def faulty(sec):
+        (rows, cols, values), jump = exact(sec)
+        n, eye, on = np.diag(sec.n_photon.astype(float)), np.eye(sec.m), np.arange(sec.m**2)
+        fault = np.diag(-1e-4j * (np.kron(n, eye) - np.kron(eye, n)))  # diagonal, added to L_0's own entries
+        return (np.concatenate([rows, on]), np.concatenate([cols, on]), np.concatenate([values, fault])), jump
 
-    monkeypatch.setattr(dynamics, "_chain_generator", faulty)
+    monkeypatch.setattr(dynamics, "_depth_blocks", faulty)
     with pytest.raises(ConvergenceError):
         evolve_lindblad(initial_state(cfg), cfg, LOOSE)
 
@@ -481,15 +483,14 @@ def test_jump_on_the_diagonal_block_trips_the_gate(monkeypatch):
     # photon loss kept on each depth instead of moving it one depth down: the trace and
     # the depths' sum are right, and only the closed-form depth 0 can see the fault
     cfg = small_kerr(kappa=0.05, n_cut=4, g_q=1.2, gamma=0.003, t=60.0)
+    exact = dynamics._depth_blocks
 
-    def faulty(sec, blocks, *marginal):
-        gen = reference_chain_generator(sec, blocks, jump_down=0)
-        if not marginal:
-            return gen
-        rows, cols, values = marginal[0]
-        return sp.block_diag([gen, sp.csr_matrix((values, (rows, cols)), shape=(sec.m**2,) * 2)], format="csr")
+    def faulty(sec):
+        depth, (rows, cols, values) = exact(sec)
+        on_depth = tuple(np.concatenate(pair) for pair in zip(depth, (rows, cols, values)))
+        return on_depth, (rows, cols, 0.0 * values)
 
-    monkeypatch.setattr(dynamics, "_chain_generator", faulty)
+    monkeypatch.setattr(dynamics, "_depth_blocks", faulty)
     with pytest.raises((ConvergenceError, TraceDriftError)):
         evolve_lindblad(initial_state(cfg), cfg, LOOSE)
 
@@ -557,14 +558,14 @@ def test_loss_chain_grows_until_its_sink_is_empty(monkeypatch):
     cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.01, t=30.0, rungs=33)
     want = evolve_lindblad(initial_state(cfg), cfg, LOOSE)
     built = []
-    exact = dynamics._chain_generator
+    exact = dynamics._numerical_box  # taken once per chain
 
-    def recorded(sec, blocks, *marginal):
-        built.append(blocks)
-        return exact(sec, blocks, *marginal)
+    def recorded(chain):
+        built.append(chain.blocks)
+        return exact(chain)
 
     monkeypatch.setattr(dynamics, "_chain_blocks", lambda sec: 1)
-    monkeypatch.setattr(dynamics, "_chain_generator", recorded)
+    monkeypatch.setattr(dynamics, "_numerical_box", recorded)
     got = evolve_lindblad(initial_state(cfg), cfg, LOOSE)
     assert built == [1, 2, 4, 8]
     assert got.diagnostics.trace_error < 1e-12
@@ -632,15 +633,42 @@ KERNEL_POINTS = {
 }
 
 
+def chain_of(sec, blocks: int, marginal: bool = False):
+    """The chain `_evolve_chain` builds: its blocks in Hermitian coordinates, with or without the marginal."""
+    depth, jump = (dynamics._hermitian_coordinates(x, sec.m) for x in dynamics._depth_blocks(sec))
+    sink = sec.cfg.gamma * sec.n_photon / sec.cfg.model.n_cut
+    return dynamics._Chain(sec.m, blocks, depth, jump, sink if blocks < sec.d else None,
+                           dynamics._hermitian_coordinates(dynamics._cavity_lindbladian(sec), sec.m) if marginal else None)
+
+
+def as_sparse(op):
+    n = len(op.indptr) - 1
+    return sp.csr_matrix((op.data, op.indices, op.indptr), shape=(n, n))
+
+
+# the tiled operator and the box against the whole generator: the same entries, summed in
+# another order, so they may differ in the last place of the largest (measured: at most 0.52 of it)
+ROUNDING = 2 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("name", ["kerr_lossy_map", "jc_gamma_1e-3", "heavy_loss_cyclic"])
 def test_chain_generator_matches_kronecker_build(name):
-    # the one-pass sparse build against Kronecker products, on sink-ended chains and
-    # on the whole cyclic ladder, value for value
+    # the operator tiled from the two m^2-blocks (at centre 0, scale 1) and the box summed from
+    # them, against the Kronecker-built generator taken to Hermitian coordinates entry by entry,
+    # on sink-ended chains and on the whole cyclic ladder, without and with the marginal block
     sec = dynamics._Sectors(KERNEL_POINTS[name][0]())
-    blocks = dynamics._chain_blocks(sec)
+    blocks, mm = dynamics._chain_blocks(sec), sec.m**2
     assert (blocks == sec.d) == (name == "heavy_loss_cyclic")
-    gen, ref = dynamics._chain_generator(sec, blocks), reference_chain_generator(sec, blocks)
-    assert gen.shape == ref.shape and (gen != ref).nnz == 0
+    for marginal in (False, True):
+        gen = reference_chain_generator(sec, blocks, dynamics._cavity_lindbladian(sec) if marginal else None)
+        starts = list(range(0, blocks * mm, mm)) + ([gen.shape[0] - mm] if marginal else [])
+        ref = reference_real_generator(gen, sec.m, starts)
+        chain = chain_of(sec, blocks, marginal)
+        got = as_sparse(dynamics._series_operator(chain, 0.0, 1.0))
+        assert got.shape == ref.shape == (chain.size,) * 2
+        assert abs(got - ref).max() <= ROUNDING * abs(ref).max()
+        box, want = dynamics._numerical_box(chain), reference_numerical_box(ref)
+        assert max(abs(x - y) for x, y in zip(box, want)) <= ROUNDING * max(map(abs, want))
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_POINTS))
@@ -653,14 +681,14 @@ def test_chebyshev_series_matches_taylor_reference(name):
     sec = dynamics._Sectors(cfg)
     pairs, seeds = dynamics._seed_blocks(sec, initial_state(cfg, cavity_level=level))
     blocks = dynamics._chain_blocks(sec)
-    gen = dynamics._chain_generator(sec, blocks)
-    cols = np.zeros((gen.shape[0], len(pairs)), dtype=complex)
+    gen = reference_chain_generator(sec, blocks)
+    chain = chain_of(sec, blocks)
+    cols = np.zeros((chain.size, len(pairs)), dtype=complex)
     cols[:mm] = seeds.reshape(len(pairs), -1).T
-    flip = dynamics._transposed(sec.m, gen.shape[0], list(range(0, blocks * mm, mm)))
-    real = dynamics._real_generator(gen, flip)
-    box = dynamics._numerical_box(real)
-    plan = dynamics._chebyshev_plan(real, box, t)
-    assert plan.op.dtype == np.float64
+    flip = dynamics._transposed(sec.m, chain.size, chain.starts)
+    box = dynamics._numerical_box(chain)
+    plan = dynamics._chebyshev_plan(partial(dynamics._series_operator, chain), box, t)
+    assert plan.op.data.dtype == np.float64
     rows, _ = dynamics._chebyshev_action(plan, dynamics._real_columns(cols, flip, []))
     got = dynamics._complex_columns(rows, flip, [])
     assert np.max(np.abs(got - reference_expm_action(gen, cols, t))) < 1e-12
@@ -671,17 +699,29 @@ def test_chebyshev_series_matches_taylor_reference(name):
     assert (plan.pieces > 1) == (name == "long_pure_loss")
 
 
+def shifted_operator(matrix):
+    """operator(c, s) = s (matrix - c) for the plan, from a scipy sparse matrix."""
+    return lambda centre, scale: ((matrix - centre * sp.identity(matrix.shape[0])) * scale).tocsr()
+
+
 def test_real_foci_series_matches_taylor_reference():
     # a real symmetric generator has a box of no height, so the plan takes real foci
     # (s = +1), whose recurrence negates u_{k-1} before the kernel adds B u_k to it
     n, t = 40, 5.0
     lap = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1], format="csr")
     rows = np.random.default_rng(3).standard_normal((2, n))
-    plan = dynamics._chebyshev_plan(lap, dynamics._numerical_box(lap), t)
-    assert plan.sign == 1 and plan.op.dtype == np.float64
+    plan = dynamics._chebyshev_plan(shifted_operator(lap), reference_numerical_box(lap), t)
+    assert plan.sign == 1 and plan.op.data.dtype == np.float64
     got, tail = dynamics._chebyshev_action(plan, rows)
     assert np.max(np.abs(got - reference_expm_action(lap, rows.T, t).T)) < 1e-12
     assert tail < dynamics.SERIES_MONITOR_BOUND
+
+
+def lossy_map_plan():
+    sec = dynamics._Sectors(lossy_map_kerr())
+    chain = chain_of(sec, dynamics._chain_blocks(sec), marginal=True)
+    return dynamics._chebyshev_plan(partial(dynamics._series_operator, chain), dynamics._numerical_box(chain),
+                                    sec.cfg.interaction_time)
 
 
 def test_compiled_kernel_adds_the_sparse_product():
@@ -689,16 +729,47 @@ def test_compiled_kernel_adds_the_sparse_product():
     # whose kernel no longer does exactly that fails here
     from scipy.sparse._sparsetools import csr_matvec
 
-    sec = dynamics._Sectors(lossy_map_kerr())
-    blocks, mm = dynamics._chain_blocks(sec), sec.m**2
-    gen = dynamics._chain_generator(sec, blocks)
-    real = dynamics._real_generator(gen, dynamics._transposed(sec.m, gen.shape[0], list(range(0, blocks * mm, mm))))
-    op = dynamics._chebyshev_plan(real, dynamics._numerical_box(real), sec.cfg.interaction_time).op
-    n = op.shape[0]
+    op = lossy_map_plan().op
+    n = len(op.indptr) - 1
     x, y = np.random.default_rng(5).standard_normal((2, n))
-    want = y + op @ x
+    want = y + as_sparse(op) @ x
     csr_matvec(n, n, op.indptr, op.indices, op.data, x, y)
     assert np.linalg.norm(y - want) <= 1e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("fault", ["column_out_of_range", "negative_column", "indptr_falls", "indptr_short_of_nnz",
+                                   "int64_indices"])
+def test_kernel_rejects_a_malformed_operator(fault):
+    # the compiled kernel reads out of bounds on a malformed operator, and the tiled build
+    # passes no scipy format check, so the series checks the arrays before the first product
+    plan = lossy_map_plan()
+    indptr, indices = plan.op.indptr.copy(), plan.op.indices.copy()
+    n = len(indptr) - 1
+    if fault == "column_out_of_range":
+        indices[len(indices) // 2] = n
+    elif fault == "negative_column":
+        indices[0] = -1
+    elif fault == "indptr_falls":
+        indptr[n // 2] = indptr[n // 2 + 1] + 1
+    elif fault == "indptr_short_of_nnz":
+        indptr[-1] -= 1
+    else:
+        indices = indices.astype(np.int64)
+    broken = plan._replace(op=plan.op._replace(indptr=indptr, indices=indices))
+    rows = np.zeros((1, n))
+    rows[0, 0] = 1.0
+    assert np.isfinite(dynamics._chebyshev_action(plan, rows)[0]).all()
+    with pytest.raises(ValueError):
+        dynamics._chebyshev_action(broken, rows)
+
+
+def test_work_count_of_the_lossy_map_points_is_pinned():
+    # generator products of the lossy-map Kerr point and a lossy JC point, as measured before the
+    # series operator was tiled from the chain's blocks: a box that widens the numerical range
+    # raises the degree, and with it this count
+    for make, steps in ((lossy_map_kerr, 416), (lossy_jc, 225)):
+        cfg = make()
+        assert evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics.steps == steps, make.__name__
 
 
 def test_loss_chain_loads_neither_scipy_special_nor_sparse_linalg():
