@@ -21,7 +21,7 @@ from typing import NamedTuple
 from . import __version__
 from .cavity import build_jc, build_kerr, pair_detuning, pair_states
 from .dynamics import (
-    RETIRED_STEP_KEYS,
+    RETIRED_KEYS,
     Diagnostics,
     IntegratorConfig,
     NumericsError,
@@ -160,11 +160,11 @@ def _model_kind(val, field):
 
 
 def _retired(default):
-    """A step size of the retired fixed-step integrator: echoed, and accepted only at its default."""
+    """A retired integrator key: echoed, and accepted only at its default, a boolean one as that boolean."""
     def read(val, field):
-        if val != default:
-            raise ConfigError(field,
-                              f"only {json.dumps(default)} is accepted: the propagator is exact and takes no steps")
+        if val != default or isinstance(val, bool) != isinstance(default, bool):
+            raise ConfigError(field, f"only {json.dumps(default)} is accepted: the key is retired; the propagator "
+                                     f"is exact, takes no steps, and always runs its accuracy gate")
         return default
 
     return read
@@ -187,8 +187,7 @@ _BLOCKS = {
                  "energy_kev": (_number(0.0), OPTIONAL), "wavelength_nm": (_number(1e-6), OPTIONAL)},
     "loss": {"gamma_ratio": (_number(0.0), 0.0)},
     "pair": {"lower": (_level_label, REQUIRED), "upper": (_level_label, REQUIRED)},
-    "integrator": {f.name: (_retired(f.default) if f.name in RETIRED_STEP_KEYS
-                            else _boolean if isinstance(f.default, bool) else _number(0.0), f.default)
+    "integrator": {f.name: (_retired(f.default) if f.name in RETIRED_KEYS else _number(0.0), f.default)
                    for f in fields(IntegratorConfig)},
 }
 
@@ -474,12 +473,11 @@ def _write_effective_config(out_dir: Path, cfg: dict) -> None:
 
 
 def _diag_columns(result: PointResult) -> list:
-    """DIAG_HEADER cells; nan where the point has no such figure (failed, or not checked)."""
+    """DIAG_HEADER cells; nan after `converged` of a failed point, which has no such figures."""
     d = result.diagnostics
     if d is None:
         return ["false"] + [math.nan] * 5
-    halving = math.nan if d.halving_delta is None else d.halving_delta
-    return ["true", d.steps, d.trace_error, d.cutoff_occupancy, d.wrap_occupancy, halving]
+    return ["true", d.steps, d.trace_error, d.cutoff_occupancy, d.wrap_occupancy, d.halving_delta]
 
 
 DIAG_HEADER = ["converged", "steps", "trace_error", "cutoff_occupancy", "wrap_occupancy", "halving_delta"]

@@ -25,7 +25,14 @@ NEGATIVE_TOL = 1e-12
 
 
 class ProbabilityError(ValueError):
-    """Outcome probabilities that no physical state produces: too negative, or not summing to one."""
+    """Outcome probabilities that no physical state produces: not finite, too negative, or not summing to one."""
+
+
+def _check_values(p: np.ndarray) -> None:
+    if not np.isfinite(p).all():
+        raise ProbabilityError(f"probabilities must be finite, got {p[~np.isfinite(p)][0]!r}")
+    if p.min() < -NEGATIVE_TOL:
+        raise ProbabilityError(f"probability {p.min():.3e} below clip tolerance -{NEGATIVE_TOL}")
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,8 @@ class Distribution:
 
     Round-off negatives within -1e-12 are clipped to zero and the table
     renormalized; the clipped magnitude is kept for diagnostics.  Anything
-    more negative is a genuine positivity violation and rejected.
+    more negative is a genuine positivity violation and rejected, and so is a
+    probability that is not finite.
     """
 
     labels: tuple[str, ...]
@@ -48,8 +56,7 @@ class Distribution:
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "labels", tuple(str(x) for x in self.labels))
-        if p.min() < -NEGATIVE_TOL:
-            raise ProbabilityError(f"probability {p.min():.3e} below clip tolerance -{NEGATIVE_TOL}")
+        _check_values(p)
         total = p.sum()
         if abs(total - 1.0) > 1e-8:
             raise ProbabilityError(f"probabilities sum to {total!r}, expected 1 within 1e-8")
@@ -58,8 +65,7 @@ class Distribution:
     def from_values(cls, labels, values) -> "Distribution":
         """Build from raw values, clipping round-off negatives and renormalizing."""
         p = np.asarray(values, dtype=float)
-        if p.min() < -NEGATIVE_TOL:
-            raise ProbabilityError(f"probability {p.min():.3e} below clip tolerance -{NEGATIVE_TOL}")
+        _check_values(p)
         clipped = float(-p[p < 0].sum()) if (p < 0).any() else 0.0
         if clipped > 0:
             logger.debug("clipped %.3e of round-off negative probability", clipped)

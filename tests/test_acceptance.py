@@ -383,7 +383,7 @@ def test_criterion_07_integrator_hygiene():
     assert _HYGIENE, "no propagation runs recorded"
     worst_trace = max(d.trace_error for _, d in _HYGIENE)
     worst_eig = min(d.min_eigenvalue for _, d in _HYGIENE if d.min_eigenvalue is not None)
-    worst_halving = max(d.halving_delta for _, d in _HYGIENE if d.halving_delta is not None)
+    worst_halving = max(d.halving_delta for _, d in _HYGIENE)
     worst_cutoff = max(d.cutoff_occupancy for _, d in _HYGIENE)
     ok = worst_trace <= 1e-8 and worst_eig >= -1e-8 and worst_halving <= 1e-6 and worst_cutoff <= 1e-6
     announce(

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -415,16 +416,15 @@ def test_composite_runs_cannot_nest(tmp_path, capsys):
 
 
 def test_diagnostics_cells_without_a_figure_are_nan(tmp_path):
-    # a failed point has no diagnostics at all, and an unchecked point no halving delta;
-    # neither may read as zero work or as two computations that agreed exactly
-    cfg = minimal_evolve(scenario="sweep_kappa", integrator={"convergence_check": False},
-                         sweep={"kappa_values": [0.05, 0.05], "n_cut_values": [3, 6]})
+    # a failed point has no diagnostics at all; its cells may not read as zero work or as
+    # two computations that agreed exactly.  A converged point has every figure
+    cfg = minimal_evolve(scenario="sweep_kappa", sweep={"kappa_values": [0.05, 0.05], "n_cut_values": [3, 6]})
     assert run_config(normalize_config(cfg), tmp_path) == 0
-    failed, unchecked = read_rows(tmp_path / "sweep_summary.csv")
+    failed, converged = read_rows(tmp_path / "sweep_summary.csv")
     assert failed[1:] == ["false"] + ["nan"] * 5
     assert (tmp_path / "point_000" / "FAILED.txt").exists()
-    assert unchecked[1] == "true" and unchecked[-1] == "nan"
-    assert int(unchecked[2]) > 0 and all(math.isfinite(float(x)) for x in unchecked[3:6])
+    assert converged[1] == "true" and int(converged[2]) > 0
+    assert all(math.isfinite(float(x)) for x in converged[3:])
 
 
 def test_point_files_write_each_probability_to_17_digits(tmp_path):
@@ -496,24 +496,27 @@ def test_block_the_scenario_does_not_read_is_rejected(tmp_path, capsys, cfg, blo
     assert f"'{block}'" in err and f"not allowed for the {cfg['scenario']} scenario" in err
 
 
-def test_convergence_check_must_be_a_boolean(tmp_path, capsys):
-    cfg = minimal_evolve(integrator={"convergence_check": "false"})
-    assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "integrator.convergence_check" in capsys.readouterr().err
-    cfg = minimal_evolve(integrator={"convergence_check": False})
-    assert normalize_config(cfg)["integrator"]["convergence_check"] is False
+def test_convergence_check_false_is_rejected(tmp_path, capsys):
+    # the accuracy gate always runs: false exits 2 naming the key, and a value that only
+    # compares equal to true is no spelling of it; true, or no key, runs and echoes true
+    for value in (False, "false", 1):
+        err = rejected_field(tmp_path, capsys, minimal_evolve(integrator={"convergence_check": value}))
+        assert "'integrator.convergence_check'" in err and "only true is accepted" in err
+    for integrator in ({"convergence_check": True}, {}):
+        assert normalize_config(minimal_evolve(integrator=integrator))["integrator"]["convergence_check"] is True
 
 
 @pytest.mark.parametrize("field", ["integrator.convergence_check", "electron.tune_to_pair"])
 def test_null_boolean_is_rejected_by_field(tmp_path, capsys, field):
-    # null is not false: it would turn the accuracy gate off, or read as an absent key
+    # null is neither true nor false, nor an absent key; the retired switch takes true only
+    message = {"integrator.convergence_check": "only true is accepted", "electron.tune_to_pair": "true or false"}
     smoke = build_presets()["smoke"]
     block, key = field.split(".")
     # the electron loses its velocity, so that tune_to_pair is its one velocity key
     cfg = dict(smoke, **{block: {k: v for k, v in smoke.get(block, {}).items() if k != "velocity_ratio"}})
     cfg[block][key] = None
     err = rejected_field(tmp_path, capsys, cfg)
-    assert f"'{field}'" in err and "true or false" in err
+    assert f"'{field}'" in err and message[field] in err
 
 
 @pytest.mark.parametrize("scenario", ["evolve", "sweep_kappa"])
@@ -557,20 +560,21 @@ CHANGED = {
                  "wavelength_nm": (532.0, {"energy_kev": 200.0})},
     "loss": {"gamma_ratio": 1e-3},
     "pair": {"lower": "2", "upper": "2"},
-    "integrator": {"trace_bound": 1e-7, "cutoff_bound": 1e-5, "wrap_bound": 1e-7, "convergence_check": False},
+    "integrator": {"trace_bound": 1e-7, "cutoff_bound": 1e-5, "wrap_bound": 1e-7},
 }
 
 
 def test_every_accepted_key_is_read(tmp_path, capsys):
     # each key of the config schema changes the effective config, and a key it lacks is rejected
     from epolsim.cli import _BLOCKS
-    from epolsim.dynamics import RETIRED_STEP_KEYS
+    from epolsim.dynamics import RETIRED_KEYS
 
     bases = block_configs()
     assert set(CHANGED) == set(_BLOCKS)
     for block, table in _BLOCKS.items():
-        # the retired step sizes take their defaults only (test_retired_step_keys_accepted_only_at_defaults)
-        assert set(CHANGED[block]) == set(table) - (set(RETIRED_STEP_KEYS) if block == "integrator" else set())
+        # the retired keys take their defaults only (test_retired_step_keys_accepted_only_at_defaults,
+        # test_convergence_check_false_is_rejected)
+        assert set(CHANGED[block]) == set(table) - (set(RETIRED_KEYS) if block == "integrator" else set())
         base = bases.get(block, minimal_evolve())
         echo = normalize_config(base)[block]
         for key, change in CHANGED[block].items():
@@ -615,11 +619,32 @@ def test_boolean_inside_g_q_list_rejected():
 
 @pytest.mark.parametrize("key, value", [("steps", 400), ("phase_per_step", 0.06), ("drive_per_step", 0.01)])
 def test_retired_step_keys_accepted_only_at_defaults(tmp_path, capsys, key, value):
-    defaults = {"steps": None, "phase_per_step": 0.12, "drive_per_step": 0.04}
+    defaults = {"steps": None, "phase_per_step": 0.12, "drive_per_step": 0.04, "convergence_check": True}
     assert normalize_config(minimal_evolve(integrator=defaults))["integrator"]["steps"] is None
     cfg = minimal_evolve(integrator={key: value})
     assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"integrator.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("g_q, gamma, reason", [
+    (1e300, 0.0, "TraceDriftError: trace drift nan"),  # the lossless route computes nan everywhere
+    (1e300, 1e-3, "NumericsError: the loss chain's series needs"),  # a degree beyond the floats
+    (1e6, 1e-3, "NumericsError: the loss chain's series needs"),  # rho T ~ 9.4e6: about 1e7 products
+    (1e3, 1e-3, "CutoffError: top-two photon levels"),  # rho T ~ 9.4e3: the series runs
+])
+def test_huge_coupling_fails_the_point_with_its_reason(tmp_path, capsys, g_q, gamma, reason):
+    # nan passes no bound, and a series too long to run fails before its first FFT: each point
+    # exits 3 within seconds and names its bound, where the first three wrote nan probabilities,
+    # raised, or ran on
+    cfg = minimal_evolve(model={"kind": "kerr", "kappa_ratio": 0.02, "n_cut": 6},
+                         electron={"rungs": 21, "center": 10, "g_q": g_q, "q0_l": 60.0, "velocity_ratio": 1.0},
+                         loss={"gamma_ratio": gamma})
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 5
+    assert f"numerical failure: {reason}" in capsys.readouterr().err
+    assert not (out / "diagnostics.csv").exists()
 
 
 def test_levels_checked_against_every_grid_model():

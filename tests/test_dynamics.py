@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -385,40 +386,43 @@ def test_frame_align_round_trip():
 
 
 def test_auto_steps_floor():
-    # the step controls of the retired fixed-step integrator are accepted at their defaults only
-    IntegratorConfig(steps=None, phase_per_step=0.12, drive_per_step=0.04)
+    # the retired keys are accepted at their defaults only: the step controls of the
+    # retired fixed-step integrator, and the switch that turned the accuracy gate off
+    IntegratorConfig(steps=None, phase_per_step=0.12, drive_per_step=0.04, convergence_check=True)
     with pytest.raises(ValueError):
         IntegratorConfig(steps=10)
     with pytest.raises(ValueError, match="phase_per_step"):
         IntegratorConfig(phase_per_step=0.06)
     with pytest.raises(ValueError, match="drive_per_step"):
         IntegratorConfig(drive_per_step=0.02)
+    with pytest.raises(ValueError, match="convergence_check"):
+        IntegratorConfig(convergence_check=False)
 
 
-def gate_and_work(cfg):
-    """(halving_delta, steps) of a checked run, and steps of an unchecked one."""
-    on = evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics
-    off = evolve_lindblad(initial_state(cfg), cfg, IntegratorConfig(convergence_check=False, cutoff_bound=1.0,
-                                                                    wrap_bound=1.0)).diagnostics
-    assert off.halving_delta is None
-    return on.halving_delta, on.steps, off.steps
+def gate_and_work(cfg, monkeypatch):
+    """(halving_delta, steps) of a run, and the work of the series plans it made."""
+    plans = []
+    exact = dynamics._chebyshev_plan
+    monkeypatch.setattr(dynamics, "_chebyshev_plan", lambda *args: plans.append(exact(*args)) or plans[-1])
+    diag = evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics
+    return diag.halving_delta, diag.steps, sum(plan.work for plan in plans)
 
 
-def test_step_halving_gate_reports_small_delta():
+def test_step_halving_gate_reports_small_delta(monkeypatch):
     # lossy: the chain against the closed-form depth 0 and the cavity's own Lindblad
     # marginal; they differ in rounding, so the gate reads a small nonzero value.
     # steps counts the products with the chain generator: the marginal rides in the
     # same products, and the depth-0 exponential is not one, so the check adds none.
-    delta, steps_on, steps_off = gate_and_work(small_kerr(kappa=0.05, g_q=1.2, gamma=0.003, t=60.0))
+    delta, steps, work = gate_and_work(small_kerr(kappa=0.05, g_q=1.2, gamma=0.003, t=60.0), monkeypatch)
     assert 0.0 < delta < 1e-6
-    assert 1 <= steps_off == steps_on
+    assert 1 <= work == steps
 
 
-def test_lossless_accuracy_gate_reports_small_delta():
-    # lossless: expm against the eigendecomposition; steps counts the exponentials
-    delta, steps_on, steps_off = gate_and_work(small_kerr(kappa=0.05, g_q=1.2, t=60.0))
+def test_lossless_accuracy_gate_reports_small_delta(monkeypatch):
+    # lossless: expm against the eigendecomposition; steps counts the two exponentials
+    delta, steps, work = gate_and_work(small_kerr(kappa=0.05, g_q=1.2, t=60.0), monkeypatch)
     assert 0.0 < delta < 1e-6
-    assert (steps_off, steps_on) == (1, 2)
+    assert (work, steps) == (0, 2)
 
 
 def test_trace_and_positivity_bounds_on_lossy_run():
@@ -541,6 +545,27 @@ def test_series_cut_to_ninety_percent_trips_the_tail_monitor(monkeypatch):
         evolve_lindblad(initial_state(cfg), cfg, LOOSE)
 
 
+@pytest.mark.parametrize("field", ["trace_error", "cutoff_occupancy", "wrap_occupancy", "min_eigenvalue",
+                                   "halving_delta", "series_tail"])
+def test_a_nan_figure_trips_its_bound(field):
+    # nan compares false with every bound, so each bound reads "not within", and a nan trips it
+    cfg = small_kerr(kappa=0.05, g_q=1.2, gamma=0.003, t=60.0)
+    diag = evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics
+    with pytest.raises(NumericsError):
+        dynamics._enforce_bounds(dataclasses.replace(diag, **{field: math.nan}), LOOSE)
+
+
+@pytest.mark.parametrize("limit, needs", [(300, r"at least 3\d\d"), (400, r"4\d\d")])
+def test_series_beyond_the_work_limit_fails_before_its_coefficients(monkeypatch, limit, needs):
+    # the lossy-map Kerr point takes 416 products for rho T ~ 330: a limit below rho T fails on the
+    # box alone, and one between the two on the degree; neither computes a coefficient
+    cfg = lossy_map_kerr()
+    monkeypatch.setattr(dynamics, "SERIES_WORK_LIMIT", limit)
+    monkeypatch.setattr(dynamics, "_chebyshev_coefficients", lambda *args: pytest.fail("an FFT ran"))
+    with pytest.raises(NumericsError, match=rf"needs {needs} generator products .* > {limit};"):
+        evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+
+
 def test_trace_drift_error_raised_for_cut_loss_chain(monkeypatch):
     # a chain cut after its first block, and kept there whatever its sink reads,
     # drops the population every photon loss moves down
@@ -633,12 +658,12 @@ KERNEL_POINTS = {
 }
 
 
-def chain_of(sec, blocks: int, marginal: bool = False):
-    """The chain `_evolve_chain` builds: its blocks in Hermitian coordinates, with or without the marginal."""
+def chain_of(sec, blocks: int):
+    """The chain `_evolve_chain` builds: its blocks and its marginal in Hermitian coordinates."""
     depth, jump = (dynamics._hermitian_coordinates(x, sec.m) for x in dynamics._depth_blocks(sec))
     sink = sec.cfg.gamma * sec.n_photon / sec.cfg.model.n_cut
     return dynamics._Chain(sec.m, blocks, depth, jump, sink if blocks < sec.d else None,
-                           dynamics._hermitian_coordinates(dynamics._cavity_lindbladian(sec), sec.m) if marginal else None)
+                           dynamics._hermitian_coordinates(dynamics._cavity_lindbladian(sec), sec.m))
 
 
 def as_sparse(op):
@@ -655,48 +680,67 @@ ROUNDING = 2 * np.finfo(float).eps
 def test_chain_generator_matches_kronecker_build(name):
     # the operator tiled from the two m^2-blocks (at centre 0, scale 1) and the box summed from
     # them, against the Kronecker-built generator taken to Hermitian coordinates entry by entry,
-    # on sink-ended chains and on the whole cyclic ladder, without and with the marginal block
+    # on sink-ended chains and on the whole cyclic ladder, the marginal block included
     sec = dynamics._Sectors(KERNEL_POINTS[name][0]())
     blocks, mm = dynamics._chain_blocks(sec), sec.m**2
     assert (blocks == sec.d) == (name == "heavy_loss_cyclic")
-    for marginal in (False, True):
-        gen = reference_chain_generator(sec, blocks, dynamics._cavity_lindbladian(sec) if marginal else None)
-        starts = list(range(0, blocks * mm, mm)) + ([gen.shape[0] - mm] if marginal else [])
-        ref = reference_real_generator(gen, sec.m, starts)
-        chain = chain_of(sec, blocks, marginal)
-        got = as_sparse(dynamics._series_operator(chain, 0.0, 1.0))
-        assert got.shape == ref.shape == (chain.size,) * 2
-        assert abs(got - ref).max() <= ROUNDING * abs(ref).max()
-        box, want = dynamics._numerical_box(chain), reference_numerical_box(ref)
-        assert max(abs(x - y) for x, y in zip(box, want)) <= ROUNDING * max(map(abs, want))
+    gen = reference_chain_generator(sec, blocks, dynamics._cavity_lindbladian(sec))
+    ref = reference_real_generator(gen, sec.m, list(range(0, blocks * mm, mm)) + [gen.shape[0] - mm])
+    chain = chain_of(sec, blocks)
+    got = as_sparse(dynamics._series_operator(chain, 0.0, 1.0))
+    assert got.shape == ref.shape == (chain.size,) * 2
+    assert abs(got - ref).max() <= ROUNDING * abs(ref).max()
+    box, want = dynamics._numerical_box(chain), reference_numerical_box(ref)
+    assert max(abs(x - y) for x, y in zip(box, want)) <= ROUNDING * max(map(abs, want))
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_POINTS))
 def test_chebyshev_series_matches_taylor_reference(name):
     # the series, run in Hermitian coordinates, against scipy's Taylor-based expm_multiply
-    # on the complex generator and seeds
+    # on the complex generator and seeds: depth 0 and the marginal seeded, as _evolve_chain seeds them
     make, level = KERNEL_POINTS[name]
     cfg = make()
-    t, mm = cfg.interaction_time, cfg.model.dim**2
+    t, m, mm = cfg.interaction_time, cfg.model.dim, cfg.model.dim**2
     sec = dynamics._Sectors(cfg)
     pairs, seeds = dynamics._seed_blocks(sec, initial_state(cfg, cavity_level=level))
     blocks = dynamics._chain_blocks(sec)
-    gen = reference_chain_generator(sec, blocks)
+    gen = reference_chain_generator(sec, blocks, dynamics._cavity_lindbladian(sec))
     chain = chain_of(sec, blocks)
     cols = np.zeros((chain.size, len(pairs)), dtype=complex)
-    cols[:mm] = seeds.reshape(len(pairs), -1).T
-    flip = dynamics._transposed(sec.m, chain.size, chain.starts)
+    cols[:mm] = cols[chain.start :] = seeds.reshape(len(pairs), -1).T
+    rows = np.zeros((len(pairs), chain.size))
+    rows[:, :mm] = rows[:, chain.start :] = dynamics._real_blocks(seeds, []).reshape(len(pairs), -1)
     box = dynamics._numerical_box(chain)
     plan = dynamics._chebyshev_plan(partial(dynamics._series_operator, chain), box, t)
     assert plan.op.data.dtype == np.float64
-    rows, _ = dynamics._chebyshev_action(plan, dynamics._real_columns(cols, flip, []))
-    got = dynamics._complex_columns(rows, flip, [])
+    end, _ = dynamics._chebyshev_action(plan, rows)
+    size = blocks * mm
+    depths = dynamics._complex_blocks(end[:, :size].reshape(len(pairs), blocks, m, m), [])
+    marginal = dynamics._complex_blocks(end[:, chain.start :].reshape(len(pairs), m, m), [])
+    got = np.concatenate([depths.reshape(len(pairs), -1), end[:, size : chain.start], marginal.reshape(len(pairs), -1)],
+                         axis=1).T  # the sink, if any, is real and stays as it is
     assert np.max(np.abs(got - reference_expm_action(gen, cols, t))) < 1e-12
     if name == "kerr_lossy_map":
         assert (box[3] - box[2]) / 2 * t >= 300  # rho T: the imaginary half-width of the numerical range
     if name == "pure_loss":
         assert np.allclose(gen.diagonal().imag, 0.0)  # loss alone: a real diagonal
     assert (plan.pieces > 1) == (name == "long_pure_loss")
+
+
+def test_hermitian_coordinates_round_trip():
+    # the seeds of one sector pair (k, k), Hermitian, and of a pair between two sectors, which is not:
+    # the second splits into its Hermitian and anti-Hermitian parts, and both come back as they were
+    m = 4
+    x = np.random.default_rng(11).standard_normal((2, 3, m, m, 2)) @ np.array([1.0, 1j])  # (pairs, depths, m, m)
+    x[0] += x[0].swapaxes(-1, -2).conj()
+    real = dynamics._real_blocks(x, [1])
+    assert real.dtype == np.float64 and real.shape == (3, 3, m, m)
+    assert np.array_equal(real[0], x[0].real + x[0].imag)
+    hermitian, anti = (x[1] + x[1].swapaxes(-1, -2).conj()) / 2, (x[1] - x[1].swapaxes(-1, -2).conj()) / 2j
+    assert np.allclose(real[1:], [hermitian.real + hermitian.imag, anti.real + anti.imag], rtol=0, atol=1e-15)
+    # Re X + Im X is an isometry on the Hermitian matrices
+    assert np.allclose(np.linalg.norm(real[0], axis=(-2, -1)), np.linalg.norm(x[0], axis=(-2, -1)), rtol=1e-15)
+    assert np.max(np.abs(dynamics._complex_blocks(real, [1]) - x)) < 1e-15
 
 
 def shifted_operator(matrix):
@@ -719,7 +763,7 @@ def test_real_foci_series_matches_taylor_reference():
 
 def lossy_map_plan():
     sec = dynamics._Sectors(lossy_map_kerr())
-    chain = chain_of(sec, dynamics._chain_blocks(sec), marginal=True)
+    chain = chain_of(sec, dynamics._chain_blocks(sec))
     return dynamics._chebyshev_plan(partial(dynamics._series_operator, chain), dynamics._numerical_box(chain),
                                     sec.cfg.interaction_time)
 
@@ -780,7 +824,7 @@ def test_loss_chain_loads_neither_scipy_special_nor_sparse_linalg():
         "cfg = SystemConfig(model=build_kerr(0.05, 4), ladder=LadderConfig(rungs=9, center=4), g_q=1.2,\n"
         "                   interaction_time=60.0, gamma=0.003)\n"
         "icfg = IntegratorConfig(cutoff_bound=1.0, wrap_bound=1.0)\n"
-        "assert evolve_lindblad(initial_state(cfg), cfg, icfg).diagnostics.halving_delta is not None\n"
+        "assert evolve_lindblad(initial_state(cfg), cfg, icfg).diagnostics.halving_delta < 1e-6\n"
         "print(sorted(m for m in ('scipy.special', 'scipy.sparse.linalg') if m in sys.modules))\n"
     )
     src = str(Path(dynamics.__file__).resolve().parents[1])

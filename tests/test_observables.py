@@ -167,3 +167,15 @@ def test_distribution_validation():
     with pytest.raises(KeyError):
         d.probability("c")
 
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distribution_rejects_values_that_are_not_finite(bad):
+    # nan compares false with every bound: a table of nan probabilities once passed the
+    # negativity and the sum checks alike
+    from epolsim import ProbabilityError
+
+    with pytest.raises(ProbabilityError, match="finite"):
+        Distribution.from_values(["a", "b"], [1.0, bad])
+    with pytest.raises(ProbabilityError, match="finite"):
+        Distribution(("a", "b"), np.array([1.0, bad]))
