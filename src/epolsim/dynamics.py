@@ -28,11 +28,12 @@ chain depth j lands on the sector pair (k - j, k' - j) mod D.  G maps
 Hermitian blocks to Hermitian blocks, so the series runs in real coordinates,
 Y = Re X + Im X per block, where G is a real matrix R with W(R) = W(G).  R
 repeats two m^2 x m^2 blocks, one per depth and one jump below it, so its
-sparse arrays are tiled from them and the Gershgorin rectangle that holds W(R)
-is summed from them.  The series runs on an ellipse around that rectangle, and
-its degree comes from Crouzeix's bound ||p(R)|| <= (1 + sqrt 2) max over W(R)
-of |p| (Crouzeix & Palencia, SIAM J. Matrix Anal. Appl. 38, 649 (2017)).  Its
-last two terms are an a-posteriori bound on the tail it drops.  A sink
+sparse arrays are tiled from them; the Gershgorin rectangle that holds W(R) is
+a closed form of the m x m matrices h, n and a.  The series runs on an ellipse
+around that rectangle, and its degree comes from Crouzeix's bound
+||p(R)|| <= (1 + sqrt 2) max over W(R) of |p| (Crouzeix & Palencia, SIAM J.
+Matrix Anal. Appl. 38, 649 (2017)).  Its last two terms are an a-posteriori
+bound on the tail it drops.  A sink
 entry at the end of the chain measures the population a chain cut short of
 the ladder drops, and a chain that drops more than CHAIN_TAIL is grown.
 
@@ -431,55 +432,33 @@ class _Chain(NamedTuple):
         return self.start + self.m**2
 
 
-def _own_sums(block: tuple, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per row r of an n x n block A, given as _summed returns it: A_rr, the Gershgorin
-    radius sum over c != r of |A_rc + A_cr| / 2, and the sum over c of |A_rc - A_cr| / 2.
+def _numerical_box(sec: _Sectors, sink_ended: bool) -> tuple[float, float, float, float]:
+    """(re_lo, re_hi, im_lo, im_hi): a rectangle that holds the numerical range of the loss
+    chain's generator, in closed form from h, n and a; W(R) = W(G), so it holds R's too.
 
-    Each entry (r, c) adds |A_rc +- A_cr| / 2 to row r, and an entry whose mirror
-    (c, r) is absent also adds |A_rc| / 2 to row c.
+    Re <x, G x> lies in the spectrum of (G + G^H) / 2 and Im <x, G x> in that of
+    (G - G^H) / 2i; Gershgorin's discs bound both.  Row (i, j) of a depth that a
+    jump enters and leaves has the diagonal -(gamma / 2)(n_i + n_j) - i (d_i - d_j),
+    d the diagonal of h; off it, L_0 holds h's other entries, o_i + o_j in all, in
+    the anti-Hermitian part, and each part holds half the |J| row sum of the jump in,
+    gamma r_i r_j, and half the |J| column sum of the jump out, gamma c_i c_j, r and c
+    the row and column sums of |a|.  Every other row's discs lie inside those: the
+    first depth has no jump in; the last depth of a sink-ended chain has no jump out,
+    but half a sink weight, gamma n_i / (2 n_cut) <= gamma c_i^2 / 2, on its diagonal
+    rows (n_i = sum_k |a_ki|^2 <= c_i^2); the marginal block L_0 + J moves J's
+    diagonal onto the disc's centre.  The sink row has centre 0, and radius and
+    height gamma sum(n) / (2 n_cut).
     """
-    rows, cols, values = block
-    keys, flipped = rows * n + cols, cols * n + rows
-    order = np.argsort(flipped)  # searchsorted runs fastest through sorted queries
-    at = np.empty(len(keys), dtype=int)
-    at[order] = np.minimum(np.searchsorted(keys, flipped[order]), len(keys) - 1)
-    mirrored = keys[at] == flipped
-    mirror = np.where(mirrored, values[at], 0.0)
-    lone = np.bincount(cols[~mirrored], np.abs(values[~mirrored]), n)
-    sym, anti = (np.bincount(rows, np.abs(values + sign * mirror), n) + lone for sign in (1, -1))
-    centre, on = np.zeros(n), rows == cols
-    centre[rows[on]] = values[on]
-    return centre, sym * 0.5 - np.abs(centre), anti * 0.5
-
-
-def _numerical_box(chain: _Chain) -> tuple[float, float, float, float]:
-    """(re_lo, re_hi, im_lo, im_hi): a rectangle that holds the numerical range of R.
-
-    Re <x, R x> lies in the spectrum of (R + R^T) / 2 and Im <x, R x> in that
-    of (R - R^T) / 2i; Gershgorin's discs bound both, and the second has a zero
-    diagonal, so the box is symmetric about the real axis.  A depth's row sums
-    are L_0's own, plus half the |J| row sums where a jump comes in and half the
-    |J| column sums where one goes out (the ladder has at least three rungs, so
-    no two depths trade jumps both ways), plus half the sink weights on the last
-    depth, whose row then holds half their sum; the marginal has its own sums.
-    """
-    m, mm = chain.m, chain.m**2
-    centre, radius, height = _own_sums(chain.depth, mm)
-    rows, cols, values = chain.jump
-    incoming, outgoing = np.bincount(rows, np.abs(values), mm) / 2, np.bincount(cols, np.abs(values), mm) / 2
-    sink = np.zeros(mm)
-    groups = []  # (diagonal, radius, height) of each kind of row
-    if chain.sink is not None:
-        sink[np.arange(m) * (m + 1)] = np.abs(chain.sink) / 2
-        groups.append((0.0, sink.sum(), sink.sum()))
-    cyclic = chain.sink is None
-    for into, out in {(j > 0 or cyclic, j < chain.blocks - 1 or cyclic) for j in range(chain.blocks)}:
-        extra = into * incoming + out * outgoing + (not out) * sink  # only a sink-ended chain's last depth sends none
-        groups.append((centre, radius + extra, height + extra))
-    groups.append(_own_sums(chain.marginal, mm))
-    top = max(float(np.max(h)) for _, _, h in groups)
-    return (min(float(np.min(c - r)) for c, r, _ in groups), max(float(np.max(c + r)) for c, r, _ in groups),
-            -top, top)
+    gamma, a, h = sec.cfg.gamma, np.abs(sec.cfg.model.a), sec.h
+    n, d = sec.n_photon, h.diagonal().real
+    off = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+    r, c = a.sum(axis=1), a.sum(axis=0)
+    centre = -0.5 * gamma * (n[:, None] + n[None, :])
+    jumps = 0.5 * gamma * (np.outer(r, r) + np.outer(c, c))
+    height = np.abs(d[:, None] - d[None, :]) + off[:, None] + off[None, :] + jumps
+    sink = 0.5 * gamma * n.sum() / sec.cfg.model.n_cut if sink_ended else 0.0
+    top = max(float(np.max(height)), sink)
+    return min(float(np.min(centre - jumps)), -sink), max(float(np.max(centre + jumps)), sink), -top, top
 
 
 class _Csr(NamedTuple):
@@ -814,7 +793,7 @@ def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector):
         chain = _Chain(m, blocks, depth, jump, sink if blocks < sec.d else None, marginal)
         rows = np.zeros((len(seed_rows), chain.size))
         rows[:, :mm] = rows[:, chain.start :] = seed_rows  # depth 0 and the marginal
-        plan = _chebyshev_plan(partial(_series_operator, chain), _numerical_box(chain), t)
+        plan = _chebyshev_plan(partial(_series_operator, chain), _numerical_box(sec, blocks < sec.d), t)
         end, tail = _chebyshev_action(plan, rows)
         work += plan.work
         size = blocks * mm  # the sink, if any, follows the blocks

@@ -51,6 +51,7 @@ from oracles import (
     reference_expm_action,
     reference_lindblad,
     reference_numerical_box,
+    reference_numerical_range,
     reference_real_generator,
     reference_steps,
 )
@@ -583,14 +584,14 @@ def test_loss_chain_grows_until_its_sink_is_empty(monkeypatch):
     cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.01, t=30.0, rungs=33)
     want = evolve_lindblad(initial_state(cfg), cfg, LOOSE)
     built = []
-    exact = dynamics._numerical_box  # taken once per chain
+    exact = dynamics._series_operator  # built once per chain, by its plan
 
-    def recorded(chain):
+    def recorded(chain, *args):
         built.append(chain.blocks)
-        return exact(chain)
+        return exact(chain, *args)
 
     monkeypatch.setattr(dynamics, "_chain_blocks", lambda sec: 1)
-    monkeypatch.setattr(dynamics, "_numerical_box", recorded)
+    monkeypatch.setattr(dynamics, "_series_operator", recorded)
     got = evolve_lindblad(initial_state(cfg), cfg, LOOSE)
     assert built == [1, 2, 4, 8]
     assert got.diagnostics.trace_error < 1e-12
@@ -655,6 +656,9 @@ KERNEL_POINTS = {
     "heavy_loss_cyclic": (lambda: small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.05, t=30.0, rungs=5), "0"),
     # gamma T = 20: |exp| at the right edge of the numerical range alone exceeds AMPLIFICATION_LIMIT
     "long_pure_loss": (lambda: small_kerr(kappa=0.0, g_q=0.0, gamma=0.2, t=100.0, n_cut=3), "1"),
+    # no coupling: h is diagonal, and rows (0, n_cut) and (n_cut, 0) of every block meet no jump,
+    # so the box's height is exactly the Kerr phase spread, the largest Im of the numerical range
+    "kerr_uncoupled": (lambda: small_kerr(kappa=0.05, g_q=0.0, gamma=1e-3, t=30.0, n_cut=3), "2"),
 }
 
 
@@ -690,8 +694,23 @@ def test_chain_generator_matches_kronecker_build(name):
     got = as_sparse(dynamics._series_operator(chain, 0.0, 1.0))
     assert got.shape == ref.shape == (chain.size,) * 2
     assert abs(got - ref).max() <= ROUNDING * abs(ref).max()
-    box, want = dynamics._numerical_box(chain), reference_numerical_box(ref)
+    box, want = dynamics._numerical_box(sec, blocks < sec.d), reference_numerical_box(ref)
     assert max(abs(x - y) for x, y in zip(box, want)) <= ROUNDING * max(map(abs, want))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_POINTS))
+def test_box_holds_the_exact_numerical_range(name):
+    # the closed-form box against the exact numerical range of the Kronecker-built generator, the
+    # marginal block included, on chains of 1, 2 and 3 blocks and of the first guess (the whole
+    # cyclic ladder on heavy_loss_cyclic); kerr_uncoupled's height is exact, so a box shrunk
+    # there by 1% fails
+    sec = dynamics._Sectors(KERNEL_POINTS[name][0]())
+    for blocks in sorted({1, 2, 3, dynamics._chain_blocks(sec)}):
+        x0, x1, y0, y1 = dynamics._numerical_box(sec, blocks < sec.d)
+        re_lo, re_hi, im_lo, im_hi = reference_numerical_range(
+            reference_chain_generator(sec, blocks, dynamics._cavity_lindbladian(sec)))
+        slack = ROUNDING * max(-x0, x1, y1)
+        assert x0 - slack <= re_lo and re_hi <= x1 + slack and y0 - slack <= im_lo and im_hi <= y1 + slack, blocks
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_POINTS))
@@ -710,7 +729,7 @@ def test_chebyshev_series_matches_taylor_reference(name):
     cols[:mm] = cols[chain.start :] = seeds.reshape(len(pairs), -1).T
     rows = np.zeros((len(pairs), chain.size))
     rows[:, :mm] = rows[:, chain.start :] = dynamics._real_blocks(seeds, []).reshape(len(pairs), -1)
-    box = dynamics._numerical_box(chain)
+    box = dynamics._numerical_box(sec, blocks < sec.d)
     plan = dynamics._chebyshev_plan(partial(dynamics._series_operator, chain), box, t)
     assert plan.op.data.dtype == np.float64
     end, _ = dynamics._chebyshev_action(plan, rows)
@@ -764,8 +783,8 @@ def test_real_foci_series_matches_taylor_reference():
 def lossy_map_plan():
     sec = dynamics._Sectors(lossy_map_kerr())
     chain = chain_of(sec, dynamics._chain_blocks(sec))
-    return dynamics._chebyshev_plan(partial(dynamics._series_operator, chain), dynamics._numerical_box(chain),
-                                    sec.cfg.interaction_time)
+    return dynamics._chebyshev_plan(partial(dynamics._series_operator, chain),
+                                    dynamics._numerical_box(sec, chain.sink is not None), sec.cfg.interaction_time)
 
 
 def test_compiled_kernel_adds_the_sparse_product():
