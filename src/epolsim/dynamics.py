@@ -406,10 +406,10 @@ class _Chain(NamedTuple):
     jump re-enters the first.  A chain shorter than the ladder ends in one more
     entry, the sink, which gathers gamma tr(a X_last adag) / n_cut, the
     population leaving the last depth over n_cut: `sink` holds those weights on
-    the last depth's diagonal.  That scale keeps the sink's Gershgorin disc
-    inside the depths' own, so it does not widen the numerical range the series
-    covers.  `marginal`, an m^2 x m^2 block, follows as one more block that no
-    other entry couples to.  Each block is a sorted real (rows, cols, values).
+    the last depth's diagonal, and n_cut times the sink's reading is the
+    population the chain drops.  `marginal`, an m^2 x m^2 block, follows as one
+    more block that no other entry couples to.  Each block is a sorted real
+    (rows, cols, values).
     So a state holds the depths' m x m blocks, then the sink, then the marginal's.
     The complexification of R is unitarily similar to the complex generator, so
     the two share their numerical range.
@@ -443,11 +443,13 @@ def _numerical_box(sec: _Sectors, sink_ended: bool) -> tuple[float, float, float
     the anti-Hermitian part, and each part holds half the |J| row sum of the jump in,
     gamma r_i r_j, and half the |J| column sum of the jump out, gamma c_i c_j, r and c
     the row and column sums of |a|.  Every other row's discs lie inside those: the
-    first depth has no jump in; the last depth of a sink-ended chain has no jump out,
-    but half a sink weight, gamma n_i / (2 n_cut) <= gamma c_i^2 / 2, on its diagonal
-    rows (n_i = sum_k |a_ki|^2 <= c_i^2); the marginal block L_0 + J moves J's
-    diagonal onto the disc's centre.  The sink row has centre 0, and radius and
-    height gamma sum(n) / (2 n_cut).
+    first depth has no jump in, and the marginal block L_0 + J moves J's diagonal
+    onto the disc's centre.  The sink row holds the weights gamma n_i / n_cut on the
+    last depth's diagonal; the box scales the sink coordinate of each part by
+    1 / n_cut, a diagonal similarity that keeps its eigenvalues.  The sink row then
+    has centre 0, and radius and height gamma sum(n) / (2 n_cut^2), and the last
+    depth of a sink-ended chain, which has no jump out, holds gamma n_i / 2 <=
+    gamma c_i^2 / 2 in its place on its diagonal rows (n_i = sum_k |a_ki|^2 <= c_i^2).
     """
     gamma, a, h = sec.cfg.gamma, np.abs(sec.cfg.model.a), sec.h
     n, d = sec.n_photon, h.diagonal().real
@@ -456,7 +458,7 @@ def _numerical_box(sec: _Sectors, sink_ended: bool) -> tuple[float, float, float
     centre = -0.5 * gamma * (n[:, None] + n[None, :])
     jumps = 0.5 * gamma * (np.outer(r, r) + np.outer(c, c))
     height = np.abs(d[:, None] - d[None, :]) + off[:, None] + off[None, :] + jumps
-    sink = 0.5 * gamma * n.sum() / sec.cfg.model.n_cut if sink_ended else 0.0
+    sink = 0.5 * gamma * n.sum() / sec.cfg.model.n_cut**2 if sink_ended else 0.0
     top = max(float(np.max(height)), sink)
     return min(float(np.min(centre - jumps)), -sink), max(float(np.max(centre + jumps)), sink), -top, top
 

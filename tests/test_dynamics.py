@@ -695,7 +695,11 @@ def test_chain_generator_matches_kronecker_build(name):
     assert got.shape == ref.shape == (chain.size,) * 2
     assert abs(got - ref).max() <= ROUNDING * abs(ref).max()
     box, want = dynamics._numerical_box(sec, blocks < sec.d), reference_numerical_box(ref)
-    assert max(abs(x - y) for x, y in zip(box, want)) <= ROUNDING * max(map(abs, want))
+    slack = ROUNDING * max(map(abs, want))
+    assert max(abs(box[i] - want[i]) for i in (0, 2, 3)) <= slack
+    # the box scales the sink coordinate by 1 / n_cut, which can only narrow the right edge that the
+    # sink's disc sets; the cyclic chain has no sink
+    assert box[1] <= want[1] + slack and (blocks < sec.d or abs(box[1] - want[1]) <= slack)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_POINTS))
@@ -827,10 +831,10 @@ def test_kernel_rejects_a_malformed_operator(fault):
 
 
 def test_work_count_of_the_lossy_map_points_is_pinned():
-    # generator products of the lossy-map Kerr point and a lossy JC point, as measured before the
-    # series operator was tiled from the chain's blocks: a box that widens the numerical range
-    # raises the degree, and with it this count
-    for make, steps in ((lossy_map_kerr, 416), (lossy_jc, 225)):
+    # generator products of the lossy-map Kerr point and a lossy JC point: a box that widens the
+    # numerical range raises the degree, and with it this count.  The JC point took 225 while the
+    # sink's disc set the box's right edge; scaled by 1 / n_cut in the box, it sets it no more
+    for make, steps in ((lossy_map_kerr, 416), (lossy_jc, 199)):
         cfg = make()
         assert evolve_lindblad(initial_state(cfg), cfg, LOOSE).diagnostics.steps == steps, make.__name__
 

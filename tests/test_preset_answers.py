@@ -13,7 +13,8 @@ A change that moves an answer on purpose regenerates the record with
 
     PYTHONPATH=src python tests/test_preset_answers.py
 
-and states which values moved, by how much, and why.
+which first prints every entry that leaves the old record, and states which
+values moved, by how much, and why.
 """
 import copy
 import csv
@@ -133,7 +134,10 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as out:
-        record = quantized(run_presets(Path(out)))
+        computed = run_presets(Path(out))
+    for line in differences(computed, json.loads(RECORD_PATH.read_text()) if RECORD_PATH.exists() else {}):
+        sys.stdout.write(f"moved: {line}\n")
+    record = quantized(computed)
     lines = (f"{json.dumps(key)}: {json.dumps(values)}" for key, values in sorted(record.items()))
     RECORD_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     sys.stdout.write(f"wrote {RECORD_PATH}\n")
