@@ -312,6 +312,12 @@ def _pure_populations(sec: _Sectors, psi: np.ndarray) -> _Populations:
 
 def _evolve_pure(sec: _Sectors, amplitudes: np.ndarray):
     t = sec.cfg.interaction_time
+    # the phases of exp(-i T h) spread over at most T times the numerical range's half-height: a
+    # point whose series the loss chain would refuse is refused here too, before expm can overflow
+    spread = t * _numerical_box(sec, False)[3]
+    if not spread <= SERIES_WORK_LIMIT:
+        raise NumericsError(f"the lossless route's phases spread over up to {spread:.3g} rad > "
+                            f"{SERIES_WORK_LIMIT}; lower g_q or the window")
     psi0 = amplitudes[sec.joint_of]  # row k: sector k
     psi = psi0 @ (sec.phase[:, None] * _unitary_expm(sec.h, t)).T
     pops = _pure_populations(sec, psi)
@@ -837,7 +843,9 @@ def evolve_lindblad(
     diagonal blocks, the agreement of the final state with its check, or the
     last terms of the loss chain's series violate their bounds (a nan violates
     every bound), and before the series when it would take more than
-    SERIES_WORK_LIMIT products.
+    SERIES_WORK_LIMIT products; without loss, before the exponentials when
+    T times the numerical range's half-height, which bounds the spread of
+    their phases, exceeds that limit.
     """
     if state.space != cfg.space:
         raise ValueError(f"state space {state.space.labels} does not match config {cfg.space.labels}")

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -627,21 +628,23 @@ def test_retired_step_keys_accepted_only_at_defaults(tmp_path, capsys, key, valu
 
 
 @pytest.mark.parametrize("g_q, gamma, reason", [
-    (1e300, 0.0, "TraceDriftError: trace drift nan"),  # the lossless route computes nan everywhere
+    (1e308, 0.0, "NumericsError: the lossless route's phases spread"),  # T h beyond the floats: expm overflowed
+    (1e300, 0.0, "NumericsError: the lossless route's phases spread"),  # expm computed nan everywhere
     (1e300, 1e-3, "NumericsError: the loss chain's series needs"),  # a degree beyond the floats
     (1e6, 1e-3, "NumericsError: the loss chain's series needs"),  # rho T ~ 9.4e6: about 1e7 products
     (1e3, 1e-3, "CutoffError: top-two photon levels"),  # rho T ~ 9.4e3: the series runs
 ])
 def test_huge_coupling_fails_the_point_with_its_reason(tmp_path, capsys, g_q, gamma, reason):
-    # nan passes no bound, and a series too long to run fails before its first FFT: each point
-    # exits 3 within seconds and names its bound, where the first three wrote nan probabilities,
-    # raised, or ran on
+    # phases or a series too wide to compute fail before the exponentials or the first FFT: each
+    # point exits 3 within seconds, with no warning, and names its bound
     cfg = minimal_evolve(model={"kind": "kerr", "kappa_ratio": 0.02, "n_cut": 6},
                          electron={"rungs": 21, "center": 10, "g_q": g_q, "q0_l": 60.0, "velocity_ratio": 1.0},
                          loss={"gamma_ratio": gamma})
     out = tmp_path / "o"
     start = time.perf_counter()
-    assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 3
     assert time.perf_counter() - start < 5
     assert f"numerical failure: {reason}" in capsys.readouterr().err
     assert not (out / "diagnostics.csv").exists()
