@@ -597,13 +597,16 @@ def _chebyshev_plan(operator, box: tuple, t: float, pieces: int = 1) -> _Plan:
     SERIES_TAIL, minimized over R.  The candidates are tried in order of degree,
     skipping those whose amplification cannot stay within the limit: it is at
     least e^{tau (c + A)}, |exp| at the ellipse's rightmost point, and those whose
-    pieces times degree exceeds SERIES_WORK_LIMIT.
+    pieces times degree exceeds SERIES_WORK_LIMIT.  Every semi-axis A exceeds the
+    box's half-width, so c + A exceeds its right edge x1, and the search starts at
+    t x1 / ln AMPLIFICATION_LIMIT pieces, below which no candidate qualifies.
     """
     x0, x1, y0, y1 = box
     centre = (x0 + x1) / 2
     # a series over a box of half-length rho takes about rho t products at least: a box too wide
     # for the limit fails here, before the ellipses' arithmetic can overflow
     _within_work_limit(t * max(x1 - x0, y1 - y0) / 2, "at least ")
+    pieces = max(pieces, math.ceil(t * x1 / math.log(AMPLIFICATION_LIMIT)))
     while True:
         tau = t / pieces
         floor = 1e-3 / tau  # a box of zero width still gets an ellipse with distinct foci
