@@ -33,9 +33,9 @@ a closed form of the m x m matrices h, n and a.  The series runs on an ellipse
 around that rectangle, and its degree comes from Crouzeix's bound
 ||p(R)|| <= (1 + sqrt 2) max over W(R) of |p| (Crouzeix & Palencia, SIAM J.
 Matrix Anal. Appl. 38, 649 (2017)).  Its last two terms are an a-posteriori
-bound on the tail it drops.  A sink
-entry at the end of the chain measures the population a chain cut short of
-the ladder drops, and a chain that drops more than CHAIN_TAIL is grown.
+bound on the tail it drops.  A sink entry at the end of the chain measures the
+population a chain cut short of the ladder drops, and a chain that drops more
+than CHAIN_TAIL is grown.
 
 The accuracy gate checks the chain against two exact identities that do not
 use it.  Depth 0 receives no jump, so X_0(T) = K X_0 K^dag, K =
@@ -459,7 +459,7 @@ def _numerical_box(sec: _Sectors, sink_ended: bool) -> tuple[float, float, float
     """
     gamma, a, h = sec.cfg.gamma, np.abs(sec.cfg.model.a), sec.h
     n, d = sec.n_photon, h.diagonal().real
-    off = np.abs(h).sum(axis=1) - np.abs(h.diagonal())
+    off = np.abs(h).sum(axis=1) - np.abs(d)
     r, c = a.sum(axis=1), a.sum(axis=0)
     centre = -0.5 * gamma * (n[:, None] + n[None, :])
     jumps = 0.5 * gamma * (np.outer(r, r) + np.outer(c, c))

@@ -656,8 +656,8 @@ KERNEL_POINTS = {
     "heavy_loss_cyclic": (lambda: small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.05, t=30.0, rungs=5), "0"),
     # gamma T = 20: |exp| at the right edge of the numerical range alone exceeds AMPLIFICATION_LIMIT
     "long_pure_loss": (lambda: small_kerr(kappa=0.0, g_q=0.0, gamma=0.2, t=100.0, n_cut=3), "1"),
-    # no coupling: h is diagonal, and rows (0, n_cut) and (n_cut, 0) of every block meet no jump,
-    # so the box's height is exactly the Kerr phase spread, the largest Im of the numerical range
+    # no coupling: h is diagonal, and rows (0, n_cut) and (n_cut, 0) of every block meet no jump, so
+    # the Kerr phase spread is in the numerical range, and the box's height exceeds it by 0.3% only
     "kerr_uncoupled": (lambda: small_kerr(kappa=0.05, g_q=0.0, gamma=1e-3, t=30.0, n_cut=3), "2"),
 }
 
@@ -706,8 +706,8 @@ def test_chain_generator_matches_kronecker_build(name):
 def test_box_holds_the_exact_numerical_range(name):
     # the closed-form box against the exact numerical range of the Kronecker-built generator, the
     # marginal block included, on chains of 1, 2 and 3 blocks and of the first guess (the whole
-    # cyclic ladder on heavy_loss_cyclic); kerr_uncoupled's height is exact, so a box shrunk
-    # there by 1% fails
+    # cyclic ladder on heavy_loss_cyclic); kerr_uncoupled's height is within 0.3% of the exact
+    # one, so a box shrunk there by 1% fails
     sec = dynamics._Sectors(KERNEL_POINTS[name][0]())
     for blocks in sorted({1, 2, 3, dynamics._chain_blocks(sec)}):
         x0, x1, y0, y1 = dynamics._numerical_box(sec, blocks < sec.d)
