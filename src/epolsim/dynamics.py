@@ -55,7 +55,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .cavity import CavityModel, blockade_angle, pair_states
-from .electron import ELECTRON_LABEL, LadderConfig, build_ladder
+from .electron import ELECTRON_LABEL, LadderConfig
 from .tensor import HERMITICITY_TOL, DensityMatrix, Operator, StateVector, TensorSpace
 
 __all__ = [
@@ -227,7 +227,7 @@ class EvolveResult:
 
     @property
     def state(self) -> DensityMatrix:
-        rho = _scatter(_joint_index(self.system), self.blocks, self.system.space.dim)
+        rho = _scatter(_joint_index(self.system.model, self.system.ladder.rungs), self.blocks, self.system.space.dim)
         return DensityMatrix(self.system.space, rho, trace_tol=self.trace_tol)
 
 
@@ -238,11 +238,10 @@ class EvolveResult:
 CHAIN_TAIL = 1e-14  # bound on the population lost by cutting the loss chain short
 
 
-def _joint_index(cfg: SystemConfig) -> np.ndarray:
+def _joint_index(model: CavityModel, d: int) -> np.ndarray:
     """(D, m): the joint-space index of bare cavity state c in sector k, at rung (k - nu(c)) mod D."""
-    d, m = cfg.ladder.rungs, cfg.model.dim
-    rung = (np.arange(d)[:, None] - cfg.model.excitations[None, :]) % d
-    return rung * m + np.arange(m)[None, :]
+    rung = (np.arange(d)[:, None] - model.excitations[None, :]) % d
+    return rung * model.dim + np.arange(model.dim)[None, :]
 
 
 def _scatter(joint_of: np.ndarray, blocks: dict, dim: int) -> np.ndarray:
@@ -261,12 +260,19 @@ class _Sectors:
         self.cfg = cfg
         self.d = cfg.ladder.rungs
         self.m = model.dim
-        self.joint_of = _joint_index(cfg)
+        self.joint_of = _joint_index(model, self.d)
         self.rung_of = self.joint_of // self.m  # (D, m): rung of sector k, state c
         self.n_photon = np.rint(np.real(np.diag(model.a_dag @ model.a))).astype(int)
         self.u = model.basis.u
         nu = model.excitations.astype(float)
         g = cfg.coupling_rate
+        # row i of h holds up to |g| (r_i + c_i) from the coupling, r and c the row and column sums
+        # of |a|, and the numerical-range box adds two such rows: a coupling at which four times
+        # the largest overflows fails here, before h holds an inf or a nan
+        a = np.abs(model.a)
+        if not math.isfinite(4.0 * abs(g) * float(np.max(a.sum(axis=1) + a.sum(axis=0)))):
+            raise NumericsError(f"the coupling rate |g_q| / T = {abs(g):.3g} puts entries beyond the floats "
+                                f"into h; lower g_q or raise q0_l")
         # H' - delta nu, Hermitian, and H_eff with loss
         self.h = model.h_nl + 1j * g * model.a - 1j * np.conj(g) * model.a_dag - cfg.delta * np.diag(nu)
         self.h_eff = self.h - 0.5j * cfg.gamma * np.diag(self.n_photon)
@@ -915,11 +921,17 @@ def _enforce_bounds(diag: Diagnostics, icfg: IntegratorConfig):
 
 
 def scattering_linear(g_q: complex, model: CavityModel, ladder: LadderConfig) -> Operator:
-    """Closed-form linear-cavity scattering matrix exp(g_q bdag a - g_q* b adag)."""
-    b = build_ladder(ladder).matrix
-    gen = g_q * np.kron(b.conj().T, model.a) - np.conj(g_q) * np.kron(b, model.a_dag)
-    space = ladder.space.tensor(model.space)
-    return Operator(space, expm(gen))
+    """Linear-cavity scattering matrix exp(g_q bdag a - g_q* b adag), from one m x m exponential.
+
+    bdag x a keeps rung + nu mod D, and in sector coordinates (`_joint_index`)
+    it acts as a alone, so every sector carries the same generator
+    g_q a - g_q* adag.  Its exponential, placed on each sector's rows and
+    columns, is the whole matrix.
+    """
+    joint_of = _joint_index(model, ladder.rungs)
+    mat = np.zeros((joint_of.size, joint_of.size), dtype=complex)
+    mat[joint_of[:, :, None], joint_of[:, None, :]] = expm(g_q * model.a - np.conj(g_q) * model.a_dag)
+    return Operator(ladder.space.tensor(model.space), mat)
 
 
 def scattering_blockade(
@@ -1022,7 +1034,7 @@ def blockade_fidelity(result: EvolveResult, initial: StateVector, lower: str, up
     lo, up, _ = pair_states(cfg.model, lower, upper)
     s = sum(_pair_rotation(blockade_angle(cfg.model, lower, upper, cfg.g_q), lo, up))
     w = _frame_rotation(cfg.model, cfg.interaction_time)
-    psi0 = initial.amplitudes[_joint_index(cfg)]  # row k: sector k
+    psi0 = initial.amplitudes[_joint_index(cfg.model, cfg.ladder.rungs)]  # row k: sector k
     target = psi0 @ s.T
     probe = target @ w.conj()  # row k: w^dag s psi0_k
     ks = np.nonzero(np.any(psi0 != 0, axis=1))[0]

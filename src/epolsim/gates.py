@@ -17,7 +17,7 @@ import numpy as np
 from .cavity import build_kerr
 from .dynamics import scattering_blockade, scattering_linear
 from .electron import ELECTRON_LABEL, LadderConfig, comb_state
-from .tensor import Operator, TensorSpace, embed, embed_group
+from .tensor import Operator, TensorSpace, embed_group
 
 __all__ = [
     "PATH_LABEL",
@@ -116,11 +116,7 @@ def _pass_space(rungs: int, qubit_label: str, with_path: bool) -> TensorSpace:
 
 
 def _condition_and_lift(s: np.ndarray, qubit_label: str, conditioned: bool, space: TensorSpace) -> Operator:
-    """`s`, a matrix on (electron, qubit), on `space`: on the near path alone when `conditioned`.
-
-    A matrix already on `space`'s own factors in order is wrapped as it is,
-    without embed_group's copy: every caller hands over a matrix nothing else holds.
-    """
+    """`s`, a matrix on (electron, qubit), on `space`: on the near path alone when `conditioned`."""
     d = space.dim_of(ELECTRON_LABEL)
     labels = (ELECTRON_LABEL, qubit_label)
     if conditioned:
@@ -130,9 +126,16 @@ def _condition_and_lift(s: np.ndarray, qubit_label: str, conditioned: bool, spac
         mat[:, 1, :, :, 1, :] = s.reshape(d, 2, d, 2)
         s = mat.reshape(4 * d, 4 * d)
         labels = (ELECTRON_LABEL, PATH_LABEL, qubit_label)
-    if space.labels == labels:
-        return Operator(space, s)
-    return embed_group(s, labels, space)
+    return _lift(s, labels, space)
+
+
+def _lift(s: np.ndarray, labels: tuple[str, ...], space: TensorSpace) -> Operator:
+    """`s`, a matrix on the factors `labels`, on `space`.
+
+    A matrix already on `space`'s own factors in order is wrapped as it is,
+    without embed_group's copy: every caller hands over a matrix nothing else holds.
+    """
+    return Operator(space, s) if space.labels == labels else embed_group(s, labels, space)
 
 
 def _z_rotations(space: TensorSpace, qubit_label: str = "pol", conditioned: bool = True):
@@ -212,7 +215,7 @@ def r_transverse(omega_mag: float, phi: float, rungs: int = 7) -> tuple[np.ndarr
 
 def electron_hadamard(space: TensorSpace) -> Operator:
     """Hadamard on the electron path register; identity elsewhere."""
-    return embed(HADAMARD, PATH_LABEL, space)
+    return embed_group(HADAMARD, [PATH_LABEL], space)
 
 
 def spectrometer(space: TensorSpace, center: int, loss_to_path: int = 0) -> Operator:
@@ -221,7 +224,8 @@ def spectrometer(space: TensorSpace, center: int, loss_to_path: int = 0) -> Oper
     Flips the path register on exactly one energy sector so that, for an
     electron entering on the near path, the one-quantum-loss sector
     (rung center-1) exits on path `loss_to_path` and the gain sector on the
-    other path.
+    other path.  On a space of just (electron, path), in that order, the
+    matrix is returned as built; on any other it is lifted.
     """
     if loss_to_path not in (0, 1):
         raise ValueError("loss_to_path must be 0 or 1")
@@ -229,7 +233,7 @@ def spectrometer(space: TensorSpace, center: int, loss_to_path: int = 0) -> Oper
     flip_rung = (center - 1) % d if loss_to_path == 0 else (center + 1) % d
     mat = np.eye(2 * d, dtype=complex)
     mat[2 * flip_rung : 2 * flip_rung + 2, 2 * flip_rung : 2 * flip_rung + 2] = PAULI_X
-    return embed_group(mat, [ELECTRON_LABEL, PATH_LABEL], space)
+    return _lift(mat, (ELECTRON_LABEL, PATH_LABEL), space)
 
 
 def cpe_path(
@@ -245,14 +249,36 @@ def cpe_path(
     the same rung with its path entangled to the polariton computational
     basis.  The first pass's phase and the spectrometer routing are the
     calibration parameters; the second pass is at omega = pi/2.
+
+    Composed per path on (electron, qubit): the block from path p to p' is
+    S_2 (R_p'p x I) F_p, R_p'p the rungs the spectrometer (a permutation, read
+    off its nonzeros) routes from p to p', F_0 = I and F_1 the first pass,
+    which acts on the near path only.  The far path's blocks are column
+    gathers of S_2, and the near path's two split one (2 rungs)-sized product.
     """
     half_pi = 0.5 * math.pi
-    sub = _pass_space(space.dim_of(ELECTRON_LABEL), qubit_label, with_path=True)
-    first = gate_pass(half_pi * cmath.exp(1j * phase_first), sub, qubit_label, conditioned_on_path=True)
-    router = spectrometer(sub, center, loss_to_path)
-    second = gate_pass(half_pi, sub, qubit_label, conditioned_on_path=False)
-    op = second @ router @ first
-    return op if space == sub else embed_group(op.matrix, sub.labels, space)
+    d = space.dim_of(ELECTRON_LABEL)
+    bare = _pass_space(d, qubit_label, with_path=False)
+    first = scattering_blockade(half_pi * cmath.exp(1j * phase_first), QUBIT_ZERO, QUBIT_ONE, bare).matrix
+    second = scattering_blockade(half_pi, QUBIT_ZERO, QUBIT_ONE, bare).matrix
+    first, second = first.reshape(d, 2, 2 * d), second.reshape(2 * d, d, 2)
+    router = spectrometer(TensorSpace(((ELECTRON_LABEL, d), (PATH_LABEL, 2))), center, loss_to_path).matrix
+    rows, cols = np.nonzero(router)  # (rung, path) out and in
+    weights = router[rows, cols]
+    mat = np.zeros((d, 2, 2, d, 2, 2), dtype=complex)  # (rung, path, qubit) out x in
+    for p_out in (0, 1):
+        for p_in in (0, 1):
+            routed = (rows % 2 == p_out) & (cols % 2 == p_in)
+            to, frm = rows[routed] // 2, cols[routed] // 2
+            n = to.size
+            # S_2 (R_p'p x I): S_2's columns at the rungs routed to p', weighted by the routing
+            gathered = (second[:, to, :] * weights[routed][:, None]).reshape(2 * d, 2 * n)
+            block = mat[:, p_out, :, :, p_in, :]  # (rung, qubit) out x in
+            if p_in == 0:  # no first pass on the far path
+                block[:, :, frm, :] = gathered.reshape(d, 2, n, 2)
+            else:
+                block[...] = (gathered @ first[frm].reshape(2 * n, 2 * d)).reshape(d, 2, d, 2)
+    return _lift(mat.reshape(4 * d, 4 * d), (ELECTRON_LABEL, PATH_LABEL, qubit_label), space)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ the closed-form numerical-range box against that generator's Gershgorin discs
 and against its exact numerical range.
 
 The linear cavity's photon statistics are checked against a truncated
-Poisson table.
+Poisson table, and its scattering matrix against the exponential of its
+generator on the whole joint space, built from Kronecker products.
 
 The gate references build every operator on the full joint space from
 Kronecker products and compose with full-space matrix products, the direct
@@ -153,6 +154,14 @@ def reference_steps(cfg: SystemConfig) -> int:
         cfg.gamma * n,
     )
     return max(200, int(np.ceil(cfg.interaction_time * rate / 0.03)))
+
+
+def reference_scattering_linear(g_q: complex, model, ladder) -> np.ndarray:
+    """exp(g_q bdag x a - g_q* b x adag) on the whole (rungs m)-sized joint space."""
+    from scipy.linalg import expm
+
+    b = build_ladder(ladder).matrix
+    return expm(g_q * np.kron(b.conj().T, model.a) - np.conj(g_q) * np.kron(b, model.a_dag))
 
 
 def poisson_reference(mean: float, n_max: int) -> Distribution:

@@ -627,18 +627,23 @@ def test_retired_step_keys_accepted_only_at_defaults(tmp_path, capsys, key, valu
     assert f"integrator.{key}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("g_q, gamma, reason", [
-    (1e308, 0.0, "NumericsError: the lossless route's phases spread"),  # T h beyond the floats: expm overflowed
-    (1e300, 0.0, "NumericsError: the lossless route's phases spread"),  # expm computed nan everywhere
-    (1e300, 1e-3, "NumericsError: the loss chain's series needs"),  # a degree beyond the floats
-    (1e6, 1e-3, "NumericsError: the loss chain's series needs"),  # rho T ~ 9.4e6: about 1e7 products
-    (1e3, 1e-3, "CutoffError: top-two photon levels"),  # rho T ~ 9.4e3: the series runs
+@pytest.mark.parametrize("g_q, gamma, reason, q0_l", [
+    (1e308, 0.0, "NumericsError: the lossless route's phases spread", 60.0),  # T h beyond the floats: expm overflowed
+    (1e300, 0.0, "NumericsError: the lossless route's phases spread", 60.0),  # expm computed nan everywhere
+    (1e300, 1e-3, "NumericsError: the loss chain's series needs", 60.0),  # a degree beyond the floats
+    (1e6, 1e-3, "NumericsError: the loss chain's series needs", 60.0),  # rho T ~ 9.4e6: about 1e7 products
+    (1e3, 1e-3, "CutoffError: top-two photon levels", 60.0),  # rho T ~ 9.4e3: the series runs
+    # g = g_q / T: at T 1 the entries g a of h overflow, at T 0.01 g itself is infinite
+    (1e308, 0.0, "NumericsError: the coupling rate", 1.0),
+    (1e308, 1e-3, "NumericsError: the coupling rate", 1.0),
+    (1e308, 0.0, "NumericsError: the coupling rate", 0.01),
+    (1e308, 1e-3, "NumericsError: the coupling rate", 0.01),
 ])
-def test_huge_coupling_fails_the_point_with_its_reason(tmp_path, capsys, g_q, gamma, reason):
-    # phases or a series too wide to compute fail before the exponentials or the first FFT: each
-    # point exits 3 within seconds, with no warning, and names its bound
+def test_huge_coupling_fails_the_point_with_its_reason(tmp_path, capsys, g_q, gamma, reason, q0_l):
+    # a coupling, phases or a series too wide to compute fail before h, the exponentials or the
+    # first FFT: each point exits 3 within seconds, with no warning, and names its bound
     cfg = minimal_evolve(model={"kind": "kerr", "kappa_ratio": 0.02, "n_cut": 6},
-                         electron={"rungs": 21, "center": 10, "g_q": g_q, "q0_l": 60.0, "velocity_ratio": 1.0},
+                         electron={"rungs": 21, "center": 10, "g_q": g_q, "q0_l": q0_l, "velocity_ratio": 1.0},
                          loss={"gamma_ratio": gamma})
     out = tmp_path / "o"
     start = time.perf_counter()

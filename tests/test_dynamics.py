@@ -53,6 +53,7 @@ from oracles import (
     reference_numerical_box,
     reference_numerical_range,
     reference_real_generator,
+    reference_scattering_linear,
     reference_steps,
 )
 
@@ -271,6 +272,41 @@ def test_linear_scattering_photon_statistics_poissonian():
     assert stats.labels == poisson.labels
     tv = 0.5 * float(np.abs(stats.probabilities - poisson.probabilities).sum())
     assert tv < 1e-6
+
+
+# the gate suite's size; a JC model; m = 17 beyond 9 rungs, where photon-number differences wrap
+# the ladder; and the fewest rungs a ladder takes
+LINEAR_CASES = [("kerr", 6, 9), ("jc", 4, 9), ("kerr", 16, 9), ("kerr", 4, 3)]
+
+
+def _linear_case(kind, n_cut, rungs):
+    model = (build_kerr if kind == "kerr" else build_jc)(0.05, n_cut)
+    return model, LadderConfig(rungs=rungs, center=rungs // 2)
+
+
+@pytest.mark.parametrize("kind, n_cut, rungs", LINEAR_CASES)
+def test_linear_scattering_matches_joint_space_exponential(kind, n_cut, rungs):
+    model, ladder = _linear_case(kind, n_cut, rungs)
+    for g_q in (0.8 + 0.3j, -1.7j):
+        s = scattering_linear(g_q, model, ladder).matrix
+        assert np.max(np.abs(s - reference_scattering_linear(g_q, model, ladder))) <= 1e-12
+
+
+def test_linear_scattering_exponentiates_only_the_sector_generator(monkeypatch):
+    # every excitation sector carries the same m x m generator, so no (rungs m)-sized exponential
+    shapes = []
+    exponential = dynamics.expm
+
+    def counted(x):
+        shapes.append(x.shape)
+        return exponential(x)
+
+    monkeypatch.setattr(dynamics, "expm", counted)
+    for case in LINEAR_CASES:
+        model, ladder = _linear_case(*case)
+        shapes.clear()
+        scattering_linear(0.8 + 0.3j, model, ladder)
+        assert shapes == [(model.dim, model.dim)], f"{case}: exponentials of {shapes}"
 
 
 def test_blockade_scattering_identity_and_unitarity():

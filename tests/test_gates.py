@@ -412,6 +412,52 @@ def test_identity_suite_makes_three_pass_products_per_z_rotation_family(monkeypa
     assert len(products) <= 3 * 2 + 21 + 1, f"{len(products)} (2 rungs)-sized products"
 
 
+@pytest.mark.parametrize("rungs", [7, 41])
+@pytest.mark.parametrize("loss_to", [0, 1])
+def test_cpe_path_makes_no_product_beyond_two_rungs(monkeypatch, rungs, loss_to):
+    # composed per path on (electron, qubit): the far path's blocks are gathers of the second
+    # pass, and the near path's two blocks split one (2 rungs)-sized product between them, where
+    # the two (4 rungs)-sized products of the lifted gates took 16 times the work.  Products of
+    # the passes' matrices are recorded through every ufunc, and Operator products apart, since
+    # an Operator holds a plain array.
+    import epolsim.gates as gates
+
+    products = []
+    matmul = Operator.__matmul__
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            plain = [np.asarray(x) for x in inputs]
+            if ufunc is np.matmul:
+                products.append(tuple(x.shape for x in plain))
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            return out.view(Recorded) if isinstance(out, np.ndarray) else out
+
+    def recorded(build):
+        def wrapper(*args, **kwargs):
+            op = build(*args, **kwargs)
+            return SimpleNamespace(space=op.space, matrix=op.matrix.view(Recorded))
+
+        return wrapper
+
+    def counting(self, other):
+        if isinstance(other, Operator):
+            products.append((self.matrix.shape, other.matrix.shape))
+        return matmul(self, other)
+
+    monkeypatch.setattr(gates, "scattering_blockade", recorded(gates.scattering_blockade))
+    monkeypatch.setattr(Operator, "__matmul__", counting)
+    center = rungs // 2
+    space = gate_space(rungs, 1, True)
+    op = cpe_path(space, center, "pol", phase_first=0.6, loss_to_path=loss_to)
+    assert np.max(np.abs(op.matrix - reference_cpe_path(space, center, "pol", 0.6, loss_to))) <= 1e-12
+    assert products, "the passes' products were not seen"
+    largest = max(max(shape) for pair in products for shape in pair)
+    assert largest <= 2 * rungs, f"a product of a {largest}-sized matrix"
+    work = sum(a[0] * a[1] * b[1] for a, b in products)
+    assert work <= (2 * rungs) ** 3, f"{work} multiply-adds"
+
+
 @pytest.mark.parametrize("rungs", [7, 18])
 @pytest.mark.parametrize("calibration", [None, {"pass_phase_difference": math.pi / 4 + 0.25, "loss_to_path": 0}])
 def test_two_polariton_cz_matches_dense_circuit(rungs, calibration):
