@@ -20,12 +20,15 @@ generator on the whole joint space, built from Kronecker products.
 The gate references build every operator on the full joint space from
 Kronecker products and compose with full-space matrix products, the direct
 route that the production builders avoid.  They use only the space's labels
-and dimensions.
+and dimensions.  The controlled-Z circuit is scored twice: on its whole map,
+through the Gram matrix of its (ancilla) x (polariton out, polariton in)
+matrix, and on 25 probe inputs, one SVD each.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -264,36 +267,59 @@ def reference_cz_stages(space: TensorSpace, center: int, delta: float, loss_to: 
     return [reference_cpe_path(space, center, "pol1", delta, loss_to), rz2, h, rz1, h]
 
 
-def reference_cz(rungs: int, calibration: dict | None = None, seed: int = 7):
-    """The controlled-Z at one calibration, scored on the dense circuit u = h rz1 h rz2 cpe.
+CzScore = namedtuple("CzScore", "induced ancilla entropy")
 
-    The default calibration is pass phase difference pi/4, spectrometer loss
-    sector to path 0.  Returns (calibration, induced map, ancilla state, max
-    entropy over the four basis, the uniform and 20 random probes).  The
-    ancilla phase is fixed on its largest entry, the last of entries equal to 1e-12.
+
+def _phase_fixed(anc: np.ndarray) -> np.ndarray:
+    """`anc` with its largest entry real positive, the last of entries equal to 1e-12."""
+    mags = np.abs(anc)
+    k = np.flatnonzero(mags >= mags.max() - 1e-12)[-1]
+    return anc * np.exp(-1j * np.angle(anc[k]))
+
+
+def _entropy(p: np.ndarray) -> float:
+    p = p[p > 1e-15]
+    return float(-(p * np.log(p)).sum())
+
+
+def cz_scores(u: np.ndarray, rungs: int, seed: int = 7) -> tuple[CzScore, CzScore]:
+    """The dense circuit `u` on (electron, path, pol1, pol2), entered at the centre rung on the near path.
+
+    Returns two scores.  The whole-map one reads M, the (ancilla) x (polariton
+    out, polariton in) matrix, from the Gram matrix M M^dag: its top eigenvector
+    is the ancilla and its normalized eigenvalues give the Schmidt entropy.  The
+    probe one takes the ancilla from the uniform input's output (its leading left
+    singular vector) and the largest entropy over the four basis, the uniform and
+    20 random inputs drawn from `seed`.  Either induced map is ancilla^dag M.
     """
-    if calibration is None:
-        calibration = {"pass_phase_difference": math.pi / 4, "loss_to_path": 0}
-    center = rungs // 2
-    space = TensorSpace((("electron", rungs), ("path", 2), ("pol1", 2), ("pol2", 2)))
+    anc_in = np.zeros(2 * rungs, dtype=complex)
+    anc_in[2 * (rungs // 2) + 1] = 1.0
+    m = (u @ np.kron(anc_in[:, None], np.eye(4))).reshape(2 * rungs, 16)
+    gram, vecs = np.linalg.eigh(m @ m.conj().T)
+    anc = _phase_fixed(vecs[:, -1])
+    whole = CzScore((anc.conj() @ m).reshape(4, 4), anc, _entropy(np.clip(gram, 0, None) / gram.sum()))
+
     rng = np.random.default_rng(seed)
     probes = list(np.eye(4, dtype=complex)) + [0.5 * np.ones(4, dtype=complex)]
     for _ in range(20):
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         probes.append(v / np.linalg.norm(v))
-    anc_in = np.zeros(2 * rungs, dtype=complex)
-    anc_in[2 * center + 1] = 1.0  # centre rung, near path
-    stages = reference_cz_stages(space, center, calibration["pass_phase_difference"], calibration["loss_to_path"])
-    u = np.linalg.multi_dot(stages[::-1])
-    left = np.linalg.svd((u @ np.kron(anc_in, probes[4])).reshape(2 * rungs, 4))[0]
-    anc_out = left[:, 0]
-    mags = np.abs(anc_out)
-    k = np.flatnonzero(mags >= mags.max() - 1e-12)[-1]
-    anc_out = anc_out * np.exp(-1j * np.angle(anc_out[k]))
-    entropy = 0.0
-    for chi in probes:
-        p = np.linalg.svd((u @ np.kron(anc_in, chi)).reshape(2 * rungs, 4), compute_uv=False) ** 2
-        p = p[p > 1e-15]
-        entropy = max(entropy, float(-(p * np.log(p)).sum()))
-    induced = np.stack([anc_out.conj() @ (u @ np.kron(anc_in, e)).reshape(2 * rungs, 4) for e in probes[:4]], axis=1)
-    return calibration, induced, anc_out, entropy
+    outputs = [m.reshape(2 * rungs, 4, 4) @ chi for chi in probes]  # (ancilla) x (polariton out)
+    anc = _phase_fixed(np.linalg.svd(outputs[4])[0][:, 0])
+    entropy = max(_entropy(np.linalg.svd(out, compute_uv=False) ** 2) for out in outputs)
+    return whole, CzScore((anc.conj() @ m).reshape(4, 4), anc, entropy)
+
+
+def reference_cz(rungs: int, calibration: dict | None = None, seed: int = 7):
+    """The controlled-Z at one calibration, scored on the dense circuit u = h rz1 h rz2 cpe.
+
+    The default calibration is pass phase difference pi/4, spectrometer loss
+    sector to path 0.  Returns (calibration, whole-map score, probe score), as
+    `cz_scores` gives them.
+    """
+    if calibration is None:
+        calibration = {"pass_phase_difference": math.pi / 4, "loss_to_path": 0}
+    space = TensorSpace((("electron", rungs), ("path", 2), ("pol1", 2), ("pol2", 2)))
+    stages = reference_cz_stages(space, rungs // 2, calibration["pass_phase_difference"],
+                                 calibration["loss_to_path"])
+    return calibration, *cz_scores(np.linalg.multi_dot(stages[::-1]), rungs, seed)

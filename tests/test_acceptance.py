@@ -411,7 +411,7 @@ def test_criterion_08_gate_identity_suite():
         "8 gate identity suite",
         ok,
         f"{len(checks)} identities pass; CZ deviation {cz.deviation:.2e} <= 1e-9, "
-        f"ancilla entropy {cz.ancilla_entropy:.2e} <= 1e-10 over 20 random inputs",
+        f"ancilla entropy {cz.ancilla_entropy:.2e} <= 1e-10 over every polariton input",
     )
     assert not failing, failing
     assert cz.passed and cz.deviation <= 1e-9 and cz.ancilla_entropy <= 1e-10

@@ -34,6 +34,7 @@ from epolsim.cli import normalize_config, run_config
 from epolsim.gates import CZ_TARGET, HADAMARD, PAULI_X, PAULI_Z, _ancilla_tail
 from oracles import (
     cep_rz_target,
+    cz_scores,
     reference_cep_rz,
     reference_cpe_path,
     reference_cz,
@@ -235,6 +236,32 @@ def test_two_polariton_cz_negative_control():
     assert report.deviation > 1e-3
 
 
+def test_cz_calibration_passes_with_its_half_turn_twin_alone():
+    # CZ_CALIBRATION's derivation: of k pi/4 x loss_to_path {0, 1}, only pi/4 and 5 pi/4
+    # give 2 phi = pi/2 (mod 2 pi) with the loss sector on path 0
+    passing = {(k, loss) for k in range(8) for loss in (0, 1)
+               if two_polariton_cz(RUNGS, {"pass_phase_difference": k * math.pi / 4, "loss_to_path": loss}).passed}
+    assert passing == {(1, 0), (5, 0)}
+
+
+def test_gate_actions_take_one_svd_each(monkeypatch):
+    # the controlled-Z and a comb rotation each read their whole action with one SVD,
+    # which gives the entropy and, for the controlled-Z, the ancilla state
+    svd = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert two_polariton_cz(rungs=8).passed
+    assert shapes == [(16, 16)], shapes
+    shapes.clear()
+    r_transverse(0.9, 1.3, RUNGS)
+    assert shapes == [(RUNGS, 4)], shapes
+
+
 def test_equivalence_up_to_phase_examples():
     rng = np.random.default_rng(6)
     u = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -366,7 +393,7 @@ def test_identity_suite_builds_each_first_pass_once(monkeypatch):
     checks, report = gate_identity_suite(rungs=8)
     assert all(c.passed for c in checks) and report.passed
     assert len(passes) <= 17, f"{len(passes)} pass builds"
-    assert lifts, "the spectrometer's and the second passes' lifts were not seen"
+    assert lifts, "the electron Hadamard's lifts were not seen"
 
 
 def test_identity_suite_makes_three_pass_products_per_z_rotation_family(monkeypatch):
@@ -463,11 +490,14 @@ def test_cpe_path_makes_no_product_beyond_two_rungs(monkeypatch, rungs, loss_to)
 def test_two_polariton_cz_matches_dense_circuit(rungs, calibration):
     # the four-column evaluation against the dense u = h rz1 h rz2 cpe
     report = two_polariton_cz(rungs=rungs, calibration=calibration)
-    ref_calibration, induced, ancilla, entropy = reference_cz(rungs, calibration)
+    # on its whole map; 25 probe inputs must read the same product wherever the report does
+    ref_calibration, whole, probes = reference_cz(rungs, calibration)
     assert report.calibration == ref_calibration
-    assert np.max(np.abs(report.induced - induced)) <= 1e-12
-    assert np.max(np.abs(report.ancilla_state - ancilla)) <= 1e-12
-    assert abs(report.ancilla_entropy - entropy) <= 1e-12
+    assert np.max(np.abs(report.induced - whole.induced)) <= 1e-12
+    assert np.max(np.abs(report.ancilla_state - whole.ancilla)) <= 1e-12
+    assert abs(report.ancilla_entropy - whole.entropy) <= 1e-12
+    assert report.ancilla_entropy <= 1e-10 and probes.entropy <= 1e-10
+    assert np.max(np.abs(probes.induced - whole.induced)) <= 1e-12
 
 
 def test_two_polariton_cz_makes_no_full_space_operator_product(monkeypatch):
@@ -514,7 +544,8 @@ def test_two_polariton_cz_makes_no_full_space_operator_product(monkeypatch):
     monkeypatch.setattr(Operator, "__matmul__", counting)
     for name in ("electron_hadamard", "cep_rz", "cpe_path"):
         monkeypatch.setattr(gates, name, recorded(getattr(gates, name)))
-    # gates lifts with embed_group directly, and through tensor.embed for the Hadamard
+    # gates lifts with its own embed_group, the electron Hadamard included; tensor's is
+    # wrapped too, so that a lift through tensor.embed would be counted
     for module in (gates, tensor):
         monkeypatch.setattr(module, "embed_group", lifted(module.embed_group))
     assert two_polariton_cz(rungs=41).passed
@@ -677,6 +708,27 @@ def test_identity_fails_under_its_negative_control(identity, monkeypatch, tmp_pa
     cfg = normalize_config({"schema_version": 1, "scenario": "gates", "gates": {"rungs": RUNGS}})
     assert run_config(cfg, tmp_path) == 1
     assert identity in capsys.readouterr().err
+
+
+def test_cz_entropy_fails_an_entangling_pass_fault(monkeypatch):
+    # every calibration of the ideal passes leaves the ancilla a product, so the entropy
+    # criterion is seen at work under a pass fault that entangles it.  The report's
+    # entropy must be the Schmidt entropy of the dense circuit composed from the same
+    # (perturbed) public builders on the full space, and 25 probe inputs must see it too.
+    import epolsim.gates as gates
+
+    name, perturb = PERTURBATIONS["pass angle x1.01"]
+    monkeypatch.setattr(gates, name, perturb(getattr(gates, name)))
+    rungs, center = 8, 4
+    report = two_polariton_cz(rungs=rungs)
+    space = gate_space(rungs, 2, True)
+    cpe = cpe_path(space, center, "pol1", phase_first=math.pi / 4, loss_to_path=0).matrix
+    h = electron_hadamard(space).matrix
+    u = h @ cep_rz(0.5 * math.pi, space, "pol1").matrix @ h @ cep_rz(0.5 * math.pi, space, "pol2").matrix @ cpe
+    whole, probes = cz_scores(u, rungs)
+    assert report.ancilla_entropy > 1e-10 and not report.passed
+    assert abs(report.ancilla_entropy - whole.entropy) <= 1e-12
+    assert probes.entropy > 1e-10
 
 
 def test_z_rotation_family_sees_a_pass_fault_beyond_degree_one(monkeypatch):
