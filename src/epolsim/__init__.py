@@ -5,9 +5,7 @@ from .tensor import (
     Operator,
     StateVector,
     DensityMatrix,
-    embed,
     embed_group,
-    partial_trace,
 )
 from .cavity import (
     CavityModel,
@@ -21,7 +19,6 @@ from .cavity import (
 )
 from .electron import (
     LadderConfig,
-    build_ladder,
     comb_state,
     energy_to_velocity,
     ELECTRON_REST_KEV,

@@ -1001,18 +1001,12 @@ def _frame_rotation(model: CavityModel, t: float) -> np.ndarray:
     return (basis.u * np.exp(1j * basis.nonlinear_shifts() * t)) @ basis.u.conj().T
 
 
-def frame_align(
-    state: DensityMatrix | StateVector,
-    cfg: SystemConfig,
-    time: float | None = None,
-):
+def frame_align(state: DensityMatrix, cfg: SystemConfig, time: float | None = None) -> DensityMatrix:
     """Rotate a joint state by exp(+i H_nl t), aligning the propagation picture
     with the frame in which the closed-form scattering matrices act."""
     t = cfg.interaction_time if time is None else time
     w = _frame_rotation(cfg.model, t)
     d, m, n = cfg.ladder.rungs, cfg.model.dim, cfg.space.dim
-    if isinstance(state, StateVector):
-        return StateVector(state.space, (state.amplitudes.reshape(d, m) @ w.T).reshape(n))
     # w on the cavity index of every rung: rows first, then columns
     half = np.matmul(w, state.matrix.reshape(d, m, n))
     rotated = (half.reshape(n, d, m) @ w.conj().T).reshape(n, n)

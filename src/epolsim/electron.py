@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Operator, StateVector, TensorSpace
+from .tensor import StateVector, TensorSpace
 
 __all__ = [
     "ELECTRON_REST_KEV",
     "LadderConfig",
-    "build_ladder",
     "comb_state",
     "energy_to_velocity",
 ]
@@ -49,15 +48,6 @@ class LadderConfig:
         offsets = (np.arange(self.rungs) - self.center) % self.rungs
         dist = np.minimum(offsets, self.rungs - offsets)
         return np.nonzero(dist >= self.rungs // 2 - 1)[0]
-
-
-def build_ladder(cfg: LadderConfig) -> Operator:
-    """Cyclic lowering operator b with b|l> = |l-1 mod D>; exactly unitary."""
-    d = cfg.rungs
-    m = np.zeros((d, d), dtype=complex)
-    cols = np.arange(d)
-    m[(cols - 1) % d, cols] = 1.0
-    return Operator(cfg.space, m)
 
 
 def comb_state(phi: float, cfg: LadderConfig) -> StateVector:

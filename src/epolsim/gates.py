@@ -3,8 +3,11 @@
 Gates are composed from the two-level blockade scattering matrix in the
 idealized closed-form regime.  Polariton qubits are two-level factors; the
 electron ancilla carries a cyclic energy ladder and, where needed, a path
-register (far / near-cavity trajectory).  All identities hold up to a global
-phase, which is solved for explicitly rather than assumed away.
+register (far / near-cavity trajectory).  Every gate acts on one fixed factor
+order, electron, then path, then qubit(s): the gates compose as plain arrays
+in that order, and a public builder lifts its array onto a labeled space once.
+All identities hold up to a global phase, which is solved for explicitly
+rather than assumed away.
 """
 from __future__ import annotations
 
@@ -71,16 +74,15 @@ def gate_space(rungs: int = 7, n_qubits: int = 1, with_path: bool = True) -> Ten
     return TensorSpace(tuple(factors))
 
 
-def equivalence_up_to_phase(u, v, tol: float = 1e-10) -> tuple[bool, float, float]:
+def equivalence_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-10) -> tuple[bool, float, float]:
     """(equal, phase, deviation): is u = e^{i phase} v within tol (max-entry norm)?
 
     The phase is arg trace(v^dag u) in (-pi, pi], an imaginary part within
     1e-12 of the trace's magnitude counting as round-off, so a real trace
-    reports exactly 0 or pi; orthogonal operators (vanishing trace) report
+    reports exactly 0 or pi; orthogonal matrices (vanishing trace) report
     False with the raw deviation.
     """
-    um = u.matrix if isinstance(u, Operator) else np.asarray(u, dtype=complex)
-    vm = v.matrix if isinstance(v, Operator) else np.asarray(v, dtype=complex)
+    um, vm = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
     if um.shape != vm.shape:
         raise ValueError(f"shape mismatch {um.shape} vs {vm.shape}")
     tr = complex(np.vdot(vm, um))
@@ -91,6 +93,35 @@ def equivalence_up_to_phase(u, v, tol: float = 1e-10) -> tuple[bool, float, floa
     theta = cmath.phase(tr)
     deviation = float(np.max(np.abs(um - np.exp(1j * theta) * vm)))
     return deviation <= tol, theta, deviation
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
+
+
+def _blockade(omega: complex, rungs: int) -> np.ndarray:
+    """One pass on (electron, qubit); every pass of the gate set is built here."""
+    space = TensorSpace(((ELECTRON_LABEL, rungs), ("pol", 2)))
+    return scattering_blockade(omega, QUBIT_ZERO, QUBIT_ONE, space).matrix
+
+
+def _near_path(s: np.ndarray) -> np.ndarray:
+    """`s`, on (electron, qubit), on (electron, path, qubit): the identity on the
+    far path (|0>), s on the near path (|1>)."""
+    d = len(s) // 2
+    mat = np.zeros((d, 2, 2, d, 2, 2), dtype=complex)
+    mat[:, 0, :, :, 0, :] = np.eye(2 * d).reshape(d, 2, d, 2)
+    mat[:, 1, :, :, 1, :] = s.reshape(d, 2, d, 2)
+    return mat.reshape(4 * d, 4 * d)
+
+
+def _lift(s: np.ndarray, labels: tuple[str, ...], space: TensorSpace) -> Operator:
+    """`s`, a matrix on the factors `labels`, on `space`.
+
+    A matrix already on `space`'s own factors in order is wrapped as it is,
+    without embed_group's copy: every caller hands over a matrix nothing else holds.
+    """
+    return Operator(space, s) if space.labels == labels else embed_group(s, labels, space)
 
 
 def gate_pass(
@@ -104,62 +135,32 @@ def gate_pass(
     With `conditioned_on_path`, the far path (|0> of the path register) is
     untouched and only the near-cavity path interacts.
     """
-    d = space.dim_of(ELECTRON_LABEL)
-    s = scattering_blockade(omega, QUBIT_ZERO, QUBIT_ONE, _pass_space(d, qubit_label, False)).matrix
-    return _condition_and_lift(s, qubit_label, conditioned_on_path, space)
+    s = _blockade(omega, space.dim_of(ELECTRON_LABEL))
+    if conditioned_on_path:
+        return _lift(_near_path(s), (ELECTRON_LABEL, PATH_LABEL, qubit_label), space)
+    return _lift(s, (ELECTRON_LABEL, qubit_label), space)
 
 
-def _pass_space(rungs: int, qubit_label: str, with_path: bool) -> TensorSpace:
-    """The factors a pass acts on, in the order of its matrix: (electron, [path], qubit)."""
-    path = ((PATH_LABEL, 2),) if with_path else ()
-    return TensorSpace(((ELECTRON_LABEL, rungs), *path, (qubit_label, 2)))
-
-
-def _condition_and_lift(s: np.ndarray, qubit_label: str, conditioned: bool, space: TensorSpace) -> Operator:
-    """`s`, a matrix on (electron, qubit), on `space`: on the near path alone when `conditioned`."""
-    d = space.dim_of(ELECTRON_LABEL)
-    labels = (ELECTRON_LABEL, qubit_label)
-    if conditioned:
-        # path-diagonal: identity rows on the far path (|0>), s on the near path (|1>)
-        mat = np.zeros((d, 2, 2, d, 2, 2), dtype=complex)
-        mat[:, 0, :, :, 0, :] = np.eye(2 * d).reshape(d, 2, d, 2)
-        mat[:, 1, :, :, 1, :] = s.reshape(d, 2, d, 2)
-        s = mat.reshape(4 * d, 4 * d)
-        labels = (ELECTRON_LABEL, PATH_LABEL, qubit_label)
-    return _lift(s, labels, space)
-
-
-def _lift(s: np.ndarray, labels: tuple[str, ...], space: TensorSpace) -> Operator:
-    """`s`, a matrix on the factors `labels`, on `space`.
-
-    A matrix already on `space`'s own factors in order is wrapped as it is,
-    without embed_group's copy: every caller hands over a matrix nothing else holds.
-    """
-    return Operator(space, s) if space.labels == labels else embed_group(s, labels, space)
-
-
-def _z_rotations(space: TensorSpace, qubit_label: str = "pol", conditioned: bool = True):
-    """The family of cep_rz on one space: a function from the relative phase phi to the rotation.
+def _z_rotations(rungs: int):
+    """The family of two-pass z-rotations on (electron, qubit): a function from the relative phase phi to the rotation.
 
     The first pass, at omega = pi/2, is the same for every phi.  At fixed
     |omega| the second pass is C_0 + e^{i phi} C_1 + e^{-i phi} C_-1 (its
     same-rung, rung-down and rung-up blocks), so a three-point DFT of the
     passes at phi = 0, 2 pi/3 and 4 pi/3 recovers the C_j, and every
     rotation is T_0 + e^{i phi} T_1 + e^{-i phi} T_-1 with T_j = C_j first:
-    three products per family, on (electron, qubit).  Each rotation is then
-    conditioned and lifted once, since diag(I, B) diag(I, A) = diag(I, BA) on
-    (far, near) path.
+    three products per family.  A path-conditioned rotation is the rotation on
+    the near path, since diag(I, B) diag(I, A) = diag(I, BA) on (far, near) path.
     """
-    bare = _pass_space(space.dim_of(ELECTRON_LABEL), qubit_label, False)
     roots = np.exp(2j * math.pi / 3 * np.arange(3))
-    passes = [scattering_blockade(0.5 * math.pi * w, QUBIT_ZERO, QUBIT_ONE, bare).matrix for w in roots]
+    passes = [_blockade(0.5 * math.pi * w, rungs) for w in roots]
     first = passes[0]
     # T_j = (1/3) sum_k e^{-2 pi i j k/3} pass_k first, for j = 0, 1, -1
     t0, t1, t_1 = (sum(w**-j * p for w, p in zip(roots, passes)) @ first / 3 for j in (0, 1, -1))
 
-    def rotation(phi: float) -> Operator:
+    def rotation(phi: float) -> np.ndarray:
         e = cmath.exp(1j * phi)
-        return _condition_and_lift(t0 + e * t1 + e.conjugate() * t_1, qubit_label, conditioned, space)
+        return t0 + e * t1 + e.conjugate() * t_1
 
     return rotation
 
@@ -172,7 +173,10 @@ def cep_rz(phi: float, space: TensorSpace, qubit_label: str = "pol", conditioned
     restored exactly (the two one-rung shifts cancel).  With `conditioned`
     the space must carry a path register and the far path is left untouched.
     """
-    return _z_rotations(space, qubit_label, conditioned)(phi)
+    s = _z_rotations(space.dim_of(ELECTRON_LABEL))(phi)
+    if conditioned:
+        return _lift(_near_path(s), (ELECTRON_LABEL, PATH_LABEL, qubit_label), space)
+    return _lift(s, (ELECTRON_LABEL, qubit_label), space)
 
 
 def _schmidt_entropy(sv: np.ndarray) -> float:
@@ -202,16 +206,14 @@ def r_transverse(omega_mag: float, phi: float, rungs: int = 7) -> tuple[np.ndarr
     then an exact product for every axis angle.
     """
     cfg = LadderConfig(rungs=rungs, center=rungs // 2)
-    space = TensorSpace(((ELECTRON_LABEL, rungs), ("pol", 2)))
     comb_phase = 2.0 * math.pi * round(phi * rungs / (2.0 * math.pi)) / rungs
     pass_phase = phi - comb_phase
-    s = scattering_blockade(omega_mag * cmath.exp(1j * pass_phase), QUBIT_ZERO, QUBIT_ONE, space)
+    s = _blockade(omega_mag * cmath.exp(1j * pass_phase), rungs)
     comb = comb_state(comb_phase, cfg).amplitudes
-    action = (s.matrix @ np.kron(comb[:, None], np.eye(2))).reshape(rungs, 4)
+    action = (s @ np.kron(comb[:, None], np.eye(2))).reshape(rungs, 4)
     entropy = _schmidt_entropy(np.linalg.svd(action, compute_uv=False))
     induced = (comb.conj() @ action).reshape(2, 2)
-    defect = float(np.max(np.abs(induced @ induced.conj().T - np.eye(2))))
-    return induced, RotationReport(entanglement_entropy=entropy, unitarity_defect=defect)
+    return induced, RotationReport(entanglement_entropy=entropy, unitarity_defect=_unitarity_defect(induced))
 
 
 def electron_hadamard(space: TensorSpace) -> Operator:
@@ -250,19 +252,23 @@ def cpe_path(
     the same rung with its path entangled to the polariton computational
     basis.  The first pass's phase and the spectrometer routing are the
     calibration parameters; the second pass is at omega = pi/2.
+    """
+    mat = _cpe_path(space.dim_of(ELECTRON_LABEL), center, phase_first, loss_to_path)
+    return _lift(mat, (ELECTRON_LABEL, PATH_LABEL, qubit_label), space)
 
-    Composed per path on (electron, qubit): the block from path p to p' is
-    S_2 (R_p'p x I) F_p, R_p'p the rungs the spectrometer (a permutation, read
-    off its nonzeros) routes from p to p', F_0 = I and F_1 the first pass,
-    which acts on the near path only.  The far path's blocks are column
-    gathers of S_2, and the near path's two split one (2 rungs)-sized product.
+
+def _cpe_path(d: int, center: int, phase_first: float, loss_to_path: int) -> np.ndarray:
+    """cpe_path on (electron, path, qubit), composed per path on (electron, qubit).
+
+    The block from path p to p' is S_2 (R_p'p x I) F_p, R_p'p the rungs the
+    spectrometer (a permutation, read off its nonzeros) routes from p to p',
+    F_0 = I and F_1 the first pass, which acts on the near path only.  The far
+    path's blocks are column gathers of S_2, and the near path's two split one
+    (2 rungs)-sized product.
     """
     half_pi = 0.5 * math.pi
-    d = space.dim_of(ELECTRON_LABEL)
-    bare = _pass_space(d, qubit_label, with_path=False)
-    first = scattering_blockade(half_pi * cmath.exp(1j * phase_first), QUBIT_ZERO, QUBIT_ONE, bare).matrix
-    second = scattering_blockade(half_pi, QUBIT_ZERO, QUBIT_ONE, bare).matrix
-    first, second = first.reshape(d, 2, 2 * d), second.reshape(2 * d, d, 2)
+    first = _blockade(half_pi * cmath.exp(1j * phase_first), d).reshape(d, 2, 2 * d)
+    second = _blockade(half_pi, d).reshape(2 * d, d, 2)
     router = spectrometer(TensorSpace(((ELECTRON_LABEL, d), (PATH_LABEL, 2))), center, loss_to_path).matrix
     rows, cols = np.nonzero(router)  # (rung, path) out and in
     weights = router[rows, cols]
@@ -279,7 +285,7 @@ def cpe_path(
                 block[:, :, frm, :] = gathered.reshape(d, 2, n, 2)
             else:
                 block[...] = (gathered @ first[frm].reshape(2 * n, 2 * d)).reshape(d, 2, d, 2)
-    return _lift(mat.reshape(4 * d, 4 * d), (ELECTRON_LABEL, PATH_LABEL, qubit_label), space)
+    return mat.reshape(4 * d, 4 * d)
 
 
 @dataclass(frozen=True)
@@ -318,16 +324,6 @@ def _ancilla_tail(space: TensorSpace, center: int, path_index: int) -> np.ndarra
     return np.kron(anc, path)
 
 
-def _act_on_factors(stage: Operator, space: TensorSpace, cols: np.ndarray) -> np.ndarray:
-    """Apply `stage`, an operator on some of `space`'s factors, to every column of `cols`."""
-    axes = [space.axis(lab) for lab in stage.space.labels]
-    k = len(space.factors)
-    order = axes + [i for i in range(k + 1) if i not in axes]  # the stage's factors first, the columns last
-    moved = np.transpose(cols.reshape(*space.dims, -1), order)
-    out = stage.matrix @ moved.reshape(stage.space.dim, -1)
-    return np.transpose(out.reshape(moved.shape), np.argsort(order)).reshape(cols.shape)
-
-
 def two_polariton_cz(rungs: int = 7, calibration: dict | None = None) -> CircuitReport:
     """Compose and verify the two-polariton controlled-Z mediated by the electron.
 
@@ -352,24 +348,25 @@ def two_polariton_cz(rungs: int = 7, calibration: dict | None = None) -> Circuit
     space = gate_space(rungs=rungs, n_qubits=2, with_path=True)
     uniform = 0.5 * np.ones(4, dtype=complex)
     anc_in = _ancilla_tail(space, center, path_index=1)
-    anc_dim = anc_in.size
-    # column j: the circuit's output for the input kron(anc_in, e_j); a polariton
-    # input chi gives cols @ chi
-    cols = np.kron(anc_in[:, None], np.eye(4))
-    # each stage is built on the factors it touches and applied to them alone
-    cpe = cpe_path(_pass_space(rungs, "pol1", True), center, "pol1", phase_first=delta, loss_to_path=loss_to)
-    # both z-gates are one matrix, on (electron, path, pol1) and on (electron, path, pol2)
-    rz1 = cep_rz(0.5 * math.pi, _pass_space(rungs, "pol1", True), "pol1")
-    rz2 = Operator(_pass_space(rungs, "pol2", True), rz1.matrix)
-    h = electron_hadamard(TensorSpace(((ELECTRON_LABEL, rungs), (PATH_LABEL, 2))))
+    # column j: the circuit's output for the input kron(anc_in, e_j), as (electron x path,
+    # pol1, pol2, column); a polariton input chi gives cols @ chi
+    cols = np.kron(anc_in[:, None], np.eye(4)).reshape(2 * rungs, 2, 2, 4)
+    # each stage acts on the leading factors alone: the controlled-path gate and the z-gates on
+    # (electron, path, qubit), the pol2 z-gate with the two qubits swapped, the Hadamard on
+    # (electron, path); both z-gates are one matrix
+    cpe = _cpe_path(rungs, center, delta, loss_to)
+    rz = _near_path(_z_rotations(rungs)(0.5 * math.pi))
+    h = electron_hadamard(TensorSpace(((ELECTRON_LABEL, rungs), (PATH_LABEL, 2)))).matrix
     wrap_pop = 0.0
-    for stage in (cpe, rz2, h, rz1, h):
-        cols = _act_on_factors(stage, space, cols)
+    for stage, on_pol2 in ((cpe, False), (rz, True), (h, False), (rz, False), (h, False)):
+        moved = cols.swapaxes(1, 2) if on_pol2 else cols
+        out = (stage @ moved.reshape(len(stage), -1)).reshape(moved.shape)
+        cols = out.swapaxes(1, 2) if on_pol2 else out
         # by linearity, the state of a uniform polariton input after this stage
-        pops = (np.abs((cols @ uniform).reshape(rungs, -1)) ** 2).sum(axis=1)
+        pops = (np.abs((cols.reshape(-1, 4) @ uniform).reshape(rungs, -1)) ** 2).sum(axis=1)
         wrap_pop = max(wrap_pop, float(pops[wrap].sum()))
 
-    action = cols.reshape(anc_dim, 16)  # (ancilla) x (polariton out, polariton in)
+    action = cols.reshape(anc_in.size, 16)  # (ancilla) x (polariton out, polariton in)
     left, sv, _ = np.linalg.svd(action, full_matrices=False)
     anc_out, entropy = left[:, 0], _schmidt_entropy(sv)
     # the phase is fixed on the largest entry; of entries equal up to 1e-12 (the
@@ -381,7 +378,6 @@ def two_polariton_cz(rungs: int = 7, calibration: dict | None = None) -> Circuit
     induced = (anc_out.conj() @ action).reshape(4, 4)
 
     ok, theta, deviation = equivalence_up_to_phase(induced, CZ_TARGET, 1e-9)
-    unit_defect = float(np.max(np.abs(induced @ induced.conj().T - np.eye(4))))
     return CircuitReport(
         induced=induced,
         target=CZ_TARGET.copy(),
@@ -392,7 +388,7 @@ def two_polariton_cz(rungs: int = 7, calibration: dict | None = None) -> Circuit
         ancilla_state=anc_out,
         wrap_population=wrap_pop,
         calibration={"pass_phase_difference": delta, "loss_to_path": loss_to},
-        passed=ok and entropy <= 1e-10 and unit_defect <= 1e-10,
+        passed=ok and entropy <= 1e-10 and _unitarity_defect(induced) <= 1e-10,
     )
 
 
@@ -430,25 +426,23 @@ def gate_identity_suite(
     # closed-form scattering matrices are unitary
     model = build_kerr(0.05, 6)
     ladder = LadderConfig(rungs=9, center=4)
-    dev = scattering_linear(0.8 + 0.3j, model, ladder).unitarity_defect()
+    dev = _unitarity_defect(scattering_linear(0.8 + 0.3j, model, ladder).matrix)
     add("linear scattering matrix unitary", dev <= 1e-12, dev)
     space1 = gate_space(rungs=rungs, n_qubits=1, with_path=True)
-    dev = gate_pass(0.5 * math.pi * cmath.exp(0.4j), space1, "pol", conditioned_on_path=True).unitarity_defect()
+    dev = _unitarity_defect(gate_pass(0.5 * math.pi * cmath.exp(0.4j), space1, "pol", conditioned_on_path=True).matrix)
     add("blockade pass unitary (path-conditioned)", dev <= 1e-12, dev)
 
     # z-rotation family: phase gate, group law, S^2 = Z chain
-    free = TensorSpace(((ELECTRON_LABEL, rungs), ("pol", 2)))
-
-    rz = _z_rotations(free, conditioned=False)  # the two-pass z-rotation without a path register
+    rz = _z_rotations(rungs)  # the two-pass z-rotation without a path register
 
     def factor(rotation: np.ndarray) -> np.ndarray:  # a rotation's polariton factor on the centre rung
         return rotation.reshape(rungs, 2, rungs, 2)[center, :, center, :]
 
     # composed from its two passes, at a phase the family does not sample
-    first, second = (scattering_blockade(0.5 * math.pi * w, QUBIT_ZERO, QUBIT_ONE, free).matrix for w in (1, 1j))
+    first, second = (_blockade(0.5 * math.pi * w, rungs) for w in (1, 1j))
     _, _, dev = equivalence_up_to_phase(factor(second @ first), PAULI_Z, 1e-10)
     add("two passes at relative phase pi/2 give Z (up to phase)", dev <= 1e-10, dev)
-    _, _, dev = equivalence_up_to_phase(factor(rz(0.0).matrix), np.eye(2), 1e-10)
+    _, _, dev = equivalence_up_to_phase(factor(rz(0.0)), np.eye(2), 1e-10)
     add("zero relative phase gives identity (up to phase)", dev <= 1e-10, dev)
     worst = 0.0
     for _ in range(20):
@@ -462,7 +456,7 @@ def gate_identity_suite(
     amp = rng.standard_normal(2 * rungs) + 1j * rng.standard_normal(2 * rungs)
     amp /= np.linalg.norm(amp)
     before = (np.abs(amp.reshape(rungs, 2)) ** 2).sum(axis=1)
-    out = rz(0.7).matrix @ amp
+    out = rz(0.7) @ amp
     after = (np.abs(out.reshape(rungs, 2)) ** 2).sum(axis=1)
     dev = float(np.max(np.abs(before - after)))
     add("electron energy marginal restored by z-rotation", dev <= 1e-12, dev)
@@ -491,8 +485,8 @@ def gate_identity_suite(
     _, _, dev = equivalence_up_to_phase(action, target, 1e-10)
     add("controlled-path gate matches its target action", dev <= 1e-10, dev)
 
-    h = electron_hadamard(space1)
-    dev = float(np.max(np.abs((h @ h).matrix - np.eye(space1.dim))))
+    h = electron_hadamard(space1).matrix
+    dev = float(np.max(np.abs(h @ h - np.eye(space1.dim))))
     add("electron Hadamard squares to identity", dev <= 1e-14, dev)
 
     # two-polariton controlled-Z with calibrated pass phases
@@ -505,7 +499,7 @@ def gate_identity_suite(
         f"ancilla entropy {report.ancilla_entropy:.1e}")
 
     # universality smoke test: H T H S composed from the primitives
-    composed = had @ factor(rz(math.pi / 8).matrix) @ had @ factor(rz(math.pi / 4).matrix)
+    composed = had @ factor(rz(math.pi / 8)) @ had @ factor(rz(math.pi / 4))
     t_gate = np.diag([1.0, cmath.exp(1j * math.pi / 4)])
     s_gate = np.diag([1.0, 1j])
     target = HADAMARD @ t_gate @ HADAMARD @ s_gate

@@ -8,7 +8,7 @@ import numpy as np
 
 from .cavity import PolaritonBasis
 from .electron import ELECTRON_LABEL
-from .tensor import DensityMatrix, StateVector, partial_trace
+from .tensor import DensityMatrix, StateVector
 
 __all__ = [
     "Distribution",
@@ -75,11 +75,14 @@ class Distribution:
             raise ProbabilityError("probabilities sum to zero")
         return cls(tuple(str(x) for x in labels), p / s, clipped=clipped)
 
-    def probability(self, label: str) -> float:
-        try:
-            return float(self.probabilities[self.labels.index(str(label))])
-        except ValueError:
-            raise KeyError(f"unknown label {label!r}") from None
+
+def _electron_blocks(rho: DensityMatrix) -> np.ndarray:
+    """rho as (rung, cavity, rung, cavity), in the (electron, cavity...) order SystemConfig.space fixes."""
+    if rho.space.labels[0] != ELECTRON_LABEL:
+        raise ValueError(f"the first factor must be {ELECTRON_LABEL!r}; the state has {list(rho.space.labels)}")
+    d = rho.space.dims[0]
+    m = rho.space.dim // d
+    return rho.matrix.reshape(d, m, d, m)
 
 
 def eels_spectrum(rho: DensityMatrix, center: int = 0) -> Distribution:
@@ -88,8 +91,7 @@ def eels_spectrum(rho: DensityMatrix, center: int = 0) -> Distribution:
     Traces out every non-electron factor and reads the diagonal; sidebands are
     reported as signed offsets on the cyclic ladder, ascending.
     """
-    reduced = partial_trace(rho, [ELECTRON_LABEL])
-    return sideband_distribution(np.real(np.diag(reduced.matrix)), center)
+    return sideband_distribution(np.real(np.einsum("kiki->k", _electron_blocks(rho))), center)
 
 
 def sideband_distribution(rung_populations: np.ndarray, center: int) -> Distribution:
@@ -103,13 +105,10 @@ def sideband_distribution(rung_populations: np.ndarray, center: int) -> Distribu
 
 def polariton_statistics(rho: DensityMatrix, basis: PolaritonBasis) -> Distribution:
     """Populations of the nonlinear-cavity eigenlevels after tracing out the electron."""
-    keep = [lab for lab in rho.space.labels if lab != ELECTRON_LABEL]
-    if not keep:
-        raise ValueError("state has no cavity factors")
-    reduced = partial_trace(rho, keep)
-    if reduced.space.dim != basis.dim:
-        raise ValueError(f"cavity dimension {reduced.space.dim} does not match basis dimension {basis.dim}")
-    rotated = basis.u.conj().T @ reduced.matrix @ basis.u
+    reduced = np.einsum("kikj->ij", _electron_blocks(rho))
+    if len(reduced) != basis.dim:
+        raise ValueError(f"cavity dimension {len(reduced)} does not match basis dimension {basis.dim}")
+    rotated = basis.u.conj().T @ reduced @ basis.u
     return Distribution.from_values(basis.labels, np.real(np.diag(rotated)))
 
 

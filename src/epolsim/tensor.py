@@ -1,15 +1,17 @@
-"""Labeled tensor-product spaces and dense complex operator algebra.
+"""Labeled tensor-product spaces and the value types the public API returns.
 
-Every factor of a joint Hilbert space carries a text label; all higher-level
-code addresses factors by label, never by raw index position.  Operators,
-state vectors and density matrices are immutable value objects wrapping dense
-complex numpy arrays.
+A joint Hilbert space is an ordered list of labeled factors.  The program
+composes its matrices in each layer's fixed factor order (electron first);
+labels name the factors of what it returns, and `embed_group` lifts a matrix
+on some named factors onto a whole space.  Operators, state vectors and
+density matrices are immutable value objects wrapping dense complex numpy
+arrays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,9 +20,7 @@ __all__ = [
     "Operator",
     "StateVector",
     "DensityMatrix",
-    "embed",
     "embed_group",
-    "partial_trace",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -92,15 +92,7 @@ class Operator:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_square(self.matrix, self.space.dim, "operator matrix"))
 
-    def unitarity_defect(self) -> float:
-        d = self.matrix @ self.matrix.conj().T - np.eye(self.space.dim)
-        return float(np.max(np.abs(d)))
-
     def __matmul__(self, other):
-        if isinstance(other, Operator):
-            if self.space != other.space:
-                raise ValueError(f"operator spaces differ: {self.space.labels} vs {other.space.labels}")
-            return Operator(self.space, self.matrix @ other.matrix)
         if isinstance(other, StateVector):
             if self.space != other.space:
                 raise ValueError("operator/state space mismatch")
@@ -130,9 +122,6 @@ class StateVector:
     def normalize(self) -> "StateVector":
         return StateVector(self.space, self.amplitudes / np.linalg.norm(self.amplitudes))
 
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.space, np.outer(self.amplitudes, self.amplitudes.conj()))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -151,17 +140,6 @@ class DensityMatrix:
         if abs(tr - 1.0) > self.trace_tol:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond {self.trace_tol}")
         object.__setattr__(self, "matrix", m)
-
-
-def embed(local: Operator | np.ndarray, target_label: str, space: TensorSpace) -> Operator:
-    """Lift an operator on a single named factor to the full space."""
-    matrix = local.matrix if isinstance(local, Operator) else np.asarray(local, dtype=complex)
-    d = space.dim_of(target_label)
-    if matrix.shape != (d, d):
-        raise ValueError(
-            f"local operator shape {matrix.shape} does not match factor {target_label!r} of dimension {d}"
-        )
-    return embed_group(matrix, [target_label], space)
 
 
 def embed_group(matrix: np.ndarray, labels: Sequence[str], space: TensorSpace) -> Operator:
@@ -192,34 +170,3 @@ def embed_group(matrix: np.ndarray, labels: Sequence[str], space: TensorSpace) -
     rows = [p if p < t else p + t for p in position]
     cols = [p + t if p < t else p + t + r for p in position]
     return Operator(space, np.transpose(tensor, rows + cols).reshape(space.dim, space.dim))
-
-
-def partial_trace(rho: DensityMatrix, keep_labels: Iterable[str]) -> DensityMatrix:
-    """Trace out every factor not named in keep_labels; kept factor order preserved."""
-    keep = list(keep_labels)
-    if not keep:
-        raise ValueError("partial_trace needs at least one label to keep")
-    keep_axes = sorted(rho.space.axis(lab) for lab in keep)
-    k = len(rho.space.factors)
-    dims = rho.space.dims
-    tensor = rho.matrix.reshape(dims + dims)
-    # contract each traced factor's row/col axis pair
-    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    if 2 * k > len(letters):
-        raise ValueError("too many factors for partial trace")
-    row = list(letters[:k])
-    col = list(letters[k : 2 * k])
-    out = []
-    for i in range(k):
-        if i in keep_axes:
-            out.append(row[i])
-        else:
-            col[i] = row[i]
-    out += [col[i] for i in keep_axes]
-    reduced = np.einsum("".join(row + col) + "->" + "".join(out), tensor)
-    sub_dim = math.prod(dims[i] for i in keep_axes)
-    new_space = TensorSpace(tuple(rho.space.factors[i] for i in keep_axes))
-    reduced = reduced.reshape(sub_dim, sub_dim)
-    reduced = 0.5 * (reduced + reduced.conj().T)
-    return DensityMatrix(new_space, reduced, trace_tol=rho.trace_tol)
-

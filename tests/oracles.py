@@ -13,6 +13,11 @@ built from Kronecker products, taken to Hermitian coordinates entry by entry;
 the closed-form numerical-range box against that generator's Gershgorin discs
 and against its exact numerical range.
 
+The loss chain's populations at every depth are checked against full counting
+statistics: one m^2-sized exponential of the sector generator with its jump
+weighted by e^{i theta} per counting phase, and a discrete Fourier transform
+over the phases.
+
 The linear cavity's photon statistics are checked against a truncated
 Poisson table, and its scattering matrix against the exponential of its
 generator on the whole joint space, built from Kronecker products.
@@ -32,13 +37,36 @@ from collections import namedtuple
 
 import numpy as np
 
-from epolsim import DensityMatrix, Distribution, SystemConfig, TensorSpace, build_ladder
+from epolsim import DensityMatrix, Distribution, SystemConfig, TensorSpace
+
+
+def lowering(rungs: int) -> np.ndarray:
+    """Cyclic electron lowering operator b, b|l> = |l-1 mod D>; exactly unitary."""
+    b = np.zeros((rungs, rungs), dtype=complex)
+    cols = np.arange(rungs)
+    b[(cols - 1) % rungs, cols] = 1.0
+    return b
+
+
+def probability(dist: Distribution, label: str) -> float:
+    """The probability `dist` gives the outcome `label`."""
+    return float(dist.probabilities[dist.labels.index(label)])
+
+
+def density(psi) -> DensityMatrix:
+    """The pure state `psi` as a density matrix."""
+    return DensityMatrix(psi.space, np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    """Largest entry of |u u^dag - I|."""
+    return float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
 
 
 def reference_lindblad(cfg: SystemConfig, rho0: np.ndarray, steps: int) -> np.ndarray:
     dim = cfg.space.dim
     d = cfg.ladder.rungs
-    b = build_ladder(cfg.ladder).matrix
+    b = lowering(d)
     a = np.kron(np.eye(d), cfg.model.a)
     a_dag = a.conj().T
     n_op = a_dag @ a
@@ -163,8 +191,53 @@ def reference_scattering_linear(g_q: complex, model, ladder) -> np.ndarray:
     """exp(g_q bdag x a - g_q* b x adag) on the whole (rungs m)-sized joint space."""
     from scipy.linalg import expm
 
-    b = build_ladder(ladder).matrix
+    b = lowering(ladder.rungs)
     return expm(g_q * np.kron(b.conj().T, model.a) - np.conj(g_q) * np.kron(b, model.a_dag))
+
+
+Populations = namedtuple("Populations", "electron level photon")
+
+
+def reference_counting_field(cfg: SystemConfig, level: str) -> Populations:
+    """Electron, level and photon populations after the window, for the electron at the centre
+    rung and the cavity in eigenlevel `level`, by full counting statistics (Bagrets & Nazarov,
+    Phys. Rev. B 67, 085316 (2003)).
+
+    Sector k holds |(k - nu(c)) mod D, c>, and every sector carries the m x m Hamiltonian
+    h = H_nl + i g a - i g* adag - delta nu; the seed sits on k0 = centre + nu(level).  A
+    block X evolves by L0 X = -i (H_eff X - X H_eff^dag), H_eff = h - (i gamma / 2) n, and
+    each photon loss J X = gamma a X adag moves it one sector down.  With the jump counted by
+    e^{i theta}, Z(theta) = exp(T (L0 + e^{i theta} J)) X0, and at theta_l = 2 pi l / D the
+    transform X_j = (1/D) sum_l e^{-i j theta_l} Z(theta_l) is the block that lost j photons
+    (mod D), on sector (k0 - j) mod D: every population exactly, depths j and j + D landing on
+    the same sector anyway.  Built from h, n and a alone, in row-major vec,
+    vec(A X B) = (A x B^T) vec(X).
+    """
+    from scipy.linalg import expm
+
+    model, d, m = cfg.model, cfg.ladder.rungs, cfg.model.dim
+    nu = model.excitations
+    n = np.real(np.diag(model.a_dag @ model.a))
+    g = cfg.coupling_rate
+    h = model.h_nl + 1j * g * model.a - 1j * np.conj(g) * model.a_dag - cfg.delta * np.diag(nu.astype(float))
+    h_eff = h - 0.5j * cfg.gamma * np.diag(n)
+    eye = np.eye(m)
+    l0 = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
+    jump = cfg.gamma * np.kron(model.a, model.a.conj())
+    psi = model.basis.state(level)
+    k0 = (cfg.ladder.center + int(nu[np.argmax(np.abs(psi))])) % d
+    x0 = np.outer(psi, psi.conj()).ravel()
+    thetas = 2 * math.pi * np.arange(d) / d
+    z = np.array([expm(cfg.interaction_time * (l0 + np.exp(1j * theta) * jump)) @ x0 for theta in thetas])
+    depths = np.fft.fft(z, axis=0).reshape(d, m, m) / d  # row j: X_j
+    electron, photon = np.zeros(d), np.zeros(model.n_cut + 1)
+    for j, x in enumerate(depths):
+        p = np.real(np.diag(x))
+        np.add.at(electron, (k0 - j - nu) % d, p)
+        np.add.at(photon, np.rint(n).astype(int), p)
+    cav = depths.sum(axis=0)
+    u = model.basis.u
+    return Populations(electron, np.real(np.diag(u.conj().T @ cav @ u)), photon)
 
 
 def poisson_reference(mean: float, n_max: int) -> Distribution:
@@ -195,9 +268,7 @@ def reference_scattering_blockade(omega: complex, lower: np.ndarray, upper: np.n
     m = lower.size
     mag = abs(omega)
     arg = cmath.phase(omega) if mag > 0 else 0.0
-    b = np.zeros((rungs, rungs), dtype=complex)
-    cols = np.arange(rungs)
-    b[(cols - 1) % rungs, cols] = 1.0
+    b = lowering(rungs)
     proj = np.outer(lower, lower.conj()) + np.outer(upper, upper.conj())
     raise_pair = np.outer(upper, lower.conj())
     mat = np.eye(rungs * m, dtype=complex)

@@ -39,7 +39,7 @@ from epolsim import (
     two_polariton_cz,
 )
 from epolsim.cli import build_presets, normalize_config, run_config
-from oracles import poisson_reference
+from oracles import poisson_reference, probability
 
 Q0_L = 472.43
 
@@ -106,7 +106,7 @@ def test_criterion_02_kerr_blockade_inversion():
     )
     result = run_point(cfg, tag="kerr endpoint")
     stats = polariton_statistics(result.state, polariton_eigenbasis(cfg.model))
-    p1 = stats.probability("1")
+    p1 = probability(stats, "1")
     p_multi = float(sum(stats.probabilities[2:]))
     ok = p1 >= 0.97 and p_multi <= 0.02
     announce("2 Kerr blockade inversion", ok, f"P(1) = {p1:.4f} >= 0.97, P(n>=2) = {p_multi:.4f} <= 0.02")
@@ -137,23 +137,23 @@ def test_criterion_03_jc_velocity_selectivity():
     centre = jc_velocity_point(1.00, 22, 65)
     modal_fast = fast.labels[int(np.argmax(fast.probabilities))]
     modal_slow = slow.labels[int(np.argmax(slow.probabilities))]
-    p0_centre = centre.probability("0*")
+    p0_centre = probability(centre, "0*")
     ok = (
         modal_fast == "1+"
-        and fast.probability("1-") <= 0.05
+        and probability(fast, "1-") <= 0.05
         and modal_slow == "1-"
-        and slow.probability("1+") <= 0.05
+        and probability(slow, "1+") <= 0.05
         and p0_centre >= 0.5
     )
     announce(
         "3 JC velocity selectivity",
         ok,
-        f"v+ modal {modal_fast} with P(1-) = {fast.probability('1-'):.4f}; "
-        f"v- modal {modal_slow} with P(1+) = {slow.probability('1+'):.4f}; "
+        f"v+ modal {modal_fast} with P(1-) = {probability(fast, '1-'):.4f}; "
+        f"v- modal {modal_slow} with P(1+) = {probability(slow, '1+'):.4f}; "
         f"P(0*) at v0 = {p0_centre:.4f} >= 0.5",
     )
-    assert modal_fast == "1+" and fast.probability("1-") <= 0.05
-    assert modal_slow == "1-" and slow.probability("1+") <= 0.05
+    assert modal_fast == "1+" and probability(fast, "1-") <= 0.05
+    assert modal_slow == "1-" and probability(slow, "1+") <= 0.05
     assert p0_centre >= 0.5
 
 
@@ -341,7 +341,7 @@ def test_jc_peak_recovers_at_longer_interaction():
         )
         result = run_point(cfg, initial_level="0*", tag=f"jc long peak g={g_q:.3f}")
         stats = polariton_statistics(result.state, polariton_eigenbasis(model))
-        populations.append(stats.probability("1-"))
+        populations.append(probability(stats, "1-"))
     peak = float(grid[int(np.argmax(populations))])
     rel = abs(peak - target) / target
     announce("4s JC peak at kappa*T = 50", rel <= 0.05, f"peak at g_q = {peak:.4f}, {rel:+.2%} from pi/sqrt 2")

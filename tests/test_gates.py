@@ -14,7 +14,6 @@ from epolsim import (
     TensorSpace,
     blockade_fidelity,
     build_kerr,
-    build_ladder,
     cep_rz,
     cpe_path,
     electron_hadamard,
@@ -35,6 +34,7 @@ from epolsim.gates import CZ_TARGET, HADAMARD, PAULI_X, PAULI_Z, _ancilla_tail
 from oracles import (
     cep_rz_target,
     cz_scores,
+    lowering,
     reference_cep_rz,
     reference_cpe_path,
     reference_cz,
@@ -42,6 +42,7 @@ from oracles import (
     reference_embed_group,
     reference_pass,
     reference_scattering_blockade,
+    unitarity_defect,
 )
 
 RUNGS = 7
@@ -69,7 +70,7 @@ def test_conditioned_pass_leaves_far_path_untouched():
 def test_conditioned_pass_unitary():
     space = gate_space(rungs=RUNGS)
     op = gate_pass(0.5 * math.pi * cmath.exp(0.7j), space, "pol", conditioned_on_path=True)
-    assert op.unitarity_defect() <= 1e-12
+    assert unitarity_defect(op.matrix) <= 1e-12
 
 
 def test_cep_rz_branch_action():
@@ -149,7 +150,7 @@ def test_transverse_rotation_antipodal_inverse():
 def test_spectrometer_routes_loss_sector():
     space = gate_space(rungs=RUNGS)
     router = spectrometer(space, CENTER, loss_to_path=0)
-    assert router.unitarity_defect() <= 1e-14
+    assert unitarity_defect(router.matrix) <= 1e-14
     loss = np.zeros(RUNGS, dtype=complex)
     loss[CENTER - 1] = 1.0
     path1 = np.array([0, 1], dtype=complex)
@@ -187,8 +188,8 @@ def test_cpe_path_correlates_path_with_polariton():
 def test_electron_hadamard_basics():
     space = gate_space(rungs=RUNGS)
     h = electron_hadamard(space)
-    assert h.unitarity_defect() <= 1e-14
-    assert np.max(np.abs((h @ h).matrix - np.eye(space.dim))) < 1e-14
+    assert unitarity_defect(h.matrix) <= 1e-14
+    assert np.max(np.abs(h.matrix @ h.matrix - np.eye(space.dim))) < 1e-14
     anc0 = _ancilla_tail(space, CENTER, 0)
     anc1 = _ancilla_tail(space, CENTER, 1)
     chi = np.array([1, 0], dtype=complex)
@@ -342,21 +343,23 @@ def test_cep_rz_and_cpe_path_match_dense_composition(rungs):
 @pytest.mark.parametrize("rungs", [2, 3, 6, 7, 29])
 @pytest.mark.parametrize("conditioned", [True, False])
 def test_z_rotation_family_matches_dense_reference(rungs, conditioned):
-    # one family, on the pass's own factors and lifted to the two-qubit space: 20 random
-    # phases, the three phases the family samples its passes at and their midpoints, pi
-    # among them.  At 2 rungs a pass's rung-down and rung-up blocks add on the same rung
-    # blocks, and at 3 they fill every off-diagonal rung block, so only their phases tell
-    # the two apart.
-    from epolsim.gates import _z_rotations
+    # one family on (electron, qubit), put on the near path when conditioned, on the pass's own
+    # factors and lifted to the two-qubit space: 20 random phases, the three phases the family
+    # samples its passes at and their midpoints, pi among them.  At 2 rungs a pass's rung-down
+    # and rung-up blocks add on the same rung blocks, and at 3 they fill every off-diagonal rung
+    # block, so only their phases tell the two apart.
+    from epolsim.gates import _near_path, _z_rotations
 
     sampled = 2 * math.pi * np.arange(3) / 3
     phases = [*np.random.default_rng(rungs).uniform(0, 2 * math.pi, size=20), *sampled, *(sampled + math.pi / 3)]
     assert math.pi in phases
+    rz = _z_rotations(rungs)
     for space, qubit in ((gate_space(rungs, 1, with_path=conditioned), "pol"), (gate_space(rungs, 2), "pol2")):
-        rz = _z_rotations(space, qubit, conditioned)
+        labels = ["electron", "path", qubit] if conditioned else ["electron", qubit]
         for phi in phases:
+            rotation = _near_path(rz(phi)) if conditioned else rz(phi)
             ref = reference_cep_rz(phi, space, qubit, conditioned)
-            assert np.max(np.abs(rz(phi).matrix - ref)) <= 1e-12
+            assert np.max(np.abs(embed_group(rotation, labels, space).matrix - ref)) <= 1e-12
 
 
 @pytest.mark.parametrize("rungs", [6, 7, 29])
@@ -402,22 +405,24 @@ def test_identity_suite_makes_three_pass_products_per_z_rotation_family(monkeypa
     # two families (its own and the controlled-Z's), its group-law and quarter-phase
     # checks multiply 21 rotation pairs, and the Z line multiplies its two passes; a second
     # pass multiplied into the first for each rotation made 91 products.  Matrices built
-    # from a pass stay recorded through every ufunc, and Operator products on the
-    # (electron, qubit) space are counted apart, since an Operator holds a plain array.
+    # from a pass stay recorded through every ufunc, and the rotations a family returns are
+    # marked, so that their products are counted apart.
     import epolsim.gates as gates
 
     rungs = 8
     square = (2 * rungs, 2 * rungs)
     products = []
-    matmul = Operator.__matmul__
 
     class Recorded(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             plain = [np.asarray(x) for x in inputs]
             if ufunc is np.matmul and all(x.shape == square for x in plain):
-                products.append("pass-derived")
+                products.append("rotation" if all(isinstance(x, Rotation) for x in inputs) else "pass-derived")
             out = getattr(ufunc, method)(*plain, **kwargs)
             return out.view(Recorded) if isinstance(out, np.ndarray) else out
+
+    class Rotation(Recorded):
+        pass
 
     def recorded(build):
         def wrapper(*args, **kwargs):
@@ -426,16 +431,18 @@ def test_identity_suite_makes_three_pass_products_per_z_rotation_family(monkeypa
 
         return wrapper
 
-    def counting(self, other):
-        if isinstance(other, Operator) and self.matrix.shape == square:
-            products.append("operator")
-        return matmul(self, other)
+    def marked(build):
+        def family(*args, **kwargs):
+            rotation = build(*args, **kwargs)
+            return lambda phi: np.asarray(rotation(phi)).view(Rotation)
+
+        return family
 
     monkeypatch.setattr(gates, "scattering_blockade", recorded(gates.scattering_blockade))
-    monkeypatch.setattr(Operator, "__matmul__", counting)
+    monkeypatch.setattr(gates, "_z_rotations", marked(gates._z_rotations))
     checks, report = gate_identity_suite(rungs=rungs)
     assert all(c.passed for c in checks) and report.passed
-    assert products.count("operator") == 21, f"{products.count('operator')} rotation products"
+    assert products.count("rotation") == 21, f"{products.count('rotation')} rotation products"
     assert len(products) <= 3 * 2 + 21 + 1, f"{len(products)} (2 rungs)-sized products"
 
 
@@ -445,12 +452,10 @@ def test_cpe_path_makes_no_product_beyond_two_rungs(monkeypatch, rungs, loss_to)
     # composed per path on (electron, qubit): the far path's blocks are gathers of the second
     # pass, and the near path's two blocks split one (2 rungs)-sized product between them, where
     # the two (4 rungs)-sized products of the lifted gates took 16 times the work.  Products of
-    # the passes' matrices are recorded through every ufunc, and Operator products apart, since
-    # an Operator holds a plain array.
+    # the passes' matrices are recorded through every ufunc.
     import epolsim.gates as gates
 
     products = []
-    matmul = Operator.__matmul__
 
     class Recorded(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -467,13 +472,7 @@ def test_cpe_path_makes_no_product_beyond_two_rungs(monkeypatch, rungs, loss_to)
 
         return wrapper
 
-    def counting(self, other):
-        if isinstance(other, Operator):
-            products.append((self.matrix.shape, other.matrix.shape))
-        return matmul(self, other)
-
     monkeypatch.setattr(gates, "scattering_blockade", recorded(gates.scattering_blockade))
-    monkeypatch.setattr(Operator, "__matmul__", counting)
     center = rungs // 2
     space = gate_space(rungs, 1, True)
     op = cpe_path(space, center, "pol", phase_first=0.6, loss_to_path=loss_to)
@@ -502,28 +501,22 @@ def test_two_polariton_cz_matches_dense_circuit(rungs, calibration):
 
 def test_two_polariton_cz_makes_no_full_space_operator_product(monkeypatch):
     # at 41 rungs the joint space has 41 * 8 = 328 dimensions; gates compose on the
-    # factors they touch and the circuit acts on four input columns.  Both Operator
-    # products and raw-matrix products of the circuit's gates are counted, and so are
-    # the lifts of any operator onto the full space.
+    # factors they touch and the circuit acts on four input columns.  The products of
+    # every matrix built from a pass or the electron Hadamard are recorded through every
+    # ufunc, and so are the lifts of any operator onto the full space.
     import epolsim.gates as gates
     import epolsim.tensor as tensor
 
     full = (328, 328)
-    operator_products = []
     matrix_products = []
-    matmul = Operator.__matmul__
-
-    def counting(self, other):
-        if isinstance(other, Operator):
-            operator_products.append(self.space.dim)
-        return matmul(self, other)
 
     class Recorded(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
             plain = [np.asarray(x) for x in inputs]
             if ufunc is np.matmul:
                 matrix_products.append(tuple(x.shape for x in plain))
-            return getattr(ufunc, method)(*plain, **kwargs)
+            out = getattr(ufunc, method)(*plain, **kwargs)
+            return out.view(Recorded) if isinstance(out, np.ndarray) else out
 
     def recorded(build):
         def wrapper(*args, **kwargs):
@@ -541,17 +534,17 @@ def test_two_polariton_cz_makes_no_full_space_operator_product(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(Operator, "__matmul__", counting)
-    for name in ("electron_hadamard", "cep_rz", "cpe_path"):
+    for name in ("electron_hadamard", "scattering_blockade"):
         monkeypatch.setattr(gates, name, recorded(getattr(gates, name)))
     # gates lifts with its own embed_group, the electron Hadamard included; tensor's is
-    # wrapped too, so that a lift through tensor.embed would be counted
+    # wrapped too, so that a lift through any other tensor path would be counted
     for module in (gates, tensor):
         monkeypatch.setattr(module, "embed_group", lifted(module.embed_group))
     assert two_polariton_cz(rungs=41).passed
-    assert matrix_products, "the circuit's gate matrices were not seen"
+    two = 2 * 41  # (electron, qubit)
+    assert ((two, two), (two, two)) in matrix_products, "the z-rotation family's products were not seen"
+    assert ((two, two - 2), (two - 2, two)) in matrix_products, "the controlled-path gate's product was not seen"
     assert lifts, "the stages' lifts were not seen"
-    assert operator_products.count(328) == 0, f"{operator_products.count(328)} operator products on the full space"
     assert lifts.count(328) == 0, f"{lifts.count(328)} lifts onto the full space"
     square = [shapes for shapes in matrix_products if shapes == (full, full)]
     assert not square, f"{len(square)} matrix-matrix products on the full space"
@@ -642,7 +635,7 @@ def _pass_transfer(scale):
 
 def _linear_without_conjugate(build):
     def perturbed(g_q, model, ladder):
-        b = build_ladder(ladder).matrix
+        b = lowering(ladder.rungs)
         gen = g_q * np.kron(b.conj().T, model.a) - g_q * np.kron(b, model.a_dag)
         return Operator(ladder.space.tensor(model.space), expm(gen))
 

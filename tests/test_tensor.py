@@ -6,11 +6,9 @@ from epolsim import (
     Operator,
     StateVector,
     TensorSpace,
-    embed,
     embed_group,
-    partial_trace,
 )
-from oracles import reference_embed_group
+from oracles import reference_embed_group, unitarity_defect
 
 
 def random_matrix(rng, n):
@@ -28,23 +26,27 @@ def random_density(rng, n):
     return m / np.trace(m)
 
 
+def on_factor(matrix, label, space):
+    """`matrix` on the one factor `label`, lifted onto `space`."""
+    return embed_group(matrix, [label], space).matrix
+
+
 def test_kron_mixed_product():
     # embedded factors compose as Kronecker products: (A x B)(C x D) = (AC) x (BD)
     rng = np.random.default_rng(2)
     a, c = random_matrix(rng, 2), random_matrix(rng, 2)
     b, d = random_matrix(rng, 3), random_matrix(rng, 3)
     space = TensorSpace((("x", 2), ("y", 3)))
-    lhs = embed(a, "x", space) @ embed(b, "y", space) @ embed(c, "x", space) @ embed(d, "y", space)
-    assert np.max(np.abs(lhs.matrix - np.kron(a @ c, b @ d))) < 1e-12
+    lhs = on_factor(a, "x", space) @ on_factor(b, "y", space) @ on_factor(c, "x", space) @ on_factor(d, "y", space)
+    assert np.max(np.abs(lhs - np.kron(a @ c, b @ d))) < 1e-12
 
 
 def test_embed_sigma_x_action():
     space = TensorSpace((("atom", 2), ("photon", 3)))
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    lifted = embed(sx, "atom", space)
     ground = np.zeros(6)
     ground[0] = 1.0  # |g, 0>
-    excited = lifted.matrix @ ground
+    excited = on_factor(sx, "atom", space) @ ground
     expected = np.zeros(6)
     expected[3] = 1.0  # |e, 0>
     assert np.array_equal(excited, expected)
@@ -52,15 +54,15 @@ def test_embed_sigma_x_action():
 
 def test_embed_identity():
     space = TensorSpace((("a", 2), ("b", 4)))
-    assert np.array_equal(embed(np.eye(4), "b", space).matrix, np.eye(8))
+    assert np.array_equal(on_factor(np.eye(4), "b", space), np.eye(8))
 
 
 def test_embedded_disjoint_factors_commute():
     rng = np.random.default_rng(4)
     space = TensorSpace((("cav", 4), ("el", 3)))
-    a = embed(random_matrix(rng, 4), "cav", space)
-    b = embed(random_matrix(rng, 3), "el", space)
-    comm = (a @ b).matrix - (b @ a).matrix
+    a = on_factor(random_matrix(rng, 4), "cav", space)
+    b = on_factor(random_matrix(rng, 3), "el", space)
+    comm = a @ b - b @ a
     assert np.max(np.abs(comm)) < 1e-12
 
 
@@ -69,9 +71,9 @@ def test_embed_preserves_hermiticity_and_unitarity():
     space = TensorSpace((("a", 3), ("b", 2), ("c", 2)))
     h = random_matrix(rng, 2)
     h = h + h.conj().T
-    lifted = embed(h, "b", space).matrix
-    assert np.max(np.abs(lifted - lifted.conj().T)) <= 1e-12
-    assert embed(random_unitary(rng, 2), "b", space).unitarity_defect() <= 1e-12
+    hermitian = on_factor(h, "b", space)
+    assert np.max(np.abs(hermitian - hermitian.conj().T)) <= 1e-12
+    assert unitarity_defect(on_factor(random_unitary(rng, 2), "b", space)) <= 1e-12
 
 
 def test_embed_group_non_contiguous():
@@ -137,48 +139,6 @@ def test_embed_group_matches_kron_reference(rungs):
         m = random_matrix(rng, sub)
         lifted = embed_group(m, labels, space).matrix
         assert np.max(np.abs(lifted - reference_embed_group(m, labels, space))) <= 1e-12
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(8)
-    psi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    psi /= np.linalg.norm(psi)
-    phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    phi /= np.linalg.norm(phi)
-    space = TensorSpace((("one", 2), ("two", 3)))
-    rho = DensityMatrix(space, np.outer(np.kron(psi, phi), np.kron(psi, phi).conj()))
-    reduced = partial_trace(rho, ["one"])
-    assert np.max(np.abs(reduced.matrix - np.outer(psi, psi.conj()))) < 1e-12
-
-
-def test_partial_trace_bell_state():
-    space = TensorSpace((("q1", 2), ("q2", 2)))
-    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    rho = DensityMatrix(space, np.outer(bell, bell.conj()))
-    for keep in ("q1", "q2"):
-        reduced = partial_trace(rho, [keep])
-        assert np.max(np.abs(reduced.matrix - 0.5 * np.eye(2))) < 1e-12
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(9)
-    space = TensorSpace((("a", 2), ("b", 3)))
-    rho = DensityMatrix(space, random_density(rng, 6))
-    assert abs(np.trace(partial_trace(rho, ["b"]).matrix) - np.trace(rho.matrix)) < 1e-12
-
-
-def test_partial_trace_composition_order():
-    rng = np.random.default_rng(10)
-    space = TensorSpace((("a", 2), ("b", 2), ("c", 3)))
-    rho = DensityMatrix(space, random_density(rng, 12))
-    one_shot = partial_trace(rho, ["c"]).matrix
-    via_b_first = partial_trace(partial_trace(rho, ["b", "c"]), ["c"]).matrix
-    direct_c = partial_trace(rho, ["c"]).matrix
-    assert np.max(np.abs(one_shot - direct_c)) < 1e-12
-    # reduce to a single factor along both orders
-    r1 = partial_trace(partial_trace(rho, ["a", "b"]), ["a"]).matrix
-    r2 = partial_trace(partial_trace(rho, ["a", "c"]), ["a"]).matrix
-    assert np.max(np.abs(r1 - r2)) < 1e-12
 
 
 def test_unitary_conjugation_preserves_trace():
