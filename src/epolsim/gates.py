@@ -124,6 +124,13 @@ def _lift(s: np.ndarray, labels: tuple[str, ...], space: TensorSpace) -> Operato
     return Operator(space, s) if space.labels == labels else embed_group(s, labels, space)
 
 
+def _lift_on_qubit(s: np.ndarray, qubit_label: str, conditioned: bool, space: TensorSpace) -> Operator:
+    """`s`, on (electron, qubit), on `space`; with `conditioned`, on the near path only."""
+    if conditioned:
+        return _lift(_near_path(s), (ELECTRON_LABEL, PATH_LABEL, qubit_label), space)
+    return _lift(s, (ELECTRON_LABEL, qubit_label), space)
+
+
 def gate_pass(
     omega: complex,
     space: TensorSpace,
@@ -135,10 +142,7 @@ def gate_pass(
     With `conditioned_on_path`, the far path (|0> of the path register) is
     untouched and only the near-cavity path interacts.
     """
-    s = _blockade(omega, space.dim_of(ELECTRON_LABEL))
-    if conditioned_on_path:
-        return _lift(_near_path(s), (ELECTRON_LABEL, PATH_LABEL, qubit_label), space)
-    return _lift(s, (ELECTRON_LABEL, qubit_label), space)
+    return _lift_on_qubit(_blockade(omega, space.dim_of(ELECTRON_LABEL)), qubit_label, conditioned_on_path, space)
 
 
 def _z_rotations(rungs: int):
@@ -173,10 +177,7 @@ def cep_rz(phi: float, space: TensorSpace, qubit_label: str = "pol", conditioned
     restored exactly (the two one-rung shifts cancel).  With `conditioned`
     the space must carry a path register and the far path is left untouched.
     """
-    s = _z_rotations(space.dim_of(ELECTRON_LABEL))(phi)
-    if conditioned:
-        return _lift(_near_path(s), (ELECTRON_LABEL, PATH_LABEL, qubit_label), space)
-    return _lift(s, (ELECTRON_LABEL, qubit_label), space)
+    return _lift_on_qubit(_z_rotations(space.dim_of(ELECTRON_LABEL))(phi), qubit_label, conditioned, space)
 
 
 def _schmidt_entropy(sv: np.ndarray) -> float:

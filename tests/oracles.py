@@ -58,11 +58,6 @@ def density(psi) -> DensityMatrix:
     return DensityMatrix(psi.space, np.outer(psi.amplitudes, psi.amplitudes.conj()))
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Largest entry of |u u^dag - I|."""
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
-
-
 def reference_lindblad(cfg: SystemConfig, rho0: np.ndarray, steps: int) -> np.ndarray:
     dim = cfg.space.dim
     d = cfg.ladder.rungs

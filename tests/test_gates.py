@@ -30,7 +30,7 @@ from epolsim import (
     two_polariton_cz,
 )
 from epolsim.cli import normalize_config, run_config
-from epolsim.gates import CZ_TARGET, HADAMARD, PAULI_X, PAULI_Z, _ancilla_tail
+from epolsim.gates import CZ_TARGET, HADAMARD, PAULI_X, PAULI_Z, _ancilla_tail, _unitarity_defect
 from oracles import (
     cep_rz_target,
     cz_scores,
@@ -42,7 +42,6 @@ from oracles import (
     reference_embed_group,
     reference_pass,
     reference_scattering_blockade,
-    unitarity_defect,
 )
 
 RUNGS = 7
@@ -70,7 +69,7 @@ def test_conditioned_pass_leaves_far_path_untouched():
 def test_conditioned_pass_unitary():
     space = gate_space(rungs=RUNGS)
     op = gate_pass(0.5 * math.pi * cmath.exp(0.7j), space, "pol", conditioned_on_path=True)
-    assert unitarity_defect(op.matrix) <= 1e-12
+    assert _unitarity_defect(op.matrix) <= 1e-12
 
 
 def test_cep_rz_branch_action():
@@ -150,7 +149,7 @@ def test_transverse_rotation_antipodal_inverse():
 def test_spectrometer_routes_loss_sector():
     space = gate_space(rungs=RUNGS)
     router = spectrometer(space, CENTER, loss_to_path=0)
-    assert unitarity_defect(router.matrix) <= 1e-14
+    assert _unitarity_defect(router.matrix) <= 1e-14
     loss = np.zeros(RUNGS, dtype=complex)
     loss[CENTER - 1] = 1.0
     path1 = np.array([0, 1], dtype=complex)
@@ -188,7 +187,7 @@ def test_cpe_path_correlates_path_with_polariton():
 def test_electron_hadamard_basics():
     space = gate_space(rungs=RUNGS)
     h = electron_hadamard(space)
-    assert unitarity_defect(h.matrix) <= 1e-14
+    assert _unitarity_defect(h.matrix) <= 1e-14
     assert np.max(np.abs(h.matrix @ h.matrix - np.eye(space.dim))) < 1e-14
     anc0 = _ancilla_tail(space, CENTER, 0)
     anc1 = _ancilla_tail(space, CENTER, 1)
