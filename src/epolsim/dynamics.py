@@ -217,6 +217,7 @@ class EvolveResult:
     holds |(k - nu(c)) mod D, c> for each bare cavity basis state c.  `state`
     scatters the blocks into the dense joint-space density matrix on every read,
     and keeps no copy: for JC at n_cut 22 and 65 rungs it takes about 140 MB.
+    `pure_state` is the final state vector when gamma = 0, and None otherwise.
     """
 
     blocks: dict[tuple[int, int], np.ndarray]
@@ -316,7 +317,7 @@ def _pure_populations(sec: _Sectors, psi: np.ndarray) -> _Populations:
     return sec.populations(np.abs(psi) ** 2, psi.T @ psi.conj())
 
 
-def _evolve_pure(sec: _Sectors, amplitudes: np.ndarray):
+def _evolve_pure(sec: _Sectors, psi0: np.ndarray):
     t = sec.cfg.interaction_time
     # the phases of exp(-i T h) spread over at most T times the numerical range's half-height: a
     # point whose series the loss chain would refuse is refused here too, before expm can overflow
@@ -324,7 +325,6 @@ def _evolve_pure(sec: _Sectors, amplitudes: np.ndarray):
     if not spread <= SERIES_WORK_LIMIT:
         raise NumericsError(f"the lossless route's phases spread over up to {spread:.3g} rad > "
                             f"{SERIES_WORK_LIMIT}; lower g_q or the window")
-    psi0 = amplitudes[sec.joint_of]  # row k: sector k
     psi = psi0 @ (sec.phase[:, None] * _unitary_expm(sec.h, t)).T
     pops = _pure_populations(sec, psi)
     check = psi0 @ (sec.phase[:, None] * _unitary_eigh(sec.h, t)).T
@@ -347,7 +347,7 @@ def _chain_blocks(sec: _Sectors) -> int:
     """
     lam = sec.cfg.gamma * sec.cfg.interaction_time
     depth = 0
-    while lam > 0 and depth + 1 < sec.d:
+    while lam > 0 and depth + 1 < sec.d:  # gamma T can round to 0.0 with gamma > 0
         ratio = lam / (depth + 2)
         if ratio < 1:
             next_term = math.exp(-lam + (depth + 1) * math.log(lam) - math.lgamma(depth + 2))
@@ -725,25 +725,13 @@ def _chebyshev_action(plan: _Plan, rows: np.ndarray) -> tuple[np.ndarray, float]
     return rows, tail
 
 
-def _seed_blocks(sec: _Sectors, state: DensityMatrix | StateVector) -> tuple[list, np.ndarray]:
-    """The (k, k') blocks of the initial state with k <= k' between occupied
-    sectors; the blocks below the diagonal are their adjoints.  A sector with
-    no population has no coherence with any other in a positive state."""
-    if isinstance(state, StateVector):
-        psi = state.amplitudes[sec.joint_of]  # row k: sector k
-        occupied = np.any(psi != 0, axis=1)
-
-        def block(k, q):
-            return np.outer(psi[k], psi[q].conj())
-    else:
-        rho = state.matrix
-        occupied = np.any(np.diag(rho)[sec.joint_of] != 0, axis=1)
-
-        def block(k, q):
-            return rho[np.ix_(sec.joint_of[k], sec.joint_of[q])]
-    ks = np.nonzero(occupied)[0]
+def _seed_blocks(psi0: np.ndarray) -> tuple[list, np.ndarray]:
+    """The (k, k') blocks psi0_k psi0_k'^dag of the initial state, from its (D, m)
+    sector rows, with k <= k' between occupied sectors; the blocks below the
+    diagonal are their adjoints."""
+    ks = np.nonzero(np.any(psi0 != 0, axis=1))[0]
     pairs = [(k, q) for i, k in enumerate(ks) for q in ks[i:]]
-    return pairs, np.array([block(k, q) for k, q in pairs])
+    return pairs, np.array([np.outer(psi0[k], psi0[q].conj()) for k, q in pairs])
 
 
 def _fold(sec: _Sectors, pairs: list, depths: np.ndarray) -> dict:
@@ -796,9 +784,9 @@ def _chain_check(sec: _Sectors, pairs: list, seeds: np.ndarray, first: np.ndarra
                                        pops.level, pops.photon))
 
 
-def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector):
+def _evolve_chain(sec: _Sectors, psi0: np.ndarray):
     t, m, mm = sec.cfg.interaction_time, sec.m, sec.m * sec.m
-    pairs, seeds = _seed_blocks(sec, state)
+    pairs, seeds = _seed_blocks(psi0)
     diagonal = [i for i, (k, q) in enumerate(pairs) if k == q]  # their sinks add up to the population lost
     between = [i for i, (k, q) in enumerate(pairs) if k != q]  # seeds with an anti-Hermitian part
     depth, jump = (_hermitian_coordinates(x, m) for x in _depth_blocks(sec))
@@ -835,18 +823,18 @@ def _evolve_chain(sec: _Sectors, state: DensityMatrix | StateVector):
 
 
 def evolve_lindblad(
-    state: DensityMatrix | StateVector,
+    state: StateVector,
     cfg: SystemConfig,
     icfg: IntegratorConfig = IntegratorConfig(),
 ) -> EvolveResult:
-    """Propagate the joint state over the interaction window [0, T].
+    """Propagate a joint state vector over the interaction window [0, T].
 
     Returns the final state in the plain interaction picture (static nonlinear
     Hamiltonian explicit) in the bare cavity basis, as excitation-sector
-    blocks, together with numerical diagnostics computed from them.  A pure
-    state without loss takes the lossless route and is also returned as
-    `pure_state`; everything else takes the loss chain.  Either route runs
-    the accuracy gate, an independent check of every reported probability.
+    blocks, with numerical diagnostics computed from them.  Without loss it
+    takes the lossless route and is also returned as `pure_state`; with loss,
+    the loss chain.  The map is linear: a mixture's result is the weighted sum
+    of its pure components'.  Either route runs the accuracy gate.
     Raises a NumericsError subclass when trace drift, ladder-cutoff
     population, wrap-around population, positivity, the hermiticity of the
     diagonal blocks, the agreement of the final state with its check, or the
@@ -856,19 +844,21 @@ def evolve_lindblad(
     T times the numerical range's half-height, which bounds the spread of
     their phases, exceeds that limit.
     """
-    if state.space != cfg.space:
-        raise ValueError(f"state space {state.space.labels} does not match config {cfg.space.labels}")
+    if not isinstance(state, StateVector):
+        raise TypeError(f"the seed must be a StateVector, got {type(state).__name__}; evolve a mixture's components")
+    _require_space(state.space, cfg)
     sec = _Sectors(cfg)
-    pure = isinstance(state, StateVector) and cfg.gamma == 0.0
+    psi0 = state.amplitudes[sec.joint_of]  # row k: sector k
+    pure = cfg.gamma == 0.0
     if pure:
-        psi, blocks, pops, work, delta = _evolve_pure(sec, state.amplitudes)
+        psi, blocks, pops, work, delta = _evolve_pure(sec, psi0)
         amp = np.empty(sec.d * sec.m, dtype=complex)
         amp[sec.joint_of] = psi
         nrm = float(np.linalg.norm(amp))
         trace_error = abs(nrm**2 - 1.0)
         min_eig, tail = 0.0, None
     else:
-        blocks, pops, work, delta, min_eig, tail = _evolve_chain(sec, state)
+        blocks, pops, work, delta, min_eig, tail = _evolve_chain(sec, psi0)
         trace_error = abs(float(pops.electron.sum()) - 1.0)
 
     diag = Diagnostics(
@@ -889,6 +879,11 @@ def evolve_lindblad(
         raise NumericsError(f"sector block hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL}")
     return EvolveResult(blocks=blocks, diagnostics=diag, system=cfg, trace_tol=max(10 * icfg.trace_bound, 1e-7),
                         pure_state=StateVector(cfg.space, amp / nrm) if pure else None)
+
+
+def _require_space(space: TensorSpace, cfg: SystemConfig) -> None:
+    if space != cfg.space:
+        raise ValueError(f"state space {space.factors} does not match config space {cfg.space.factors}")
 
 
 def _enforce_bounds(diag: Diagnostics, icfg: IntegratorConfig):
@@ -1001,11 +996,11 @@ def _frame_rotation(model: CavityModel, t: float) -> np.ndarray:
     return (basis.u * np.exp(1j * basis.nonlinear_shifts() * t)) @ basis.u.conj().T
 
 
-def frame_align(state: DensityMatrix, cfg: SystemConfig, time: float | None = None) -> DensityMatrix:
-    """Rotate a joint state by exp(+i H_nl t), aligning the propagation picture
-    with the frame in which the closed-form scattering matrices act."""
-    t = cfg.interaction_time if time is None else time
-    w = _frame_rotation(cfg.model, t)
+def frame_align(state: DensityMatrix, cfg: SystemConfig) -> DensityMatrix:
+    """Rotate a joint state on `cfg`'s space by exp(+i H_nl T), aligning the propagation
+    picture with the frame in which the closed-form scattering matrices act."""
+    _require_space(state.space, cfg)
+    w = _frame_rotation(cfg.model, cfg.interaction_time)
     d, m, n = cfg.ladder.rungs, cfg.model.dim, cfg.space.dim
     # w on the cavity index of every rung: rows first, then columns
     half = np.matmul(w, state.matrix.reshape(d, m, n))
@@ -1025,6 +1020,7 @@ def blockade_fidelity(result: EvolveResult, initial: StateVector, lower: str, up
     (w^dag s psi0_k)^dag X_kk' (w^dag s psi0_k').
     """
     cfg = result.system
+    _require_space(initial.space, cfg)
     lo, up, _ = pair_states(cfg.model, lower, upper)
     s = sum(_pair_rotation(blockade_angle(cfg.model, lower, upper, cfg.g_q), lo, up))
     w = _frame_rotation(cfg.model, cfg.interaction_time)

@@ -169,15 +169,15 @@ def _z_rotations(rungs: int):
     return rotation
 
 
-def cep_rz(phi: float, space: TensorSpace, qubit_label: str = "pol", conditioned: bool = True) -> Operator:
+def cep_rz(phi: float, space: TensorSpace, qubit_label: str = "pol") -> Operator:
     """Electron-controlled z-rotation: two passes at |omega| = pi/2 with relative phase phi.
 
     On the interacting branch the polariton factor receives
     -(e^{-i phi}|0><0| + e^{i phi}|1><1|) and the electron energy marginal is
-    restored exactly (the two one-rung shifts cancel).  With `conditioned`
-    the space must carry a path register and the far path is left untouched.
+    restored exactly (the two one-rung shifts cancel).  The space must carry a
+    path register: the rotation acts on the near path and leaves the far path.
     """
-    return _lift_on_qubit(_z_rotations(space.dim_of(ELECTRON_LABEL))(phi), qubit_label, conditioned, space)
+    return _lift_on_qubit(_z_rotations(space.dim_of(ELECTRON_LABEL))(phi), qubit_label, conditioned=True, space=space)
 
 
 def _schmidt_entropy(sv: np.ndarray) -> float:

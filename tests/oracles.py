@@ -91,6 +91,13 @@ def reference_lindblad(cfg: SystemConfig, rho0: np.ndarray, steps: int) -> np.nd
     return rho
 
 
+def reference_frame_rotation(cfg: SystemConfig) -> np.ndarray:
+    """exp(+i H_nl T) on the cavity index of every rung, from scipy's expm of the bare H_nl."""
+    from scipy.linalg import expm
+
+    return np.kron(np.eye(cfg.ladder.rungs), expm(1j * cfg.interaction_time * cfg.model.h_nl))
+
+
 def reference_expm_action(gen, cols: np.ndarray, t: float) -> np.ndarray:
     """exp(t gen) cols by a truncated Taylor series with scaling (Al-Mohy & Higham,
     SIAM J. Sci. Comput. 33, 2011), scipy's expm_multiply."""

@@ -52,6 +52,7 @@ from oracles import (
     reference_chain_generator,
     reference_counting_field,
     reference_expm_action,
+    reference_frame_rotation,
     reference_lindblad,
     reference_numerical_box,
     reference_numerical_range,
@@ -161,8 +162,10 @@ def test_sector_mixture_uses_block_path_and_matches_reference():
     rho0[l0 * m, l0 * m] = 0.5
     rho0[(l0 + 1) * m, (l0 + 1) * m] = 0.5
     rho_ref = reference_lindblad(cfg, rho0, reference_steps(cfg))
-    res = evolve_lindblad(DensityMatrix(cfg.space, rho0), cfg, LOOSE)
-    assert np.max(np.abs(res.state.matrix - rho_ref)) < 1e-8
+    # the map is linear: the mixture's result is the weighted sum of its pure components' results
+    mixed = sum(0.5 * evolve_lindblad(StateVector(cfg.space, np.eye(cfg.space.dim)[i]), cfg, LOOSE).state.matrix
+                for i in (l0 * m, (l0 + 1) * m))
+    assert np.max(np.abs(mixed - rho_ref)) < 1e-8
 
 
 def test_coherence_between_sectors_under_loss_matches_reference():
@@ -172,21 +175,19 @@ def test_coherence_between_sectors_under_loss_matches_reference():
     l0, m = cfg.ladder.center, cfg.model.dim
     psi = np.zeros(cfg.space.dim, dtype=complex)
     psi[l0 * m], psi[(l0 + 1) * m + 1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
-    rho0 = np.outer(psi, psi.conj())
-    pairs, _ = dynamics._seed_blocks(dynamics._Sectors(cfg), DensityMatrix(cfg.space, rho0))
+    pairs, _ = dynamics._seed_blocks(psi[dynamics._Sectors(cfg).joint_of])
     assert pairs == [(l0, l0), (l0, l0 + 2), (l0 + 2, l0 + 2)]
-    rho_ref = reference_lindblad(cfg, rho0, reference_steps(cfg))
-    res = evolve_lindblad(DensityMatrix(cfg.space, rho0), cfg, LOOSE)
+    rho_ref = reference_lindblad(cfg, np.outer(psi, psi.conj()), reference_steps(cfg))
+    res = evolve_lindblad(StateVector(cfg.space, psi), cfg, LOOSE)
     assert np.max(np.abs(res.state.matrix - rho_ref)) < 1e-8
 
 
-def test_pure_and_density_paths_agree():
-    cfg = small_kerr(kappa=0.04, n_cut=4, g_q=1.1, gamma=0.0, t=35.0)
-    psi0 = initial_state(cfg)
-    res_pure = evolve_lindblad(psi0, cfg, LOOSE)
-    res_dense = evolve_lindblad(density(psi0), cfg, LOOSE)
-    assert res_pure.pure_state is not None
-    assert np.max(np.abs(res_pure.state.matrix - res_dense.state.matrix)) < 1e-8
+@pytest.mark.parametrize("gamma", [0.0, 0.006])
+def test_density_matrix_seed_is_refused(gamma):
+    # the seed is a state vector on either route; a mixture is the sum of its components' results
+    cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=gamma, t=30.0)
+    with pytest.raises(TypeError, match="StateVector"):
+        evolve_lindblad(density(initial_state(cfg)), cfg, LOOSE)
 
 
 def test_fixed_step_runs_are_deterministic():
@@ -412,13 +413,34 @@ def test_frame_align_jc_branch_phase():
 
 
 def test_frame_align_round_trip():
+    # a random state with coherences everywhere, against the dense rotation W rho W^dag,
+    # W = exp(+i H_nl T) on the cavity index of every rung, from expm of the bare H_nl
     cfg = small_jc(kappa=0.04, gamma=0.0)
     rng = np.random.default_rng(3)
-    m = rng.standard_normal((cfg.space.dim, cfg.space.dim))
-    m = m @ m.T
-    rho = DensityMatrix(cfg.space, (m / np.trace(m)).astype(complex))
-    back = frame_align(frame_align(rho, cfg), cfg, time=-cfg.interaction_time)
-    assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-12
+    x = rng.standard_normal((cfg.space.dim, cfg.space.dim)) + 1j * rng.standard_normal((cfg.space.dim, cfg.space.dim))
+    x = x @ x.conj().T
+    rho = DensityMatrix(cfg.space, x / np.trace(x).real)
+    w = reference_frame_rotation(cfg)
+    assert np.max(np.abs(frame_align(rho, cfg).matrix - w @ rho.matrix @ w.conj().T)) < 1e-12
+
+
+def mismatched_spaces():
+    """A JC result and a Kerr config on two spaces of one dimension, 90: (9 rungs, 5 x 2) and (9, 10)."""
+    jc, kerr = small_jc(n_cut=4, rungs=9), small_kerr(n_cut=9, rungs=9)
+    assert jc.space != kerr.space and jc.space.dim == kerr.space.dim == 90
+    return evolve_lindblad(initial_state(jc), jc, LOOSE), kerr
+
+
+def test_frame_align_refuses_a_state_on_another_space():
+    result, kerr = mismatched_spaces()
+    with pytest.raises(ValueError, match=r"\('emitter', 2\).*does not match config space \(\('electron', 9\), \('photon', 10\)"):
+        frame_align(result.state, kerr)
+
+
+def test_blockade_fidelity_refuses_an_initial_state_on_another_space():
+    result, kerr = mismatched_spaces()
+    with pytest.raises(ValueError, match=r"\('photon', 10\)\).*does not match config space .*\('emitter', 2\)"):
+        blockade_fidelity(result, initial_state(kerr), "0*", "1+")
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +660,30 @@ def test_loss_chain_grows_until_its_sink_is_empty(monkeypatch):
 
 
 @pytest.mark.parametrize("second_sector", [False, True])
-def test_positivity_error_raised_for_negative_input(second_sector):
-    # a Hermitian unit-trace input with eigenvalue -0.2: the sector-block check (one
-    # occupied sector) and the dense check (two) must both trip
+def test_positivity_error_raised_for_negative_input(second_sector, monkeypatch):
+    # one diagonal sector block of the final state moved by t (|0><0| - |c><c|), c the top cavity
+    # state and t its population plus 0.2: Hermitian, trace-preserving, with an eigenvalue at most
+    # -0.2.  The sector-block check (a seed in one sector) and the dense check through _scatter
+    # (a seed in two, so the blocks between them enter) must both trip
     cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.006, t=30.0)
-    l0, m = cfg.ladder.center, cfg.model.dim
-    i, j = l0 * m, ((l0 + 1) * m if second_sector else l0 * m + 1)
-    rho0 = np.zeros((cfg.space.dim, cfg.space.dim), dtype=complex)
-    rho0[i, i], rho0[j, j] = 1.2, -0.2
+    psi0 = initial_state(cfg)
+    if second_sector:  # a second sector, one rung up
+        psi0 = StateVector(cfg.space, (psi0.amplitudes + np.roll(psi0.amplitudes, cfg.model.dim)) / math.sqrt(2))
+    assert any(k != q for k, q in evolve_lindblad(psi0, cfg, LOOSE).blocks) == second_sector
+    exact = dynamics._fold
+
+    def negative(*args):
+        out = exact(*args)
+        key = next(k for k in out if k[0] == k[1])
+        top = cfg.model.dim - 1
+        shift = np.zeros((cfg.model.dim, cfg.model.dim))
+        shift[0, 0], shift[top, top] = 1.0, -1.0
+        out[key] = out[key] + (out[key][top, top].real + 0.2) * shift
+        return out
+
+    monkeypatch.setattr(dynamics, "_fold", negative)
     with pytest.raises(NumericsError, match="minimum eigenvalue"):
-        evolve_lindblad(DensityMatrix(cfg.space, rho0), cfg, LOOSE)
+        evolve_lindblad(psi0, cfg, LOOSE)
 
 
 def test_hermiticity_error_raised_for_perturbed_block(monkeypatch):
@@ -664,6 +700,17 @@ def test_hermiticity_error_raised_for_perturbed_block(monkeypatch):
     monkeypatch.setattr(dynamics, "_fold", skewed)
     with pytest.raises(NumericsError, match="hermiticity"):
         evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+
+
+def test_loss_chain_runs_when_gamma_t_underflows():
+    # gamma > 0 takes the loss chain, and gamma T can still round to 0.0: the chain's first guess
+    # must not take the log of it, and the result is the lossless one
+    cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=5e-324, t=0.1)
+    assert cfg.gamma > 0 and cfg.gamma * cfg.interaction_time == 0.0
+    lossy = evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+    lossless = evolve_lindblad(initial_state(cfg), dataclasses.replace(cfg, gamma=0.0), LOOSE)
+    assert lossy.pure_state is None and lossless.pure_state is not None
+    assert np.max(np.abs(lossy.state.matrix - lossless.state.matrix)) < 1e-12
 
 
 def test_loss_chain_depth_folds_onto_cyclic_ladder():
@@ -764,7 +811,7 @@ def test_chebyshev_series_matches_taylor_reference(name):
     cfg = make()
     t, m, mm = cfg.interaction_time, cfg.model.dim, cfg.model.dim**2
     sec = dynamics._Sectors(cfg)
-    pairs, seeds = dynamics._seed_blocks(sec, initial_state(cfg, cavity_level=level))
+    pairs, seeds = dynamics._seed_blocks(initial_state(cfg, cavity_level=level).amplitudes[sec.joint_of])
     blocks = dynamics._chain_blocks(sec)
     gen = reference_chain_generator(sec, blocks, dynamics._cavity_lindbladian(sec))
     chain = chain_of(sec, blocks)

@@ -334,9 +334,6 @@ def test_cep_rz_and_cpe_path_match_dense_composition(rungs):
             op = cpe_path(space, center, qubit, phase_first=0.6, loss_to_path=loss_to).matrix
             ref = reference_cpe_path(space, center, qubit, 0.6, loss_to)
             assert np.max(np.abs(op - ref)) <= 1e-12
-    free = TensorSpace((("electron", rungs), ("pol", 2)))
-    op = cep_rz(1.7, free, conditioned=False).matrix
-    assert np.max(np.abs(op - reference_cep_rz(1.7, free, "pol", False))) <= 1e-12
 
 
 @pytest.mark.parametrize("rungs", [2, 3, 6, 7, 29])
