@@ -14,19 +14,23 @@ exactly, from two structural facts:
 * with V(t) = exp(-i delta nu t) that Hamiltonian becomes the constant
   H' - delta nu, H' = H_nl + i g a - i g* adag, and D[a] is unchanged by V.
 
-Without loss each sector column evolves by one m x m exponential,
+The seed lies in one sector k: an electron on one rung with the cavity in
+one eigenlevel does, since every JC and Kerr eigenlevel has one excitation
+number, and a seed in several sectors is refused.  Without loss its sector
+row evolves by one m x m exponential,
 
     psi_k(T) = exp(-i delta nu T) expm(-i (H' - delta nu) T) psi_k(0).
 
-With loss, a (k, k') block X of the density matrix evolves under
+With loss, the seed's block X = psi_k psi_k^dag evolves under
 X -> -i (H_eff X - X H_eff^dag), H_eff = H' - delta nu - (i gamma / 2) adag a
 (the photon number, not nu), and every photon loss X -> gamma a X adag moves
-it to block (k - 1, k' - 1).  That lower-bidiagonal chain is solved with a
-Chebyshev series of exp(tG) on a sparse chain generator G (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967 (1984)), one three-term recurrence of products with G;
-chain depth j lands on the sector pair (k - j, k' - j) mod D.  G maps
-Hermitian blocks to Hermitian blocks, so the series runs in real coordinates,
-Y = Re X + Im X per block, where G is a real matrix R with W(R) = W(G).  R
+it to the diagonal block of sector k - 1.  That lower-bidiagonal chain is
+solved with a Chebyshev series of exp(tG) on a sparse chain generator G
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), one three-term
+recurrence of products with G; chain depth j lands on sector k - j mod D, so
+the final state has no coherence between sectors.  G maps Hermitian blocks to
+Hermitian blocks, so the series runs in real coordinates, Y = Re X + Im X per
+block, where G is a real matrix R with W(R) = W(G).  R
 repeats two m^2 x m^2 blocks, one per depth and one jump below it, so its
 sparse arrays are tiled from them; the Gershgorin rectangle that holds W(R) is
 a closed form of the m x m matrices h, n and a.  The series runs on an ellipse
@@ -212,10 +216,12 @@ class Diagnostics:
 class EvolveResult:
     """Final state of a propagation as excitation-sector blocks.
 
-    `blocks[(k, k')]` is the m x m block <sector k| rho |sector k'> in the plain
-    interaction picture, for every pair of sectors the state occupies; sector k
-    holds |(k - nu(c)) mod D, c> for each bare cavity basis state c.  `state`
-    scatters the blocks into the dense joint-space density matrix on every read,
+    `blocks[(k, k)]` is the m x m block <sector k| rho |sector k> in the plain
+    interaction picture, for every sector the state occupies: the seed's, and
+    with loss those below it that photon loss reaches; sector k holds
+    |(k - nu(c)) mod D, c> for each bare cavity basis state c.  The state has
+    no coherence between sectors, so these blocks are all of it.  `state`
+    places the blocks in the dense joint-space density matrix on every read,
     and keeps no copy: for JC at n_cut 22 and 65 rungs it takes about 140 MB.
     `pure_state` is the final state vector when gamma = 0, and None otherwise.
     """
@@ -228,7 +234,10 @@ class EvolveResult:
 
     @property
     def state(self) -> DensityMatrix:
-        rho = _scatter(_joint_index(self.system.model, self.system.ladder.rungs), self.blocks, self.system.space.dim)
+        joint_of = _joint_index(self.system.model, self.system.ladder.rungs)
+        rho = np.zeros((self.system.space.dim,) * 2, dtype=complex)
+        for (k, q), x in self.blocks.items():
+            rho[np.ix_(joint_of[k], joint_of[q])] = x
         return DensityMatrix(self.system.space, rho, trace_tol=self.trace_tol)
 
 
@@ -245,12 +254,17 @@ def _joint_index(model: CavityModel, d: int) -> np.ndarray:
     return rung * model.dim + np.arange(model.dim)[None, :]
 
 
-def _scatter(joint_of: np.ndarray, blocks: dict, dim: int) -> np.ndarray:
-    """Dense joint-space matrix holding the sector blocks; zero between unoccupied sectors."""
-    rho = np.zeros((dim, dim), dtype=complex)
-    for (k, q), x in blocks.items():
-        rho[np.ix_(joint_of[k], joint_of[q])] = x
-    return rho
+def _seed_sector(state: StateVector, joint_of: np.ndarray) -> tuple[int, np.ndarray]:
+    """(k, psi_k): the one excitation sector a seed occupies, and its amplitudes there.
+
+    Raises ValueError naming the sectors when the seed occupies more than one.
+    """
+    rows = state.amplitudes[joint_of]  # row k: sector k
+    ks = np.flatnonzero(np.any(rows != 0, axis=1))
+    if len(ks) != 1:
+        raise ValueError(f"the seed must lie in one excitation sector (rung + nu mod {len(rows)}), "
+                         f"it occupies sectors {ks.tolist()}")
+    return int(ks[0]), rows[ks[0]]
 
 
 class _Sectors:
@@ -313,11 +327,13 @@ def _unitary_eigh(h: np.ndarray, t: float) -> np.ndarray:
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
-def _pure_populations(sec: _Sectors, psi: np.ndarray) -> _Populations:
-    return sec.populations(np.abs(psi) ** 2, psi.T @ psi.conj())
+def _pure_populations(sec: _Sectors, k: int, psi: np.ndarray) -> _Populations:
+    diag = np.zeros((sec.d, sec.m))
+    diag[k] = np.abs(psi) ** 2
+    return sec.populations(diag, np.outer(psi, psi.conj()))
 
 
-def _evolve_pure(sec: _Sectors, psi0: np.ndarray):
+def _evolve_pure(sec: _Sectors, k: int, psi0: np.ndarray):
     t = sec.cfg.interaction_time
     # the phases of exp(-i T h) spread over at most T times the numerical range's half-height: a
     # point whose series the loss chain would refuse is refused here too, before expm can overflow
@@ -325,12 +341,10 @@ def _evolve_pure(sec: _Sectors, psi0: np.ndarray):
     if not spread <= SERIES_WORK_LIMIT:
         raise NumericsError(f"the lossless route's phases spread over up to {spread:.3g} rad > "
                             f"{SERIES_WORK_LIMIT}; lower g_q or the window")
-    psi = psi0 @ (sec.phase[:, None] * _unitary_expm(sec.h, t)).T
-    pops = _pure_populations(sec, psi)
-    check = psi0 @ (sec.phase[:, None] * _unitary_eigh(sec.h, t)).T
-    ks = np.nonzero(np.any(psi0 != 0, axis=1))[0]
-    blocks = {(k, q): np.outer(psi[k], psi[q].conj()) for k in ks for q in ks}
-    return psi, blocks, pops, 2, pops.distance(_pure_populations(sec, check))
+    psi = (sec.phase[:, None] * _unitary_expm(sec.h, t)) @ psi0
+    pops = _pure_populations(sec, k, psi)
+    check = (sec.phase[:, None] * _unitary_eigh(sec.h, t)) @ psi0
+    return psi, pops, 2, pops.distance(_pure_populations(sec, k, check))
 
 
 # ---------------------------------------------------------------------------
@@ -541,21 +555,14 @@ def _cavity_lindbladian(sec: _Sectors) -> tuple:
                     _kron_entries(half_n, eye), _kron_entries(eye, half_n)])
 
 
-def _real_blocks(seeds: np.ndarray, between: list[int]) -> np.ndarray:
-    """The (P, ..., m, m) complex blocks `seeds` in Hermitian coordinates Y = Re X + Im X:
-    the Hermitian part of each, then the anti-Hermitian part A of the seeds `between`,
-    those that couple two sectors (X = H + i A)."""
-    adjoint = seeds.swapaxes(-1, -2).conj()
-    parts = np.concatenate([seeds + adjoint, (seeds[between] - adjoint[between]) / 1j]) / 2
-    return parts.real + parts.imag
+def _real_blocks(x: np.ndarray) -> np.ndarray:
+    """Hermitian (..., m, m) blocks `x` in Hermitian coordinates Y = Re X + Im X."""
+    return x.real + x.imag
 
 
-def _complex_blocks(real: np.ndarray, between: list[int]) -> np.ndarray:
-    """The inverse of _real_blocks: X = ((1 + i) Y + (1 - i) Y^T) / 2 per m x m block, then H + i A."""
-    parts = ((1 + 1j) * real + (1 - 1j) * real.swapaxes(-1, -2)) / 2
-    out = parts[: len(parts) - len(between)].copy()
-    out[between] += 1j * parts[len(out) :]
-    return out
+def _complex_blocks(real: np.ndarray) -> np.ndarray:
+    """The inverse of _real_blocks: X = ((1 + i) Y + (1 - i) Y^T) / 2 per m x m block."""
+    return ((1 + 1j) * real + (1 - 1j) * real.swapaxes(-1, -2)) / 2
 
 
 CROUZEIX = 1.0 + math.sqrt(2.0)  # ||p(G)|| <= CROUZEIX max |p| over the numerical range of G
@@ -725,96 +732,65 @@ def _chebyshev_action(plan: _Plan, rows: np.ndarray) -> tuple[np.ndarray, float]
     return rows, tail
 
 
-def _seed_blocks(psi0: np.ndarray) -> tuple[list, np.ndarray]:
-    """The (k, k') blocks psi0_k psi0_k'^dag of the initial state, from its (D, m)
-    sector rows, with k <= k' between occupied sectors; the blocks below the
-    diagonal are their adjoints."""
-    ks = np.nonzero(np.any(psi0 != 0, axis=1))[0]
-    pairs = [(k, q) for i, k in enumerate(ks) for q in ks[i:]]
-    return pairs, np.array([np.outer(psi0[k], psi0[q].conj()) for k, q in pairs])
-
-
-def _fold(sec: _Sectors, pairs: list, depths: np.ndarray) -> dict:
-    """Sector blocks of the final state from the (pairs, depths, m, m) chain blocks:
-    depth j of seed (k, k') lands on (k - j, k' - j) mod D."""
-    out: dict[tuple[int, int], np.ndarray] = {}
-
-    def add(key, x):
-        out[key] = out[key] + x if key in out else x
-
-    for i, (k, q) in enumerate(pairs):
-        for j, x in enumerate(depths[i]):
-            key = ((k - j) % sec.d, (q - j) % sec.d)
-            add(key, x)
-            if k != q:
-                add(key[::-1], x.conj().T)
-    return out
+def _fold(sec: _Sectors, k: int, depths: np.ndarray) -> dict:
+    """Sector blocks of the final state from the (depths, m, m) chain blocks of a seed in
+    sector k: depth j lands on sector k - j mod D, and the chain, at most D deep, puts one
+    depth on each."""
+    return {((k - j) % sec.d,) * 2: x for j, x in enumerate(depths)}
 
 
 def _block_populations(sec: _Sectors, blocks: dict) -> _Populations:
     diag = np.zeros((sec.d, sec.m))
     cav = np.zeros((sec.m, sec.m), dtype=complex)
-    for (k, q), x in blocks.items():
-        if k == q:
-            diag[k] = np.real(np.diag(x))
-            cav += x
+    for (k, _), x in blocks.items():
+        diag[k] = np.real(np.diag(x))
+        cav += x
     return sec.populations(diag, cav)
 
 
-def _chain_check(sec: _Sectors, pairs: list, seeds: np.ndarray, first: np.ndarray, marginal: np.ndarray,
+def _chain_check(sec: _Sectors, k: int, seed: np.ndarray, first: np.ndarray, marginal: np.ndarray,
                  pops: _Populations) -> float:
     """Largest difference of a reported probability between the chain and two exact identities that do not use it.
 
     Depth 0 receives no jump, so X_0(T) = K X_0 K^dag with K = exp(-i T H_eff),
     one m x m exponential; it checks the electron populations the depth-0
-    blocks `first` carry.  The depths summed obey the cavity's own Lindblad
+    block `first` carries.  The depths summed obey the cavity's own Lindblad
     equation, whose solution rides in the series as the block after the chain,
     `marginal`; it checks the level and photon populations.
     """
-    own = [i for i, (k, q) in enumerate(pairs) if k == q]
-    rungs = sec.rung_of[[pairs[i][0] for i in own]].ravel()
     k_eff = expm(-1j * sec.cfg.interaction_time * sec.h_eff)
-    closed = np.diagonal(k_eff @ seeds[own] @ k_eff.conj().T, axis1=1, axis2=2).real
-    chain = np.diagonal(first[own], axis1=1, axis2=2).real  # (seed, m), as closed
-    cav = marginal[own].sum(axis=0)
-    exact = _Populations(np.bincount(rungs, weights=closed.ravel(), minlength=sec.d),
-                         np.real(np.sum(sec.u.conj() * (cav @ sec.u), axis=0)),
-                         np.bincount(sec.n_photon, weights=np.diag(cav).real, minlength=sec.cfg.model.n_cut + 1))
-    return exact.distance(_Populations(np.bincount(rungs, weights=chain.ravel(), minlength=sec.d),
+    closed = np.diagonal(k_eff @ seed @ k_eff.conj().T).real
+    exact = _Populations(np.bincount(sec.rung_of[k], weights=closed, minlength=sec.d),
+                         np.real(np.sum(sec.u.conj() * (marginal @ sec.u), axis=0)),
+                         np.bincount(sec.n_photon, weights=np.diag(marginal).real, minlength=sec.cfg.model.n_cut + 1))
+    return exact.distance(_Populations(np.bincount(sec.rung_of[k], weights=np.diagonal(first).real, minlength=sec.d),
                                        pops.level, pops.photon))
 
 
-def _evolve_chain(sec: _Sectors, psi0: np.ndarray):
+def _evolve_chain(sec: _Sectors, k: int, psi0: np.ndarray):
     t, m, mm = sec.cfg.interaction_time, sec.m, sec.m * sec.m
-    pairs, seeds = _seed_blocks(psi0)
-    diagonal = [i for i, (k, q) in enumerate(pairs) if k == q]  # their sinks add up to the population lost
-    between = [i for i, (k, q) in enumerate(pairs) if k != q]  # seeds with an anti-Hermitian part
+    seed = np.outer(psi0, psi0.conj())
     depth, jump = (_hermitian_coordinates(x, m) for x in _depth_blocks(sec))
     marginal = _hermitian_coordinates(_cavity_lindbladian(sec), m)
     sink = sec.cfg.gamma * sec.n_photon / sec.cfg.model.n_cut
-    seed_rows = _real_blocks(seeds, between).reshape(-1, mm)
     blocks, work = _chain_blocks(sec), 0
     while True:  # grow the chain until its sink holds at most CHAIN_TAIL
         chain = _Chain(m, blocks, depth, jump, sink if blocks < sec.d else None, marginal)
-        rows = np.zeros((len(seed_rows), chain.size))
-        rows[:, :mm] = rows[:, chain.start :] = seed_rows  # depth 0 and the marginal
+        rows = np.zeros((1, chain.size))
+        rows[0, :mm] = rows[0, chain.start :] = _real_blocks(seed).ravel()  # depth 0 and the marginal
         plan = _chebyshev_plan(partial(_series_operator, chain), _numerical_box(sec, blocks < sec.d), t)
-        end, tail = _chebyshev_action(plan, rows)
+        (end,), tail = _chebyshev_action(plan, rows)
         work += plan.work
         size = blocks * mm  # the sink, if any, follows the blocks
-        if blocks == sec.d or sec.cfg.model.n_cut * float(np.sum(end[diagonal, size])) <= CHAIN_TAIL:
+        if blocks == sec.d or sec.cfg.model.n_cut * float(end[size]) <= CHAIN_TAIL:
             break
         blocks = min(2 * blocks, sec.d)
-    depths = _complex_blocks(end[:, :size].reshape(-1, blocks, m, m), between)
-    summed = _complex_blocks(end[:, -mm:].reshape(-1, m, m), between)  # the marginal
-    final = _fold(sec, pairs, depths)
+    depths = _complex_blocks(end[:size].reshape(blocks, m, m))
+    final = _fold(sec, k, depths)
     pops = _block_populations(sec, final)
-    delta = _chain_check(sec, pairs, seeds, depths[:, 0], summed, pops)
+    delta = _chain_check(sec, k, seed, depths[0], _complex_blocks(end[-mm:].reshape(m, m)), pops)
     out = {key: sec.phase[:, None] * x * sec.phase.conj()[None, :] for key, x in final.items()}  # V(T)
-    if all(k == q for k, q in pairs):
-        min_eig = float(np.linalg.eigvalsh(np.stack(list(out.values())))[:, 0].min())
-    else:
-        min_eig = float(np.linalg.eigvalsh(_scatter(sec.joint_of, out, sec.d * sec.m))[0])
+    min_eig = float(np.linalg.eigvalsh(np.stack(list(out.values())))[:, 0].min())
     return out, pops, work, delta, min_eig, tail
 
 
@@ -827,17 +803,20 @@ def evolve_lindblad(
     cfg: SystemConfig,
     icfg: IntegratorConfig = IntegratorConfig(),
 ) -> EvolveResult:
-    """Propagate a joint state vector over the interaction window [0, T].
+    """Propagate a joint state vector in one excitation sector over the interaction window [0, T].
 
     Returns the final state in the plain interaction picture (static nonlinear
     Hamiltonian explicit) in the bare cavity basis, as excitation-sector
     blocks, with numerical diagnostics computed from them.  Without loss it
     takes the lossless route and is also returned as `pure_state`; with loss,
-    the loss chain.  The map is linear: a mixture's result is the weighted sum
-    of its pure components'.  Either route runs the accuracy gate.
+    the loss chain.  Either route runs the accuracy gate.
+    The seed must lie in one sector, as every product of a rung and a cavity
+    eigenlevel does; a seed in several raises ValueError naming them.  The
+    map is linear: a mixture's result is the weighted sum of its pure
+    components'.
     Raises a NumericsError subclass when trace drift, ladder-cutoff
     population, wrap-around population, positivity, the hermiticity of the
-    diagonal blocks, the agreement of the final state with its check, or the
+    sector blocks, the agreement of the final state with its check, or the
     last terms of the loss chain's series violate their bounds (a nan violates
     every bound), and before the series when it would take more than
     SERIES_WORK_LIMIT products; without loss, before the exponentials when
@@ -848,17 +827,18 @@ def evolve_lindblad(
         raise TypeError(f"the seed must be a StateVector, got {type(state).__name__}; evolve a mixture's components")
     _require_space(state.space, cfg)
     sec = _Sectors(cfg)
-    psi0 = state.amplitudes[sec.joint_of]  # row k: sector k
+    k, psi0 = _seed_sector(state, sec.joint_of)
     pure = cfg.gamma == 0.0
     if pure:
-        psi, blocks, pops, work, delta = _evolve_pure(sec, psi0)
-        amp = np.empty(sec.d * sec.m, dtype=complex)
-        amp[sec.joint_of] = psi
-        nrm = float(np.linalg.norm(amp))
+        psi, pops, work, delta = _evolve_pure(sec, k, psi0)
+        blocks = {(k, k): np.outer(psi, psi.conj())}
+        nrm = float(np.linalg.norm(psi))
         trace_error = abs(nrm**2 - 1.0)
+        amp = np.zeros(sec.d * sec.m, dtype=complex)
+        amp[sec.joint_of[k]] = psi / nrm
         min_eig, tail = 0.0, None
     else:
-        blocks, pops, work, delta, min_eig, tail = _evolve_chain(sec, psi0)
+        blocks, pops, work, delta, min_eig, tail = _evolve_chain(sec, k, psi0)
         trace_error = abs(float(pops.electron.sum()) - 1.0)
 
     diag = Diagnostics(
@@ -874,11 +854,11 @@ def evolve_lindblad(
         photon_populations=pops.photon,
     )
     _enforce_bounds(diag, icfg)
-    herm = max(float(np.max(np.abs(x - x.conj().T))) for (k, q), x in blocks.items() if k == q)
+    herm = max(float(np.max(np.abs(x - x.conj().T))) for x in blocks.values())
     if not herm <= HERMITICITY_TOL:
         raise NumericsError(f"sector block hermiticity defect {herm:.3e} exceeds {HERMITICITY_TOL}")
     return EvolveResult(blocks=blocks, diagnostics=diag, system=cfg, trace_tol=max(10 * icfg.trace_bound, 1e-7),
-                        pure_state=StateVector(cfg.space, amp / nrm) if pure else None)
+                        pure_state=StateVector(cfg.space, amp) if pure else None)
 
 
 def _require_space(space: TensorSpace, cfg: SystemConfig) -> None:
@@ -1016,19 +996,18 @@ def blockade_fidelity(result: EvolveResult, initial: StateVector, lower: str, up
     t = scattering_blockade(omega, lower, upper) @ initial, normalized, and
     omega = blockade_angle(lower, upper, g_q).  In sector coordinates both the
     ideal pass and exp(+i H_nl T) act on every sector as one m x m matrix, s
-    and w, so F = sum over the sectors k, k' that `initial` occupies of
-    (w^dag s psi0_k)^dag X_kk' (w^dag s psi0_k').
+    and w.  `initial` must lie in one sector k, as evolve_lindblad's seed does
+    (ValueError otherwise), so F = (w^dag s psi0_k)^dag X_kk (w^dag s psi0_k).
     """
     cfg = result.system
     _require_space(initial.space, cfg)
+    k, psi0 = _seed_sector(initial, _joint_index(cfg.model, cfg.ladder.rungs))
     lo, up, _ = pair_states(cfg.model, lower, upper)
     s = sum(_pair_rotation(blockade_angle(cfg.model, lower, upper, cfg.g_q), lo, up))
     w = _frame_rotation(cfg.model, cfg.interaction_time)
-    psi0 = initial.amplitudes[_joint_index(cfg.model, cfg.ladder.rungs)]  # row k: sector k
-    target = psi0 @ s.T
-    probe = target @ w.conj()  # row k: w^dag s psi0_k
-    ks = np.nonzero(np.any(psi0 != 0, axis=1))[0]
-    val = sum(np.vdot(probe[k], result.blocks[(k, q)] @ probe[q]) for k in ks for q in ks)
+    target = s @ psi0
+    probe = w.conj().T @ target
+    val = np.vdot(probe, result.blocks[(k, k)] @ probe)
     return float(min(max(val.real / np.sum(np.abs(target) ** 2), 0.0), 1.0))
 
 

@@ -124,25 +124,18 @@ def _lift(s: np.ndarray, labels: tuple[str, ...], space: TensorSpace) -> Operato
     return Operator(space, s) if space.labels == labels else embed_group(s, labels, space)
 
 
-def _lift_on_qubit(s: np.ndarray, qubit_label: str, conditioned: bool, space: TensorSpace) -> Operator:
-    """`s`, on (electron, qubit), on `space`; with `conditioned`, on the near path only."""
-    if conditioned:
-        return _lift(_near_path(s), (ELECTRON_LABEL, PATH_LABEL, qubit_label), space)
-    return _lift(s, (ELECTRON_LABEL, qubit_label), space)
+def _lift_on_qubit(s: np.ndarray, qubit_label: str, space: TensorSpace) -> Operator:
+    """`s`, on (electron, qubit), on the near path of `space`."""
+    return _lift(_near_path(s), (ELECTRON_LABEL, PATH_LABEL, qubit_label), space)
 
 
-def gate_pass(
-    omega: complex,
-    space: TensorSpace,
-    qubit_label: str = "pol",
-    conditioned_on_path: bool = False,
-) -> Operator:
+def gate_pass(omega: complex, space: TensorSpace, qubit_label: str = "pol") -> Operator:
     """One electron-cavity interaction on the selected polariton qubit.
 
-    With `conditioned_on_path`, the far path (|0> of the path register) is
-    untouched and only the near-cavity path interacts.
+    The space must carry a path register: the far path (|0> of the path
+    register) is untouched and only the near-cavity path interacts.
     """
-    return _lift_on_qubit(_blockade(omega, space.dim_of(ELECTRON_LABEL)), qubit_label, conditioned_on_path, space)
+    return _lift_on_qubit(_blockade(omega, space.dim_of(ELECTRON_LABEL)), qubit_label, space)
 
 
 def _z_rotations(rungs: int):
@@ -177,7 +170,7 @@ def cep_rz(phi: float, space: TensorSpace, qubit_label: str = "pol") -> Operator
     restored exactly (the two one-rung shifts cancel).  The space must carry a
     path register: the rotation acts on the near path and leaves the far path.
     """
-    return _lift_on_qubit(_z_rotations(space.dim_of(ELECTRON_LABEL))(phi), qubit_label, conditioned=True, space=space)
+    return _lift_on_qubit(_z_rotations(space.dim_of(ELECTRON_LABEL))(phi), qubit_label, space)
 
 
 def _schmidt_entropy(sv: np.ndarray) -> float:
@@ -430,7 +423,7 @@ def gate_identity_suite(
     dev = _unitarity_defect(scattering_linear(0.8 + 0.3j, model, ladder).matrix)
     add("linear scattering matrix unitary", dev <= 1e-12, dev)
     space1 = gate_space(rungs=rungs, n_qubits=1, with_path=True)
-    dev = _unitarity_defect(gate_pass(0.5 * math.pi * cmath.exp(0.4j), space1, "pol", conditioned_on_path=True).matrix)
+    dev = _unitarity_defect(gate_pass(0.5 * math.pi * cmath.exp(0.4j), space1, "pol").matrix)
     add("blockade pass unitary (path-conditioned)", dev <= 1e-12, dev)
 
     # z-rotation family: phase gate, group law, S^2 = Z chain

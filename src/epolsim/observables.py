@@ -115,7 +115,7 @@ def polariton_statistics(rho: DensityMatrix, basis: PolaritonBasis) -> Distribut
 def state_fidelity(rho: DensityMatrix, psi: StateVector) -> float:
     """Overlap <psi| rho |psi> of a mixed state with a pure target."""
     if rho.space != psi.space:
-        raise ValueError(f"spaces differ: {rho.space.labels} vs {psi.space.labels}")
+        raise ValueError(f"state space {rho.space.factors} does not match target space {psi.space.factors}")
     val = complex(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"fidelity has imaginary part {val.imag:.3e}")

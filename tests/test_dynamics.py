@@ -99,9 +99,12 @@ def test_linear_lossless_evolution_gives_unit_mean_photon():
 
 
 def test_zero_coupling_freezes_populations():
+    # random amplitudes over the seed's sector, the centre rung's
     cfg = small_kerr(g_q=0.0, kappa=0.08)
     rng = np.random.default_rng(0)
-    amps = rng.standard_normal(cfg.space.dim) + 1j * rng.standard_normal(cfg.space.dim)
+    sector = dynamics._joint_index(cfg.model, cfg.ladder.rungs)[cfg.ladder.center]
+    amps = np.zeros(cfg.space.dim, dtype=complex)
+    amps[sector] = rng.standard_normal(len(sector)) + 1j * rng.standard_normal(len(sector))
     psi0 = StateVector(cfg.space, amps / np.linalg.norm(amps))
     res = evolve_lindblad(psi0, cfg, LOOSE)
     before = np.abs(psi0.amplitudes) ** 2
@@ -141,19 +144,6 @@ def test_bare_and_eigenframe_propagation_agree_for_pure_states(make):
     assert overlap.real >= 1.0 - 1e-10
 
 
-def test_full_path_matches_reference_for_comb_input():
-    # comb electron states carry coherence between excitation sectors, forcing
-    # the general (non-block-diagonal) propagation path
-    cfg = small_kerr(kappa=0.06, n_cut=3, g_q=0.8, gamma=0.01, t=25.0, rungs=7)
-    comb = comb_state(2 * math.pi / 7, cfg.ladder).amplitudes
-    cav = np.zeros(cfg.model.dim)
-    cav[0] = 1.0
-    psi0 = StateVector(cfg.space, np.kron(comb, cav))
-    rho_ref = reference_lindblad(cfg, np.outer(psi0.amplitudes, psi0.amplitudes.conj()), reference_steps(cfg))
-    res = evolve_lindblad(psi0, cfg, IntegratorConfig(cutoff_bound=1.0, wrap_bound=1.0))
-    assert np.max(np.abs(res.state.matrix - rho_ref)) < 1e-8
-
-
 def test_sector_mixture_uses_block_path_and_matches_reference():
     cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.006, t=30.0)
     l0 = cfg.ladder.center
@@ -168,18 +158,43 @@ def test_sector_mixture_uses_block_path_and_matches_reference():
     assert np.max(np.abs(mixed - rho_ref)) < 1e-8
 
 
-def test_coherence_between_sectors_under_loss_matches_reference():
-    # (|l0, 0> + i |l0+1, 1>)/sqrt 2 occupies sectors l0 and l0 + 2: the seed block between
-    # them is not Hermitian, and the series carries its anti-Hermitian part as a column of its own
-    cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.006, t=30.0)
-    l0, m = cfg.ladder.center, cfg.model.dim
-    psi = np.zeros(cfg.space.dim, dtype=complex)
-    psi[l0 * m], psi[(l0 + 1) * m + 1] = 1 / math.sqrt(2), 1j / math.sqrt(2)
-    pairs, _ = dynamics._seed_blocks(psi[dynamics._Sectors(cfg).joint_of])
-    assert pairs == [(l0, l0), (l0, l0 + 2), (l0 + 2, l0 + 2)]
-    rho_ref = reference_lindblad(cfg, np.outer(psi, psi.conj()), reference_steps(cfg))
-    res = evolve_lindblad(StateVector(cfg.space, psi), cfg, LOOSE)
-    assert np.max(np.abs(res.state.matrix - rho_ref)) < 1e-8
+def comb_seed(cfg):
+    """A comb electron with the cavity empty: one sector per rung."""
+    return StateVector(cfg.space, np.kron(comb_state(2 * math.pi / 7, cfg.ladder).amplitudes, np.eye(cfg.model.dim)[0]))
+
+
+def two_sector_seed(cfg):
+    """(|l0, 0> + |l0 + 1, 0>) / sqrt 2: sectors l0 and l0 + 1."""
+    psi0 = initial_state(cfg).amplitudes
+    return StateVector(cfg.space, (psi0 + np.roll(psi0, cfg.model.dim)) / math.sqrt(2))
+
+
+@pytest.mark.parametrize("seed, sectors", [(comb_seed, r"\[0, 1, 2, 3, 4, 5, 6\]"), (two_sector_seed, r"\[3, 4\]")],
+                         ids=["comb", "two_sectors"])
+def test_seed_in_several_sectors_is_refused(seed, sectors):
+    # every seed the program builds lies in one excitation sector; a seed across several is refused
+    # by both the propagator, on either route, and the blockade fidelity, each naming the sectors
+    cfg = small_kerr(kappa=0.06, n_cut=3, g_q=0.8, gamma=0.01, t=25.0, rungs=7)
+    for gamma in (0.0, cfg.gamma):
+        with pytest.raises(ValueError, match=rf"one excitation sector .*occupies sectors {sectors}"):
+            evolve_lindblad(seed(cfg), dataclasses.replace(cfg, gamma=gamma), LOOSE)
+    result = evolve_lindblad(initial_state(cfg), cfg, LOOSE)
+    with pytest.raises(ValueError, match=rf"one excitation sector .*occupies sectors {sectors}"):
+        blockade_fidelity(result, seed(cfg), "0", "1")
+
+
+@pytest.mark.parametrize("make", [build_kerr, build_jc])
+@pytest.mark.parametrize("n_cut", range(2, 13))
+def test_every_initial_state_lies_in_one_sector(make, n_cut):
+    # the seeds the CLI builds: initial_state puts each level at the ladder's centre, here the first,
+    # the middle and the last rung, and each must lie in sector rung + nu mod D, which the propagator takes
+    model, rungs = make(0.05, n_cut), 9
+    joint_of = dynamics._joint_index(model, rungs)
+    for center in (0, rungs // 2, rungs - 1):
+        cfg = SystemConfig(model=model, ladder=LadderConfig(rungs=rungs, center=center), g_q=1.0, interaction_time=1.0)
+        for label, nu in zip(model.basis.labels, model.basis.excitations):
+            k, _ = dynamics._seed_sector(initial_state(cfg, cavity_level=label), joint_of)
+            assert k == (center + nu) % rungs, (label, center)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 0.006])
@@ -222,18 +237,20 @@ PAIRS = {"kerr": ("0", "1"), "jc": ("0*", "1+")}
 
 @pytest.mark.parametrize("make", [small_kerr, small_jc])
 @pytest.mark.parametrize("gamma", [0.0, 0.004])
-@pytest.mark.parametrize("two_sectors", [False, True])
-def test_sector_scores_match_dense_state(make, gamma, two_sectors):
+@pytest.mark.parametrize("two_rungs", [False, True])
+def test_sector_scores_match_dense_state(make, gamma, two_rungs):
     # the blockade fidelity and the populations the CLI reports, read from the
     # sector blocks, against the dense route through the joint-space state
     cfg = make(kappa=0.05, n_cut=4, g_q=1.2, delta=0.05, gamma=gamma, t=50.0)
     lower, upper = PAIRS[cfg.model.kind]
+    l0, m = cfg.ladder.center, cfg.model.dim
     psi0 = initial_state(cfg, cavity_level=lower)
-    if two_sectors:  # a second sector, one rung up: off-diagonal blocks enter
-        amp = psi0.amplitudes + np.roll(psi0.amplitudes, cfg.model.dim) * np.exp(0.7j)
+    if two_rungs:  # (|l0, lower> + e^{0.7i} |l0 - 1, upper>) / sqrt 2: one sector over two rungs
+        amp = psi0.amplitudes.copy()
+        amp[(l0 - 1) * m : l0 * m] = np.exp(0.7j) * cfg.model.basis.state(upper)
         psi0 = StateVector(cfg.space, amp / math.sqrt(2))
     res = evolve_lindblad(psi0, cfg, LOOSE)
-    assert any(k != q for k, q in res.blocks) == two_sectors
+    assert next(iter(res.blocks)) == (l0, l0)
     lo, up, _ = pair_states(cfg.model, lower, upper)
     omega = blockade_angle(cfg.model, lower, upper, cfg.g_q)
     target = (scattering_blockade(omega, lo, up, cfg.space) @ psi0).normalize()
@@ -659,22 +676,16 @@ def test_loss_chain_grows_until_its_sink_is_empty(monkeypatch):
     assert np.max(np.abs(got.diagnostics.electron_populations - want.diagnostics.electron_populations)) < 1e-12
 
 
-@pytest.mark.parametrize("second_sector", [False, True])
-def test_positivity_error_raised_for_negative_input(second_sector, monkeypatch):
-    # one diagonal sector block of the final state moved by t (|0><0| - |c><c|), c the top cavity
-    # state and t its population plus 0.2: Hermitian, trace-preserving, with an eigenvalue at most
-    # -0.2.  The sector-block check (a seed in one sector) and the dense check through _scatter
-    # (a seed in two, so the blocks between them enter) must both trip
+def test_positivity_error_raised_for_negative_input(monkeypatch):
+    # one sector block of the final state moved by t (|0><0| - |c><c|), c the top cavity state and
+    # t its population plus 0.2: Hermitian, trace-preserving, with an eigenvalue at most -0.2
     cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.006, t=30.0)
     psi0 = initial_state(cfg)
-    if second_sector:  # a second sector, one rung up
-        psi0 = StateVector(cfg.space, (psi0.amplitudes + np.roll(psi0.amplitudes, cfg.model.dim)) / math.sqrt(2))
-    assert any(k != q for k, q in evolve_lindblad(psi0, cfg, LOOSE).blocks) == second_sector
     exact = dynamics._fold
 
     def negative(*args):
         out = exact(*args)
-        key = next(k for k in out if k[0] == k[1])
+        key = next(iter(out))
         top = cfg.model.dim - 1
         shift = np.zeros((cfg.model.dim, cfg.model.dim))
         shift[0, 0], shift[top, top] = 1.0, -1.0
@@ -687,13 +698,13 @@ def test_positivity_error_raised_for_negative_input(second_sector, monkeypatch):
 
 
 def test_hermiticity_error_raised_for_perturbed_block(monkeypatch):
-    # an off-diagonal entry of one diagonal sector block moved by 1e-6 without its mirror
+    # an off-diagonal entry of one sector block moved by 1e-6 without its mirror
     cfg = small_kerr(kappa=0.05, n_cut=3, g_q=0.9, gamma=0.006, t=30.0)
     exact = dynamics._fold
 
     def skewed(*args):
         out = exact(*args)
-        key = next(k for k in out if k[0] == k[1])
+        key = next(iter(out))
         out[key] = out[key] + 1e-6 * np.eye(cfg.model.dim, k=1)
         return out
 
@@ -811,24 +822,24 @@ def test_chebyshev_series_matches_taylor_reference(name):
     cfg = make()
     t, m, mm = cfg.interaction_time, cfg.model.dim, cfg.model.dim**2
     sec = dynamics._Sectors(cfg)
-    pairs, seeds = dynamics._seed_blocks(initial_state(cfg, cavity_level=level).amplitudes[sec.joint_of])
+    _, psi = dynamics._seed_sector(initial_state(cfg, cavity_level=level), sec.joint_of)
+    seed = np.outer(psi, psi.conj())
     blocks = dynamics._chain_blocks(sec)
     gen = reference_chain_generator(sec, blocks, dynamics._cavity_lindbladian(sec))
     chain = chain_of(sec, blocks)
-    cols = np.zeros((chain.size, len(pairs)), dtype=complex)
-    cols[:mm] = cols[chain.start :] = seeds.reshape(len(pairs), -1).T
-    rows = np.zeros((len(pairs), chain.size))
-    rows[:, :mm] = rows[:, chain.start :] = dynamics._real_blocks(seeds, []).reshape(len(pairs), -1)
+    col = np.zeros((chain.size, 1), dtype=complex)
+    col[:mm, 0] = col[chain.start :, 0] = seed.ravel()
+    rows = np.zeros((1, chain.size))
+    rows[0, :mm] = rows[0, chain.start :] = dynamics._real_blocks(seed).ravel()
     box = dynamics._numerical_box(sec, blocks < sec.d)
     plan = dynamics._chebyshev_plan(partial(dynamics._series_operator, chain), box, t)
     assert plan.op.data.dtype == np.float64
-    end, _ = dynamics._chebyshev_action(plan, rows)
+    (end,), _ = dynamics._chebyshev_action(plan, rows)
     size = blocks * mm
-    depths = dynamics._complex_blocks(end[:, :size].reshape(len(pairs), blocks, m, m), [])
-    marginal = dynamics._complex_blocks(end[:, chain.start :].reshape(len(pairs), m, m), [])
-    got = np.concatenate([depths.reshape(len(pairs), -1), end[:, size : chain.start], marginal.reshape(len(pairs), -1)],
-                         axis=1).T  # the sink, if any, is real and stays as it is
-    assert np.max(np.abs(got - reference_expm_action(gen, cols, t))) < 1e-12
+    depths = dynamics._complex_blocks(end[:size].reshape(blocks, m, m))
+    marginal = dynamics._complex_blocks(end[chain.start :].reshape(m, m))
+    got = np.concatenate([depths.ravel(), end[size : chain.start], marginal.ravel()])  # the sink, if any, is real
+    assert np.max(np.abs(got - reference_expm_action(gen, col, t)[:, 0])) < 1e-12
     if name == "kerr_lossy_map":
         assert (box[3] - box[2]) / 2 * t >= 300  # rho T: the imaginary half-width of the numerical range
     if name == "pure_loss":
@@ -858,19 +869,16 @@ def test_chain_populations_match_counting_field_reference(name):
 
 
 def test_hermitian_coordinates_round_trip():
-    # the seeds of one sector pair (k, k), Hermitian, and of a pair between two sectors, which is not:
-    # the second splits into its Hermitian and anti-Hermitian parts, and both come back as they were
+    # Hermitian blocks, as the chain's depths of one seed, go to real coordinates and come back as they were
     m = 4
-    x = np.random.default_rng(11).standard_normal((2, 3, m, m, 2)) @ np.array([1.0, 1j])  # (pairs, depths, m, m)
-    x[0] += x[0].swapaxes(-1, -2).conj()
-    real = dynamics._real_blocks(x, [1])
-    assert real.dtype == np.float64 and real.shape == (3, 3, m, m)
-    assert np.array_equal(real[0], x[0].real + x[0].imag)
-    hermitian, anti = (x[1] + x[1].swapaxes(-1, -2).conj()) / 2, (x[1] - x[1].swapaxes(-1, -2).conj()) / 2j
-    assert np.allclose(real[1:], [hermitian.real + hermitian.imag, anti.real + anti.imag], rtol=0, atol=1e-15)
+    x = np.random.default_rng(11).standard_normal((3, m, m, 2)) @ np.array([1.0, 1j])  # (depths, m, m)
+    x += x.swapaxes(-1, -2).conj()
+    real = dynamics._real_blocks(x)
+    assert real.dtype == np.float64 and real.shape == (3, m, m)
+    assert np.array_equal(real, x.real + x.imag)
     # Re X + Im X is an isometry on the Hermitian matrices
-    assert np.allclose(np.linalg.norm(real[0], axis=(-2, -1)), np.linalg.norm(x[0], axis=(-2, -1)), rtol=1e-15)
-    assert np.max(np.abs(dynamics._complex_blocks(real, [1]) - x)) < 1e-15
+    assert np.allclose(np.linalg.norm(real, axis=(-2, -1)), np.linalg.norm(x, axis=(-2, -1)), rtol=1e-15)
+    assert np.max(np.abs(dynamics._complex_blocks(real) - x)) < 1e-15
 
 
 def shifted_operator(matrix):

@@ -56,7 +56,7 @@ def test_gate_pass_identity_at_zero_coupling():
 
 def test_conditioned_pass_leaves_far_path_untouched():
     space = gate_space(rungs=RUNGS)
-    op = gate_pass(0.5 * math.pi, space, "pol", conditioned_on_path=True)
+    op = gate_pass(0.5 * math.pi, space, "pol")
     rng = np.random.default_rng(0)
     for _ in range(5):
         anc = _ancilla_tail(space, CENTER, path_index=0)
@@ -68,7 +68,7 @@ def test_conditioned_pass_leaves_far_path_untouched():
 
 def test_conditioned_pass_unitary():
     space = gate_space(rungs=RUNGS)
-    op = gate_pass(0.5 * math.pi * cmath.exp(0.7j), space, "pol", conditioned_on_path=True)
+    op = gate_pass(0.5 * math.pi * cmath.exp(0.7j), space, "pol")
     assert _unitarity_defect(op.matrix) <= 1e-12
 
 
@@ -318,9 +318,8 @@ def test_gate_pass_matches_dense_reference(rungs):
     space = gate_space(rungs=rungs, n_qubits=2)
     omega = 0.5 * math.pi * cmath.exp(0.4j)
     for qubit in ("pol1", "pol2"):
-        for conditioned in (True, False):
-            op = gate_pass(omega, space, qubit, conditioned_on_path=conditioned).matrix
-            assert np.max(np.abs(op - reference_pass(omega, space, qubit, conditioned))) <= 1e-12
+        op = gate_pass(omega, space, qubit).matrix
+        assert np.max(np.abs(op - reference_pass(omega, space, qubit, True))) <= 1e-12
 
 
 @pytest.mark.parametrize("rungs", [7, 18])

@@ -150,6 +150,16 @@ def test_fidelity_space_mismatch():
         state_fidelity(rho, psi)
 
 
+def test_fidelity_space_mismatch_names_the_dimensions():
+    # two spaces with the same labels, (electron, photon), that differ in the photon cutoff only
+    def state(n_cut):
+        return initial_state(SystemConfig(model=build_kerr(0.05, n_cut), ladder=LadderConfig(rungs=9, center=4),
+                                          g_q=1.0, interaction_time=1.0))
+
+    with pytest.raises(ValueError, match=r"\('photon', 4\)\) does not match target space .*\('photon', 5\)\)"):
+        state_fidelity(density(state(3)), state(4))
+
+
 def test_entropy_after_quarter_blockade():
     # two-term Schmidt decomposition: cos^2(pi/4) = 1/2 on each branch
     cfg, out = blockade_setup(0.25 * math.pi)
